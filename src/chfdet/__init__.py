@@ -22,7 +22,6 @@ from .errors import DomainError, NonConvergenceError, RegimeError
 from .fredholm import (
     QuadratureGrid,
     build_grid,
-    default_grading_levels,
     log_det,
     log_det_series_oracle,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "bessel_kernel",
     "QuadratureGrid",
     "build_grid",
-    "default_grading_levels",
     "log_det",
     "log_det_series_oracle",
     "AsymptoticReport",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .asymptotics import large_gap_lnF, moment_asymptotics
 from .errors import DomainError, NonConvergenceError, RegimeError
-from .fredholm import build_grid, default_grading_levels, log_det
+from .fredholm import PANEL_ORDER, build_grid, log_det
 from .kernel import Configuration, KernelParams
 from .painleve import cpv_init, cpv_integrate, hamiltonian
 from .stats import numeric_covariance, numeric_mean, numeric_variance
@@ -37,7 +37,6 @@ COMMANDS = ("det", "asymp", "painleve", "verify", "moments", "sweep")
 _INNER_COMMANDS = ("det", "asymp")
 _FORMATS = ("json", "csv")
 _DEFAULT_TOL = 1e-9
-_DEFAULT_ORDER = 48
 
 # Keys accepted in a config file; identical to the long flags with
 # underscores in place of dashes. "config" itself is deliberately absent:
@@ -190,7 +189,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma", help="interval weights as index=value pairs, e.g. 0=0.3,1=0.6")
     parser.add_argument("--t", help="scale applied to the endpoints")
     parser.add_argument("--t-range", dest="t_range", help="scale grid as start:stop:count")
-    parser.add_argument("--order", help="quadrature order per panel (default 48)")
+    parser.add_argument("--order", help=f"quadrature order per panel (default {PANEL_ORDER})")
     parser.add_argument("--tol", help="flow integration tolerance (default 1e-09)")
     parser.add_argument("--inner", help="command run at each sweep point: det or asymp")
     parser.add_argument("--out", help="output path (default stdout)")
@@ -338,9 +337,8 @@ def _linspace(t_range: tuple) -> list:
 
 def _quadrature_lnf(rc: RunConfig, config: Configuration):
     """log det with the order knob applied; returns (lnf, grid)."""
-    levels = default_grading_levels(rc.params)
-    order = rc.order if rc.order is not None else _DEFAULT_ORDER
-    grid = build_grid(config, order_per_panel=order, grading_levels=levels)
+    order = rc.order if rc.order is not None else PANEL_ORDER
+    grid = build_grid(config, rc.params.alpha, order_per_panel=order)
     return log_det(rc.params, config, grid=grid), grid
 
 
@@ -352,8 +350,7 @@ def _run_det(rc: RunConfig):
     diagnostics = {
         "nodes": int(len(grid.nodes)),
         "panels": len(grid.panels),
-        "order_per_panel": rc.order if rc.order is not None else _DEFAULT_ORDER,
-        "grading_levels": default_grading_levels(rc.params),
+        "order_per_panel": rc.order if rc.order is not None else PANEL_ORDER,
     }
     return results, columns, rows, diagnostics
 

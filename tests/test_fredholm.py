@@ -8,11 +8,11 @@ import pytest
 from chfdet.errors import DomainError, RegimeError
 from chfdet.fredholm import (
     build_grid,
-    default_grading_levels,
     log_det,
     log_det_series_oracle,
 )
 from chfdet.kernel import Configuration, KernelParams
+from chfdet.quadrules import gauss_jacobi, gauss_legendre, map_to_interval
 
 SINE = KernelParams(0.0, 0.0)
 
@@ -24,64 +24,69 @@ def single_interval(gamma, t):
 class TestBuildGrid:
     def test_single_interval_no_grading(self):
         c = single_interval(0.5, 1.0)
-        g = build_grid(c, order_per_panel=16, grading_levels=0)
+        g = build_grid(c, 0.0, order_per_panel=16)
         assert len(g.panels) == 1
         lo, hi, xs, ws = g.panels[0]
         assert (lo, hi) == (0.0, 1.0)
         assert g.total_order == 16
 
     def test_graded_panel_layout(self):
-        c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.3), t=1.0)
-        g = build_grid(c, order_per_panel=8, grading_levels=3)
+        # intervals of length 20, 20 and 30 get ceil(length / 12) equal panels
+        c = Configuration(r=(-1.0, 0.0, 1.0, 2.5), gamma=(0.3, 0.3, 0.3), t=20.0)
+        alpha = -0.25
+        g = build_grid(c, alpha, order_per_panel=8)
         spans = [(p[0], p[1]) for p in g.panels]
         assert spans == [
-            (-1.0, -0.25),
-            (-0.25, -0.0625),
-            (-0.0625, 0.0),
-            (0.0, 0.0625),
-            (0.0625, 0.25),
-            (0.25, 1.0),
+            (-20.0, -10.0),
+            (-10.0, 0.0),
+            (0.0, 10.0),
+            (10.0, 20.0),
+            (20.0, 30.0),
+            (30.0, 40.0),
+            (40.0, 50.0),
         ]
+        # origin panels: Gauss-Jacobi for |x|^{2 alpha}, weights times |x|^{-2 alpha}
+        xj, wj = gauss_jacobi(8, 2.0 * alpha)
+        right, left = g.panels[2], g.panels[1]
+        np.testing.assert_allclose(right[2], 10.0 * xj, rtol=1e-15)
+        np.testing.assert_allclose(right[3], 10.0 * wj * xj ** (-2.0 * alpha), rtol=1e-15)
+        np.testing.assert_allclose(left[2], -right[2][::-1], rtol=1e-15)
+        np.testing.assert_allclose(left[3], right[3][::-1], rtol=1e-15)
+        # every other panel: Gauss-Legendre
+        for lo, hi, xs, ws in g.panels[:1] + g.panels[3:]:
+            xg, wg = map_to_interval(*gauss_legendre(8), lo, hi)
+            np.testing.assert_allclose(xs, xg, rtol=1e-14)
+            np.testing.assert_allclose(ws, wg, rtol=1e-14)
 
     def test_weights_sum_to_total_length(self):
         c = Configuration(r=(-2.0, 0.0, 1.0, 3.0), gamma=(0.1, 0.2, 0.3), t=1.5)
-        g = build_grid(c, order_per_panel=24, grading_levels=4)
+        g = build_grid(c, 0.0, order_per_panel=24)
         assert math.isclose(float(np.sum(g.weights)), 5.0 * 1.5, rel_tol=1e-14)
 
     def test_nodes_strictly_inside_panels(self):
-        c = Configuration(r=(-1.0, 0.0, 2.0), gamma=(0.4, 0.4), t=0.7)
-        g = build_grid(c, order_per_panel=12, grading_levels=5)
-        for lo, hi, xs, ws in g.panels:
-            assert np.all(xs > lo) and np.all(xs < hi)
-        assert not np.any(g.nodes == 0.0)
+        c = Configuration(r=(-1.0, 0.0, 2.0), gamma=(0.4, 0.4), t=14.0)
+        for alpha in (0.0, -0.45):
+            g = build_grid(c, alpha, order_per_panel=12)
+            for lo, hi, xs, ws in g.panels:
+                assert np.all(xs > lo) and np.all(xs < hi)
+                assert np.all(ws > 0.0)
+            assert not np.any(g.nodes == 0.0)
 
     def test_panels_scale_with_t(self):
         c = Configuration(r=(0.0, 1.0), gamma=(0.5,), t=3.0, m=0)
-        g = build_grid(c, order_per_panel=8, grading_levels=2)
+        g = build_grid(c, 0.0, order_per_panel=8)
         assert g.panels[0][0] == 0.0
         assert g.panels[-1][1] == 3.0
 
     def test_order_validation(self):
         c = single_interval(0.5, 1.0)
         with pytest.raises(DomainError):
-            build_grid(c, order_per_panel=3)
-
-    def test_grading_validation(self):
-        c = single_interval(0.5, 1.0)
-        with pytest.raises(DomainError):
-            build_grid(c, grading_levels=-1)
+            build_grid(c, 0.0, order_per_panel=3)
 
     def test_empty_domain_rejected(self):
         c = single_interval(0.5, 0.0)
         with pytest.raises(DomainError):
-            build_grid(c)
-
-    def test_default_grading_levels(self):
-        assert default_grading_levels(KernelParams(0.0, 0.0)) == 0
-        assert default_grading_levels(KernelParams(0.0, 0.4)) == 0
-        assert default_grading_levels(KernelParams(-0.25, 0.0)) == 23
-        assert default_grading_levels(KernelParams(0.5, 0.0)) == 7
-        assert default_grading_levels(KernelParams(-0.45, 0.0)) == 60
+            build_grid(c, 0.0)
 
 
 class TestLogDet:
@@ -99,16 +104,16 @@ class TestLogDet:
 
     def test_order_doubling_at_large_t(self):
         c = single_interval(0.5, 10.0)
-        v40 = log_det(SINE, c, grid=build_grid(c, order_per_panel=40))
-        v80 = log_det(SINE, c, grid=build_grid(c, order_per_panel=80))
+        v40 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=40))
+        v80 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=80))
         assert abs(v40 - v80) < 1e-10
         assert v80 < log_det(SINE, single_interval(0.5, 0.5)) < 0.0
 
     def test_self_convergence_geometric(self):
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=8.0)
-        v8 = log_det(SINE, c, grid=build_grid(c, order_per_panel=8))
-        v16 = log_det(SINE, c, grid=build_grid(c, order_per_panel=16))
-        v32 = log_det(SINE, c, grid=build_grid(c, order_per_panel=32))
+        v8 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=8))
+        v16 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=16))
+        v32 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=32))
         d1 = abs(v8 - v16)
         d2 = abs(v16 - v32)
         assert d1 < 1e-6
@@ -118,13 +123,20 @@ class TestLogDet:
         p = KernelParams(-0.25, 0.4)
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=5.0)
         vals = {
-            levels: log_det(p, c, grid=build_grid(c, grading_levels=levels))
-            for levels in (18, 22, 26)
+            q: log_det(p, c, grid=build_grid(c, p.alpha, order_per_panel=q))
+            for q in (8, 16, 32)
         }
-        d1 = abs(vals[18] - vals[22])
-        d2 = abs(vals[22] - vals[26])
+        d1 = abs(vals[8] - vals[16])
+        d2 = abs(vals[16] - vals[32])
         assert d1 < 1e-6
         assert d2 <= 0.25 * d1
+
+    @pytest.mark.parametrize("alpha", [-0.45, 1.5])
+    def test_order_self_convergence_at_domain_edges(self, alpha):
+        p = KernelParams(alpha, 0.7)
+        c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=100.0)
+        doubled = log_det(p, c, grid=build_grid(c, alpha, order_per_panel=48))
+        assert abs(log_det(p, c) - doubled) < 1e-10
 
     def test_monotone_in_gamma(self):
         vals = [log_det(SINE, single_interval(g, 1.0)) for g in (0.2, 0.5, 0.8)]
@@ -139,6 +151,11 @@ class TestLogDet:
     def test_translation_invariance_of_sine(self):
         centered = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.45, 0.45), t=2.0)
         shifted = Configuration(r=(0.0, 2.0), gamma=(0.45,), t=2.0, m=0)
+        assert abs(log_det(SINE, centered) - log_det(SINE, shifted)) < 1e-10
+
+    def test_translation_invariance_of_sine_at_large_t(self):
+        centered = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.45, 0.45), t=100.0)
+        shifted = Configuration(r=(0.0, 2.0), gamma=(0.45,), t=100.0, m=0)
         assert abs(log_det(SINE, centered) - log_det(SINE, shifted)) < 1e-10
 
     def test_negative_weight_increases_determinant(self):
@@ -178,6 +195,12 @@ class TestSeriesOracle:
         assert abs(value - lu) <= bound
         assert bound < 1e-8
 
+    def test_agrees_with_lu_at_singular_edge(self):
+        p = KernelParams(-0.45, 0.4)
+        c = single_interval(0.5, 0.05)
+        value, bound = log_det_series_oracle(p, c, terms=6, return_bound=True)
+        assert abs(value - log_det(p, c)) <= bound
+
     def test_cross_oracle_example(self):
         c = single_interval(0.3, 0.2)
         v = log_det_series_oracle(SINE, c, terms=4)
@@ -187,7 +210,7 @@ class TestSeriesOracle:
         p = KernelParams(-0.25, 0.4)
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=0.2)
         value, bound = log_det_series_oracle(p, c, terms=6, return_bound=True)
-        accurate = log_det(p, c, grid=build_grid(c, grading_levels=26))
+        accurate = log_det(p, c)
         assert abs(value - accurate) <= bound
 
     def test_norm_gate(self):

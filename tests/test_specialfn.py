@@ -16,7 +16,7 @@ import pytest
 
 from chfdet import specialfn as sf
 from chfdet.errors import DomainError
-from chfdet.quadrules import gauss_legendre, map_to_interval
+from chfdet.quadrules import gauss_jacobi, gauss_legendre, map_to_interval
 
 import _oracle_values as ov
 
@@ -259,6 +259,30 @@ class TestQuadrature:
             gauss_legendre(0)
         with pytest.raises(ValueError):
             gauss_legendre(1000)
+
+    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.5])
+    def test_jacobi_exactness(self, alpha):
+        # int_0^1 x^{2 alpha + k} dx = 1 / (2 alpha + k + 1) for k < 2q
+        q = 24
+        x, w = gauss_jacobi(q, 2.0 * alpha)
+        assert np.all(np.diff(x) > 0) and x[0] > 0.0 and x[-1] < 1.0
+        assert np.all(w > 0)
+        for k in range(2 * q):
+            want = 1.0 / (2.0 * alpha + k + 1.0)
+            assert abs(float(np.sum(w * x**k)) - want) <= 1e-13 * want
+
+    def test_jacobi_zero_exponent_is_legendre(self):
+        for order in (1, 8, 24, 48):
+            x, w = gauss_jacobi(order, 0.0)
+            xg, wg = map_to_interval(*gauss_legendre(order), 0.0, 1.0)
+            assert np.max(np.abs(x - xg)) <= 1e-15
+            assert np.max(np.abs(w - wg)) <= 1e-15
+
+    def test_jacobi_validation(self):
+        with pytest.raises(ValueError):
+            gauss_jacobi(0, 0.5)
+        with pytest.raises(ValueError):
+            gauss_jacobi(8, -1.0)
 
 
 def test_euler_gamma_constant():
