@@ -48,12 +48,7 @@ from .painleve import (
     pv5_weighted_hamiltonian,
     verify_identities,
 )
-from .stats import (
-    MomentEstimate,
-    numeric_covariance,
-    numeric_mean,
-    numeric_variance,
-)
+from .stats import numeric_covariance, numeric_mean, numeric_variance
 
 __all__ = [
     "DomainError",
@@ -91,7 +86,6 @@ __all__ = [
     "cpv_integrate",
     "verify_identities",
     "cpv_large_t_prediction",
-    "MomentEstimate",
     "numeric_mean",
     "numeric_variance",
     "numeric_covariance",

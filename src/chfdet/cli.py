@@ -223,7 +223,7 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
     if "gamma" in raw:
         gamma = _as_indexed("gamma", raw["gamma"])
     elif command == "moments":
-        # the statistics layer applies its own probe weights
+        # the statistics set their own weight 1 on the intervals they count
         gamma = (0.0,) * (len(endpoints) - 1)
     else:
         raise ConfigError(f"command '{command}' requires key 'gamma'")
@@ -440,25 +440,25 @@ def _run_moments(rc: RunConfig):
     r2 = positives[1] if len(positives) > 1 else None
     asym = moment_asymptotics(rc.params, t, r1, r2 if r2 is not None else 2.0 * r1)
     entries = [
-        ("mean_right", numeric_mean(rc.params, t, r1).value, asym.mean_right),
-        ("mean_left", numeric_mean(rc.params, t, -r1).value, asym.mean_left),
-        ("variance", numeric_variance(rc.params, t, r1).value, asym.var),
+        ("mean_right", numeric_mean(rc.params, t, r1), asym.mean_right),
+        ("mean_left", numeric_mean(rc.params, t, -r1), asym.mean_left),
+        ("variance", numeric_variance(rc.params, t, r1), asym.var),
     ]
     if r2 is not None:
         entries.append(
-            ("cov_same_side", numeric_covariance(rc.params, t, r1, r2, "+").value, asym.cov_same)
+            ("cov_same_side", numeric_covariance(rc.params, t, r1, r2, "+"), asym.cov_same)
         )
         entries.append(
             (
                 "cov_opposite_side",
-                numeric_covariance(rc.params, t, r1, r2, "-").value,
+                numeric_covariance(rc.params, t, r1, r2, "-"),
                 asym.cov_opposite,
             )
         )
     columns = ["statistic", "numeric", "asymptotic", "difference"]
     rows = [[name, numeric, predicted, numeric - predicted] for name, numeric, predicted in entries]
     results = {"columns": columns, "rows": rows}
-    diagnostics = {"fd_step": 1e-3, "richardson_order": 4, "r1": r1, "r2": r2}
+    diagnostics = {"r1": r1, "r2": r2}
     return results, columns, rows, diagnostics
 
 

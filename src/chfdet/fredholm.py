@@ -1,23 +1,20 @@
 """Fredholm determinant of the weighted kernel by Nystrom discretization.
 
 The operator acts on the union of intervals (r_k t, r_{k+1} t) with the step
-weight sigma. Discretizing with Gauss panels turns det(I - K_sigma) into a
-dense matrix determinant with entries w_j sigma(x_j) K(x_i, x_j); the
-non-symmetrized form is used deliberately so that negative weights (which
-arise in finite-difference probes of the generating function) need no square
-roots. The kernel factors as |x|^alpha |y|^alpha times a function analytic on
-each side of the origin, so the two panels touching the origin use the
-Gauss-Jacobi rule for the weight |x|^{2 alpha}; every panel then integrates
-an analytic function and the determinant converges exponentially in the
-panel order (Bornemann, Math. Comp. 79, 2010).
+weight sigma, which lies in [0, 1]. Discretizing with Gauss panels turns
+det(I - K_sigma) into a dense matrix determinant; with D = diag(sqrt(w_j
+sigma(x_j))) the matrix is the real symmetric B = D K D, whose entries stay
+O(1) even where the kernel diverges at the origin. The kernel factors as
+|x|^alpha |y|^alpha times a function analytic on each side of the origin, so
+the two panels touching the origin use the Gauss-Jacobi rule for the weight
+|x|^{2 alpha}; every panel then integrates an analytic function and the
+determinant converges exponentially in the panel order (Bornemann, Math.
+Comp. 79, 2010).
 
 An independent oracle evaluates the same log-determinant from the truncated
-trace series -sum_j Tr(M^j)/j on a separately constructed midpoint grid.
-The oracle works on a diagonally rescaled (balanced) matrix with identical
-traces and determinant but O(1) entries, so its spectral-norm remainder
-bound is meaningful even when the kernel diverges at the origin; the two
-routes cross-validate each other in the small-t regime where the series
-converges.
+trace series -sum_j Tr(B^j)/j on a separately constructed midpoint grid,
+with a spectral-norm remainder bound; the two routes cross-validate each
+other in the small-t regime where the series converges.
 """
 
 from __future__ import annotations
@@ -112,61 +109,45 @@ def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL
     return QuadratureGrid(panels=tuple(panels), total_order=total)
 
 
-def _discretized_operator(params: KernelParams, config: Configuration, nodes, weights):
-    """Nystrom matrix M_ij = w_j sigma(x_j) K(x_i, x_j) (column-scaled form,
-    valid for any sign of sigma)."""
-    kmat = chf_kernel_matrix(params, nodes)
-    col = weights * sigma_step(config, nodes)
-    return kmat * col[None, :]
-
-
 def _balanced_operator(params: KernelParams, config: Configuration, nodes, weights):
-    """Diagonally rescaled variant B = D M D^{-1} with D = diag(sqrt(w |sigma|)).
+    """Symmetric Nystrom matrix B = D K D with D = diag(sqrt(w sigma)).
 
-    B has the same determinant of I - (.) and the same traces as M, but its
-    entries stay O(1) even where the kernel diverges at the origin, so norm
-    estimates on B are meaningful. Negative sigma only flips column signs;
-    sigma = 0 zeroes the row and column, which kills the same cycles it kills
-    in M, so traces are still identical."""
+    B has the same determinant of I - (.) and the same traces as the
+    column-scaled matrix w_j sigma(x_j) K(x_i, x_j), and sigma = 0 zeroes a
+    row and column of both."""
     kmat = chf_kernel_matrix(params, nodes)
-    sig = sigma_step(config, nodes)
-    d = np.sqrt(weights * np.abs(sig))
-    return (d[:, None] * kmat) * (d * np.sign(sig))[None, :]
+    d = np.sqrt(weights * sigma_step(config, nodes))
+    return (d[:, None] * kmat) * d[None, :]
 
 
 def log_det(params: KernelParams, config: Configuration, grid: QuadratureGrid = None) -> float:
-    """ln det(I - K_sigma) by dense LU of the Nystrom matrix.
+    """ln det(I - K_sigma) by dense real LU of the symmetric Nystrom matrix.
 
     Without ``grid``, the matrix is built on ``build_grid(config,
     params.alpha)``, which agrees with a finer panel order to about 1e-12
-    for alpha in [-0.45, 1.5] and t up to 100. The factorization runs in
-    complex arithmetic and the result is returned real after asserting
-    |Im| <= 1e-8; kernel realness is a property being monitored here, not an
-    assumption baked into the arithmetic.
+    for alpha in [-0.45, 1.5] and t up to 100. With weights in [0, 1] the
+    determinant is a gap probability of a thinned process and so positive;
+    a determinant that is not positive and finite raises
+    NonConvergenceError.
     """
     if config.t == 0.0 or all(g == 0.0 for g in config.gamma):
         return 0.0
     if grid is None:
         grid = build_grid(config, params.alpha)
-    m = _discretized_operator(params, config, grid.nodes, grid.weights)
-    n = m.shape[0]
-    a = np.eye(n, dtype=complex) - m.astype(complex)
-    sign, logabs = np.linalg.slogdet(a)
-    if sign == 0.0 or not np.isfinite(logabs):
-        raise NonConvergenceError("log_det: discretized operator I - M is numerically singular")
-    value = logabs + np.log(sign)
-    if abs(value.imag) > 1e-8:
-        raise AssertionError(
-            f"log_det: imaginary residue {abs(value.imag):.3e} exceeds 1e-8"
+    b = _balanced_operator(params, config, grid.nodes, grid.weights)
+    sign, logabs = np.linalg.slogdet(np.eye(b.shape[0]) - b)
+    if sign <= 0.0 or not np.isfinite(logabs):
+        raise NonConvergenceError(
+            f"log_det: det(I - B) is not positive and finite (sign {sign}, log {logabs})"
         )
-    return float(value.real)
+    return float(logabs)
 
 
 def _power_map_exponent(alpha: float) -> int:
     """Substitution exponent q for x = e s^q on the origin-adjacent
-    intervals: chosen so the transformed integrand x^alpha dx ~ s^{q(1+alpha)-1}
-    is at least C^1 at s = 0."""
-    return max(2, int(math.ceil(3.0 / (1.0 + alpha))))
+    intervals: chosen so the transformed density |x|^{2 alpha} dx ~
+    s^{q(1+2 alpha)-1} is at least C^1 at s = 0."""
+    return max(2, int(math.ceil(3.0 / (1.0 + 2.0 * alpha))))
 
 
 def _oracle_nodes(config: Configuration, alpha: float, n_per_interval: int):
@@ -177,7 +158,7 @@ def _oracle_nodes(config: Configuration, alpha: float, n_per_interval: int):
     jumps) are never sampled. Like the trapezoid rule, the midpoint rule has
     an even Euler-Maclaurin error expansion, so one Richardson step applies
     under mesh doubling. Origin-adjacent intervals are regularized by the
-    power substitution x = e s^q when alpha != 0, which turns the |x|^alpha
+    power substitution x = e s^q when alpha != 0, which turns the |x|^{2 alpha}
     endpoint behavior into an integrand with bounded low-order derivatives.
     """
     edges = config.scaled_endpoints()

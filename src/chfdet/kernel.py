@@ -12,9 +12,13 @@ it degenerates to the sine kernel and for beta = 0 to a Bessel-type kernel;
 both reductions are implemented here independently (own series, no shared
 code path) so they can serve as cross-checking oracles.
 
-Realness of the kernel is a theorem about the parameter ranges, not an
-assumption: evaluation stays in complex arithmetic end to end and collapses
-to real only after asserting the imaginary residue is negligible.
+With beta imaginary, B is the conjugate of A, so the numerator
+A(x) B(y) - A(y) B(x) is 2i Im(A(x) conj A(y)) and the kernel is real by
+construction apart from one scalar: the gamma-function prefactor, which is
+real only because log_gamma respects complex conjugation. Its realness is
+asserted there, once, and the kernel is then assembled in real arithmetic.
+The Bessel reduction continues its powers into the complex plane and
+asserts the realness of every value instead.
 """
 
 from __future__ import annotations
@@ -79,11 +83,9 @@ class Configuration:
     is accepted as the degenerate empty domain (the determinant is then 1);
     operations that need a genuine domain reject it themselves.
 
-    Weights are accepted as any finite reals: values in [0, 1) describe the
-    thinned process, while values outside arise transiently in the
-    finite-difference probes of the statistics layer. Consumers that require
-    [0, 1) (the parameter maps, the flow initialization) enforce it
-    themselves.
+    Weights must lie in [0, 1]: values below 1 describe the thinned process
+    and 1 a hard gap. Consumers that need weights strictly below 1 (the
+    parameter maps, the flow initialization) enforce it themselves.
     """
 
     r: tuple
@@ -114,8 +116,8 @@ class Configuration:
             raise DomainError(f"Configuration: m={self.m} but the zero endpoint is at {zeros[0]}")
         if not (self.t >= 0.0 and math.isfinite(self.t)):
             raise DomainError(f"Configuration: t must be nonnegative and finite, got {self.t}")
-        if any(not math.isfinite(g) for g in gamma):
-            raise DomainError("Configuration: weights must be finite")
+        if not all(0.0 <= g <= 1.0 for g in gamma):
+            raise DomainError(f"Configuration: weights must lie in [0, 1], got {gamma}")
 
     @property
     def n(self) -> int:
@@ -128,9 +130,6 @@ class Configuration:
 
     def scaled_endpoints(self) -> tuple:
         return tuple(v * self.t for v in self.r)
-
-    def replace_gamma(self, gamma) -> "Configuration":
-        return Configuration(r=self.r, gamma=tuple(gamma), t=self.t)
 
     def replace_t(self, t: float) -> "Configuration":
         return Configuration(r=self.r, gamma=self.gamma, t=t)
@@ -186,11 +185,14 @@ def _cap_A_and_derivative(params: KernelParams, x):
     return val.reshape(arr.shape), der.reshape(arr.shape)
 
 
-def _gamma_prefactor(params: KernelParams) -> complex:
+def _gamma_prefactor(params: KernelParams) -> float:
+    """G = Gamma(1+a+b) Gamma(1+a-b) / Gamma(1+2a)^2, real for imaginary b
+    (the two gammas are conjugate); the one place kernel realness is checked."""
     a, bim = params.alpha, params.beta
-    return np.exp(
+    value = np.exp(
         log_gamma(1.0 + a + bim) + log_gamma(1.0 + a - bim) - 2.0 * log_gamma(1.0 + 2.0 * a)
     )
+    return float(_assert_real(value, "kernel gamma prefactor"))
 
 
 def _assert_real(value, what: str):
@@ -202,15 +204,21 @@ def _assert_real(value, what: str):
     return value.real
 
 
+def _im_cross(u, v):
+    """Im(u conj(v)) in real arithmetic, elementwise over broadcast arrays;
+    swapping u and v negates the result exactly."""
+    return u.imag * v.real - u.real * v.imag
+
+
 def chf_kernel(params: KernelParams, x, y):
     """Kernel K(x, y); scalar or elementwise over broadcast arrays.
 
-    Evaluated in complex arithmetic and collapsed to real after asserting
-    the imaginary residue is below 1e-10*(1+|Re|). Arguments are sorted
-    elementwise first, so K(x, y) and K(y, x) take the identical arithmetic
-    path. Pairs closer than the near-diagonal threshold are evaluated by
-    the analytic diagonal form at the midpoint (the divided difference
-    would lose one digit per digit of separation).
+    Evaluated as G/pi Im(A(x) conj A(y)) / (x - y) with the real gamma
+    prefactor G. Arguments are sorted elementwise first, so K(x, y) and
+    K(y, x) take the identical arithmetic path. Pairs closer than the
+    near-diagonal threshold are evaluated by the analytic diagonal form at
+    the midpoint (the divided difference would lose one digit per digit of
+    separation).
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -226,12 +234,9 @@ def chf_kernel(params: KernelParams, x, y):
         out[near] = chf_kernel_diagonal(params, 0.5 * (lo[near] + hi[near]))
     far = ~near
     if far.any():
-        pref = _gamma_prefactor(params) / (2j * math.pi)
-        a_lo = cap_A(params, lo[far])
-        a_hi = cap_A(params, hi[far])
-        num = a_lo * np.conj(a_hi) - a_hi * np.conj(a_lo)
-        vals = pref * num / (lo[far] - hi[far])
-        out[far] = _assert_real(vals, "chf_kernel")
+        scale = _gamma_prefactor(params) / math.pi
+        num = _im_cross(cap_A(params, lo[far]), cap_A(params, hi[far]))
+        out[far] = scale * num / (lo[far] - hi[far])
     out = out.reshape(xb.shape)
     if scalar:
         return float(out[()])
@@ -241,10 +246,10 @@ def chf_kernel(params: KernelParams, x, y):
 def chf_kernel_diagonal(params: KernelParams, x):
     """Diagonal value K(x, x) = lim_{y -> x} K(x, y), via the derivative form.
 
-    The divided difference degenerates to A'(x)B(x) - A(x)B'(x) times the
-    prefactor. Positive for x != 0 (it is the one-point density of the
-    process). At x = 0 it vanishes like |2x|^{2 alpha} for alpha > 0 and
-    diverges for alpha < 0; alpha <= 0 raises DomainError at x = 0.
+    The divided difference degenerates to G/pi Im(A'(x) conj A(x)).
+    Positive for x != 0 (it is the one-point density of the process). At
+    x = 0 it vanishes like |2x|^{2 alpha} for alpha > 0 and diverges for
+    alpha < 0; alpha <= 0 raises DomainError at x = 0.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
@@ -258,9 +263,7 @@ def chf_kernel_diagonal(params: KernelParams, x):
     nz = ~zero
     if nz.any():
         val, der = _cap_A_and_derivative(params, flat[nz])
-        pref = _gamma_prefactor(params) / (2j * math.pi)
-        vals = pref * (der * np.conj(val) - val * np.conj(der))
-        out[nz] = _assert_real(vals, "chf_kernel_diagonal")
+        out[nz] = _gamma_prefactor(params) / math.pi * _im_cross(der, val)
     out = out.reshape(arr.shape)
     if scalar:
         return float(out[()])
@@ -270,11 +273,12 @@ def chf_kernel_diagonal(params: KernelParams, x):
 def chf_kernel_matrix(params: KernelParams, x):
     """Dense kernel matrix K(x_i, x_j) over a 1-d node array.
 
-    Identical arithmetic to chf_kernel, but organized around the rank
+    Identical arithmetic to chf_kernel, but organized around the rank-2
     structure of the numerator: A is evaluated once per node and the matrix
-    is assembled from outer products, so the special-function cost is O(N)
-    instead of O(N^2). The diagonal uses the analytic derivative form. The
-    result is exactly symmetric and real (asserted, as in chf_kernel).
+    is assembled from real outer products, so the special-function cost is
+    O(N) instead of O(N^2). The diagonal uses the analytic derivative form.
+    Numerator and denominator are both antisymmetric to the last bit, so
+    the result is exactly symmetric.
     """
     nodes = np.asarray(x, dtype=float)
     if nodes.ndim != 1:
@@ -282,15 +286,12 @@ def chf_kernel_matrix(params: KernelParams, x):
     if params.alpha < 0.0 and np.any(nodes == 0.0):
         raise DomainError("chf_kernel_matrix: x = 0 diverges for alpha < 0")
     val, der = _cap_A_and_derivative(params, nodes)
-    pref = _gamma_prefactor(params) / (2j * math.pi)
-    z = val[:, None] * np.conj(val)[None, :]
-    num = z - np.conj(z)
+    scale = _gamma_prefactor(params) / math.pi
     dx = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dx, 1.0)
-    mat = pref * num / dx
-    diag = pref * (der * np.conj(val) - val * np.conj(der))
-    np.fill_diagonal(mat, diag)
-    return _assert_real(mat, "chf_kernel_matrix")
+    mat = scale * _im_cross(val[:, None], val[None, :]) / dx
+    np.fill_diagonal(mat, scale * _im_cross(der, val))
+    return mat
 
 
 def sigma_step(config: Configuration, x):

@@ -1,171 +1,110 @@
-"""Numerical counting statistics from the log determinant.
+"""Counting statistics from trace identities of the Nystrom operator.
 
-The deformed determinant is the moment generating function of the particle
-counts: its exponent parameter enters every interval weight, and
-differentiating ln det at the undeformed point produces the mean, variance,
-and covariance of the counts. Derivatives are taken along the substitution
-path that keeps every weight real (weights leave [0, 1) for negative probe
-values, which the non-symmetrized determinant accepts) with central finite
-differences and one level of Richardson extrapolation.
+For a determinantal process with a real symmetric kernel K, the particle
+counts N_A and N_B on two sets have (Soshnikov, Russian Math. Surveys 55,
+2000)
+
+    E N_A = int_A K(x, x) dx,
+    Cov(N_A, N_B) = int_{A cap B} K(x, x) dx - int_A int_B K(x, y)^2 dx dy.
+
+On the Nystrom grid of ``log_det`` both integrals are sums over the one
+symmetric matrix B = sqrt(w) K sqrt(w) built with weight 1 on every interval:
+the mean is the sum of B_ii over the nodes in A, and the covariance is
+sum_{i in A cap B} B_ii - sum_{i in A, j in B} B_ij^2. The variance is the
+covariance with A = B. The grid integrates analytic functions, so the sums
+are accurate to rounding level (Bornemann, Math. Comp. 79, 2010).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .fredholm import log_det
+from .fredholm import _balanced_operator, build_grid
+from .fredholm import log_det  # noqa: F401  (perfbench/tracing.py wraps stats.log_det by name)
 from .kernel import Configuration, KernelParams
 
 __all__ = [
-    "MomentEstimate",
     "numeric_mean",
     "numeric_variance",
     "numeric_covariance",
 ]
 
-_DEFAULT_FD_STEP = 1e-3
-_TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """A finite-difference moment value together with its stencil metadata:
-    the base step of the probe parameter and the order of accuracy after
-    Richardson extrapolation."""
-
-    value: float
-    fd_step: float
-    richardson_order: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise NonConvergenceError("MomentEstimate: value is not finite")
-        if not self.fd_step > 0.0:
-            raise DomainError("MomentEstimate: fd_step must be positive")
-
-
-def _single_weight(s: float) -> float:
-    """Interval weight 1 - e^(-2 pi s) of the real probe path."""
-    return -math.expm1(-_TWO_PI * s)
-
-
-def _double_weight(s: float) -> float:
-    """Interval weight 1 - e^(-4 pi s) carried by a doubly-counted interval."""
-    return -math.expm1(-2.0 * _TWO_PI * s)
-
-
-def _validate_probe(t: float, fd_step: float) -> None:
+def _validate_t(t: float) -> None:
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError("counting statistics require finite t > 0")
-    if not (0.0 < fd_step <= 0.1):
-        raise DomainError("fd_step must lie in (0, 0.1]")
 
 
-def numeric_mean(
-    params: KernelParams, t: float, r1: float, fd_step: float = _DEFAULT_FD_STEP
-) -> MomentEstimate:
-    """Expected particle count on the interval between 0 and t*r1.
+def _operator(params: KernelParams, t: float, r: tuple):
+    """Grid nodes and B = sqrt(w) K sqrt(w) on the intervals between the
+    endpoints t*r, each with weight 1."""
+    config = Configuration(t=t, r=r, gamma=(1.0,) * (len(r) - 1))
+    grid = build_grid(config, params.alpha)
+    nodes = grid.nodes
+    return nodes, _balanced_operator(params, config, nodes, grid.weights)
 
-    The first derivative of ln det along the probe path, scaled by -1/(2 pi);
-    central differences at the base step and its half, Richardson-combined to
-    fourth order."""
-    t, r1, fd_step = float(t), float(r1), float(fd_step)
-    _validate_probe(t, fd_step)
+
+def _finite(value, what: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise NonConvergenceError(f"{what}: value is not finite")
+    return value
+
+
+def _covariance(b, in_a, in_b) -> float:
+    """sum_{i in A cap B} B_ii - sum_{i in A, j in B} B_ij^2 for boolean
+    node masks of A and B."""
+    return np.sum(np.diag(b)[in_a & in_b]) - np.sum(b[np.ix_(in_a, in_b)] ** 2)
+
+
+def _one_sided(t: float, r1: float, what: str) -> tuple:
+    t, r1 = float(t), float(r1)
+    _validate_t(t)
     if not (math.isfinite(r1) and r1 != 0.0):
-        raise DomainError("numeric_mean: requires nonzero finite r1")
-    r = (0.0, r1) if r1 > 0.0 else (r1, 0.0)
-    base = Configuration(t=t, r=r, gamma=(0.0,))
-
-    def lnf(s: float) -> float:
-        return log_det(params, base.replace_gamma((_single_weight(s),)))
-
-    h = fd_step
-    d_h = (lnf(h) - lnf(-h)) / (2.0 * h)
-    d_half = (lnf(0.5 * h) - lnf(-0.5 * h)) / h
-    value = -(4.0 * d_half - d_h) / (3.0 * _TWO_PI)
-    return MomentEstimate(value=value, fd_step=h, richardson_order=4)
+        raise DomainError(f"{what}: requires nonzero finite r1")
+    return t, ((0.0, r1) if r1 > 0.0 else (r1, 0.0))
 
 
-def numeric_variance(
-    params: KernelParams, t: float, r1: float, fd_step: float = _DEFAULT_FD_STEP
-) -> MomentEstimate:
-    """Variance of the particle count on the interval between 0 and t*r1.
+def numeric_mean(params: KernelParams, t: float, r1: float) -> float:
+    """Expected particle count on the interval between 0 and t*r1: the trace
+    of B on that interval."""
+    t, r = _one_sided(t, r1, "numeric_mean")
+    _, b = _operator(params, t, r)
+    return _finite(np.trace(b), "numeric_mean")
 
-    The second derivative of ln det along the probe path, scaled by
-    +1/(4 pi^2). The stencil center is the undeformed determinant, whose log
-    is exactly zero, so only the four offset evaluations are performed."""
-    t, r1, fd_step = float(t), float(r1), float(fd_step)
-    _validate_probe(t, fd_step)
-    if not (math.isfinite(r1) and r1 != 0.0):
-        raise DomainError("numeric_variance: requires nonzero finite r1")
-    r = (0.0, r1) if r1 > 0.0 else (r1, 0.0)
-    base = Configuration(t=t, r=r, gamma=(0.0,))
 
-    def lnf(s: float) -> float:
-        return log_det(params, base.replace_gamma((_single_weight(s),)))
-
-    h = fd_step
-    d2_h = (lnf(h) + lnf(-h)) / (h * h)
-    d2_half = (lnf(0.5 * h) + lnf(-0.5 * h)) / (0.25 * h * h)
-    value = (4.0 * d2_half - d2_h) / (3.0 * _TWO_PI**2)
-    return MomentEstimate(value=value, fd_step=h, richardson_order=4)
+def numeric_variance(params: KernelParams, t: float, r1: float) -> float:
+    """Variance of the particle count on the interval between 0 and t*r1:
+    tr B - tr B^2 on that interval."""
+    t, r = _one_sided(t, r1, "numeric_variance")
+    _, b = _operator(params, t, r)
+    everywhere = np.ones(b.shape[0], dtype=bool)
+    return _finite(_covariance(b, everywhere, everywhere), "numeric_variance")
 
 
 def numeric_covariance(
-    params: KernelParams,
-    t: float,
-    r1: float,
-    r2: float,
-    sign: str = "+",
-    fd_step: float = _DEFAULT_FD_STEP,
-) -> MomentEstimate:
+    params: KernelParams, t: float, r1: float, r2: float, sign: str = "+"
+) -> float:
     """Covariance of two particle counts at radii r1 and r2.
 
-    sign "+" correlates the counts up to t*r1 and t*r2 on the same side of
-    the origin; sign "-" places the larger radius on the negative axis and
-    correlates the counts on (-t*r_hi, 0) and (0, t*r_lo). The value is
-    +1/(8 pi^2) times the second probe derivative of the log of the
-    three-determinant ratio (joint over the product of the marginals); the
-    arguments are sorted first, so swapping r1 and r2 reproduces the result
-    bit for bit."""
-    t, fd_step = float(t), float(fd_step)
-    _validate_probe(t, fd_step)
+    sign "+" correlates the counts on (0, t*r_lo) and (0, t*r_hi), on the
+    same side of the origin; sign "-" correlates the counts on (0, t*r_lo)
+    and (-t*r_hi, 0). The arguments are sorted first, so swapping r1 and r2
+    reproduces the result bit for bit."""
+    t = float(t)
+    _validate_t(t)
     lo, hi = sorted((float(r1), float(r2)))
     if not (math.isfinite(lo) and 0.0 < lo < hi):
         raise DomainError("numeric_covariance: requires two distinct positive radii")
     if sign == "+":
-        pair = Configuration(t=t, r=(0.0, lo, hi), gamma=(0.0, 0.0))
-        one = Configuration(t=t, r=(0.0, lo), gamma=(0.0,))
-        two = Configuration(t=t, r=(0.0, hi), gamma=(0.0,))
-
-        def ln_ratio(s: float) -> float:
-            g1, g2 = _double_weight(s), _single_weight(s)
-            return (
-                log_det(params, pair.replace_gamma((g1, g2)))
-                - log_det(params, one.replace_gamma((g2,)))
-                - log_det(params, two.replace_gamma((g2,)))
-            )
-
+        nodes, b = _operator(params, t, (0.0, lo, hi))
+        in_a, in_b = nodes < lo * t, np.ones(nodes.shape, dtype=bool)
     elif sign == "-":
-        pair = Configuration(t=t, r=(-hi, 0.0, lo), gamma=(0.0, 0.0))
-        one = Configuration(t=t, r=(-hi, 0.0), gamma=(0.0,))
-        two = Configuration(t=t, r=(0.0, lo), gamma=(0.0,))
-
-        def ln_ratio(s: float) -> float:
-            g = _single_weight(s)
-            return (
-                log_det(params, pair.replace_gamma((g, g)))
-                - log_det(params, one.replace_gamma((g,)))
-                - log_det(params, two.replace_gamma((g,)))
-            )
-
+        nodes, b = _operator(params, t, (-hi, 0.0, lo))
+        in_a, in_b = nodes > 0.0, nodes < 0.0
     else:
         raise DomainError('numeric_covariance: sign must be "+" or "-"')
-
-    h = fd_step
-    d2_h = (ln_ratio(h) + ln_ratio(-h)) / (h * h)
-    d2_half = (ln_ratio(0.5 * h) + ln_ratio(-0.5 * h)) / (0.25 * h * h)
-    value = (4.0 * d2_half - d2_h) / (6.0 * _TWO_PI**2)
-    return MomentEstimate(value=value, fd_step=h, richardson_order=4)
+    return _finite(_covariance(b, in_a, in_b), "numeric_covariance")

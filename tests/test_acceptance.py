@@ -165,12 +165,12 @@ def test_criterion_05_counting_moments_match_predictions():
     start = time.perf_counter()
     t = 10.0
     asym = moment_asymptotics(SINE, t, 1.0, 2.0)
-    mean_diff = abs(numeric_mean(SINE, t, 1.0).value - asym.mean_right)
-    var_diff = abs(numeric_variance(SINE, t, 1.0).value - asym.var)
+    mean_diff = abs(numeric_mean(SINE, t, 1.0) - asym.mean_right)
+    var_diff = abs(numeric_variance(SINE, t, 1.0) - asym.var)
     symmetric_var = (
-        numeric_variance(SINE, t, 1.0).value
-        + numeric_variance(SINE, t, -1.0).value
-        + 2.0 * numeric_covariance(SINE, t, 1.0, 1.0 + 1e-9, "-").value
+        numeric_variance(SINE, t, 1.0)
+        + numeric_variance(SINE, t, -1.0)
+        + 2.0 * numeric_covariance(SINE, t, 1.0, 1.0 + 1e-9, "-")
     )
     _, predicted_var = symmetric_counting_asymptotics(SINE, t)
     combo_diff = abs(symmetric_var - predicted_var)

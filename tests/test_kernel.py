@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from chfdet import kernel
 from chfdet.errors import DomainError
 from chfdet.kernel import (
     Configuration,
@@ -16,6 +17,7 @@ from chfdet.kernel import (
     cap_B,
     chf_kernel,
     chf_kernel_diagonal,
+    chf_kernel_matrix,
     sigma_step,
     sine_kernel,
 )
@@ -70,10 +72,12 @@ class TestConfiguration:
         with pytest.raises(DomainError):
             Configuration(r=(0.0, 1.0), gamma=(0.3, 0.4), t=1.0)
 
-    def test_out_of_range_weights_accepted(self):
-        # finite-difference probes of the statistics layer need these
-        Configuration(r=(0.0, 1.0), gamma=(-0.2,), t=1.0)
-        Configuration(r=(0.0, 1.0), gamma=(1.5,), t=1.0)
+    def test_out_of_range_weights_rejected(self):
+        for g in (-0.2, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                Configuration(r=(0.0, 1.0), gamma=(g,), t=1.0)
+        # a hard gap is a valid weight
+        Configuration(r=(0.0, 1.0), gamma=(1.0,), t=1.0)
 
 
 class TestCapA:
@@ -152,6 +156,36 @@ class TestChfKernel:
     def test_zero_raises_for_negative_alpha(self):
         with pytest.raises(DomainError):
             chf_kernel(KernelParams(-0.25, 0.0), 0.0, 1.0)
+
+    def test_prefactor_realness_is_asserted(self, monkeypatch):
+        # the gamma prefactor is the one scalar whose realness is checked: a
+        # log_gamma that breaks conjugate symmetry must trip it
+        exact = kernel.log_gamma
+        monkeypatch.setattr(
+            kernel, "log_gamma", lambda z: exact(z) + (1e-6j if np.imag(z) > 0.0 else 0.0)
+        )
+        with pytest.raises(AssertionError):
+            chf_kernel(KernelParams(0.25, 0.3), 0.5, 1.0)
+
+
+class TestKernelMatrix:
+    NODES = np.sort(np.random.default_rng(5).uniform(-8.0, 8.0, 120))
+
+    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.5])
+    def test_exactly_symmetric(self, alpha):
+        m = chf_kernel_matrix(KernelParams(alpha, 0.3), self.NODES)
+        assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.5])
+    def test_matches_pointwise_kernel(self, alpha):
+        p = KernelParams(alpha, 0.3)
+        x = self.NODES
+        m = chf_kernel_matrix(p, x)
+        off = ~np.eye(x.size, dtype=bool)
+        k = chf_kernel(p, x[:, None], x[None, :])
+        assert np.all(np.abs(m - k)[off] <= 1e-14 * np.abs(k)[off])
+        d = chf_kernel_diagonal(p, x)
+        assert np.all(np.abs(np.diag(m) - d) <= 1e-14 * d)
 
 
 class TestDiagonal:

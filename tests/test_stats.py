@@ -1,86 +1,65 @@
-"""Tests for the finite-difference counting statistics."""
+"""Tests for the trace-identity counting statistics."""
 
 import math
 
+import numpy as np
 import pytest
 
+from chfdet import stats
 from chfdet.asymptotics import moment_asymptotics, symmetric_counting_asymptotics
 from chfdet.errors import DomainError, NonConvergenceError
-from chfdet.kernel import KernelParams
-from chfdet.stats import (
-    MomentEstimate,
-    numeric_covariance,
-    numeric_mean,
-    numeric_variance,
-)
+from chfdet.fredholm import log_det
+from chfdet.kernel import Configuration, KernelParams
+from chfdet.stats import numeric_covariance, numeric_mean, numeric_variance
 
 PLAIN = KernelParams(alpha=0.0, beta_im=0.0)
 
 
-class TestMomentEstimate:
-    def test_rejects_nonfinite_value(self):
-        with pytest.raises(NonConvergenceError):
-            MomentEstimate(value=math.nan, fd_step=1e-3, richardson_order=4)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(DomainError):
-            MomentEstimate(value=1.0, fd_step=0.0, richardson_order=4)
-
-    def test_metadata_fields(self):
-        est = numeric_mean(PLAIN, 0.5, 1.0)
-        assert est.fd_step == 1e-3
-        assert est.richardson_order == 4
-
-
 class TestMean:
     def test_small_interval_matches_kernel_trace(self):
-        # first-order in the weight, the expected count is the integrated
-        # kernel diagonal: 0.1/pi on (0, 0.1)
+        # the expected count is the integrated kernel diagonal: 0.1/pi on
+        # (0, 0.1)
         est = numeric_mean(PLAIN, 0.1, 1.0)
-        assert est.value == pytest.approx(0.1 / math.pi, abs=1e-6)
+        assert est == pytest.approx(0.1 / math.pi, abs=1e-6)
 
     def test_large_interval_matches_asymptotics(self):
         est = numeric_mean(PLAIN, 10.0, 1.0)
         asym = moment_asymptotics(PLAIN, 10.0, 1.0, 2.0)
-        assert est.value == pytest.approx(asym.mean_right, abs=0.02)
+        assert est == pytest.approx(asym.mean_right, abs=0.02)
 
     def test_jump_parameter_shifts_both_sides(self):
         params = KernelParams(alpha=0.0, beta_im=0.4)
         asym = moment_asymptotics(params, 10.0, 1.0, 2.0)
         right = numeric_mean(params, 10.0, 1.0)
         left = numeric_mean(params, 10.0, -1.0)
-        assert right.value == pytest.approx(asym.mean_right, abs=0.02)
-        assert left.value == pytest.approx(asym.mean_left, abs=0.02)
-        assert right.value != pytest.approx(left.value, abs=0.1)
+        assert right == pytest.approx(asym.mean_right, abs=0.02)
+        assert left == pytest.approx(asym.mean_left, abs=0.02)
+        assert right != pytest.approx(left, abs=0.1)
 
-    def test_step_halving_is_stable(self):
-        base = numeric_mean(PLAIN, 2.0, 1.0)
-        halved = numeric_mean(PLAIN, 2.0, 1.0, fd_step=5e-4)
-        assert abs(base.value - halved.value) < 1e-4 * (1.0 + abs(base.value))
+    def test_nonfinite_value_raises(self, monkeypatch):
+        def nan_operator(params, t, r):
+            return np.array([0.5]), np.full((1, 1), np.nan)
+
+        monkeypatch.setattr(stats, "_operator", nan_operator)
+        with pytest.raises(NonConvergenceError):
+            numeric_mean(PLAIN, 1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
             numeric_mean(PLAIN, 0.0, 1.0)
         with pytest.raises(DomainError):
             numeric_mean(PLAIN, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            numeric_mean(PLAIN, 1.0, 1.0, fd_step=0.5)
 
 
 class TestVariance:
     def test_large_interval_matches_asymptotics(self):
         est = numeric_variance(PLAIN, 10.0, 1.0)
         asym = moment_asymptotics(PLAIN, 10.0, 1.0, 2.0)
-        assert est.value == pytest.approx(asym.var, abs=0.05)
+        assert est == pytest.approx(asym.var, abs=0.05)
 
     def test_positive_across_scales(self):
         for t in (1.0, 4.0, 20.0):
-            assert numeric_variance(PLAIN, t, 1.0).value > 0.0
-
-    def test_step_halving_is_stable(self):
-        base = numeric_variance(PLAIN, 2.0, 1.0)
-        halved = numeric_variance(PLAIN, 2.0, 1.0, fd_step=5e-4)
-        assert abs(base.value - halved.value) < 1e-4 * (1.0 + abs(base.value))
+            assert numeric_variance(PLAIN, t, 1.0) > 0.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -93,29 +72,29 @@ class TestCovariance:
     def test_same_side_matches_asymptotics(self):
         est = numeric_covariance(PLAIN, 10.0, 1.0, 2.0, "+")
         asym = moment_asymptotics(PLAIN, 10.0, 1.0, 2.0)
-        assert est.value == pytest.approx(asym.cov_same, abs=0.05)
-        assert est.value > 0.0
+        assert est == pytest.approx(asym.cov_same, abs=0.05)
+        assert est > 0.0
 
     def test_opposite_side_matches_asymptotics(self):
         est = numeric_covariance(PLAIN, 10.0, 1.0, 2.0, "-")
         asym = moment_asymptotics(PLAIN, 10.0, 1.0, 2.0)
-        assert est.value == pytest.approx(asym.cov_opposite, abs=0.05)
-        assert est.value < 0.0
+        assert est == pytest.approx(asym.cov_opposite, abs=0.05)
+        assert est < 0.0
 
     def test_argument_order_is_irrelevant_bitwise(self):
         for sign in ("+", "-"):
             a = numeric_covariance(PLAIN, 2.0, 1.0, 2.0, sign)
             b = numeric_covariance(PLAIN, 2.0, 2.0, 1.0, sign)
-            assert a.value == b.value
+            assert a == b
 
     def test_symmetric_count_variance_combination(self):
         # Var(N(t) + N(-t)) assembled from the one-sided pieces against the
         # symmetric-count closed form
         t = 10.0
         combined = (
-            numeric_variance(PLAIN, t, 1.0).value
-            + numeric_variance(PLAIN, t, -1.0).value
-            + 2.0 * numeric_covariance(PLAIN, t, 1.0, 1.0 + 1e-12, "-").value
+            numeric_variance(PLAIN, t, 1.0)
+            + numeric_variance(PLAIN, t, -1.0)
+            + 2.0 * numeric_covariance(PLAIN, t, 1.0, 1.0 + 1e-12, "-")
         )
         _, var0 = symmetric_counting_asymptotics(PLAIN, t)
         assert combined == pytest.approx(var0, abs=0.05)
@@ -129,3 +108,20 @@ class TestCovariance:
             numeric_covariance(PLAIN, 1.0, 1.0, 2.0, "x")
         with pytest.raises(DomainError):
             numeric_covariance(PLAIN, 0.0, 1.0, 2.0, "+")
+
+
+class TestGeneratingFunction:
+    def test_one_sided_derivatives_match_traces(self):
+        # ln E[e^{-lam N}] = log_det at weight 1 - e^{-lam}: its first two
+        # derivatives at lam = 0 are -mean and +variance. Interpolate f(0) = 0
+        # and f(k h), k = 1..4, by a quartic in u = lam / h.
+        params = KernelParams(alpha=0.25, beta_im=0.3)
+        t, h = 10.0, 0.01
+        u = np.arange(5.0)
+        f = [0.0] + [
+            log_det(params, Configuration(r=(0.0, 1.0), gamma=(-math.expm1(-k * h),), t=t))
+            for k in u[1:]
+        ]
+        c = np.linalg.solve(np.vander(u, increasing=True), f)
+        assert -c[1] / h == pytest.approx(numeric_mean(params, t, 1.0), abs=1e-6)
+        assert 2.0 * c[2] / h**2 == pytest.approx(numeric_variance(params, t, 1.0), abs=1e-6)
