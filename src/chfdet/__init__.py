@@ -35,7 +35,6 @@ from .kernel import (
     sine_kernel,
 )
 from .painleve import (
-    CPVRates,
     CPVState,
     IdentityReport,
     LargeTPrediction,
@@ -75,7 +74,6 @@ __all__ = [
     "moment_asymptotics",
     "symmetric_counting_asymptotics",
     "CPVState",
-    "CPVRates",
     "IdentityReport",
     "LargeTPrediction",
     "cpv_rhs",

@@ -374,20 +374,16 @@ def _run_asymp(rc: RunConfig):
 def _run_painleve(rc: RunConfig):
     state0 = cpv_init(rc.params, rc.config)
     trajectory = cpv_integrate(state0, rc.params, rc.config, rc.config.t, tol=rc.tol)
-    keys = sorted(trajectory[0].u)
     columns = ["t"]
-    for k in keys:
+    for k in state0.indices:
         columns += [f"u{k}_re", f"u{k}_im", f"v{k}_re", f"v{k}_im"]
     columns += ["h", "lnf"]
     rows = []
     for state in trajectory:
         row = [state.t]
-        for k in keys:
-            u = complex(state.u[k])
-            v = complex(state.v[k])
+        for u, v in zip(state.u.tolist(), state.v.tolist()):
             row += [u.real, u.imag, v.real, v.imag]
-        h = complex(hamiltonian(state, rc.params, rc.config))
-        row += [h.real, complex(state.lnF).real]
+        row += [hamiltonian(state, rc.params, rc.config).real, state.lnF.real]
         rows.append(row)
     results = {"columns": columns, "rows": rows}
     diagnostics = {"steps": len(trajectory) - 1, "t0": trajectory[0].t, "tol": rc.tol}
@@ -410,7 +406,7 @@ def _run_verify(rc: RunConfig):
         config_t = rc.config.replace_t(point)
         trajectory = cpv_integrate(state, rc.params, rc.config, point, tol=rc.tol)
         state = trajectory[-1]
-        lnf_flow = complex(state.lnF).real
+        lnf_flow = state.lnF.real
         lnf_nystrom, _ = _quadrature_lnf(rc, config_t)
         lnf_asymptotic = large_gap_lnF(rc.params, config_t).total
         rows.append(

@@ -2,7 +2,8 @@
 
 The state couples one (u_k, v_k) pair per interval endpoint away from the
 origin with two auxiliary logarithms and the running integral of the
-Hamiltonian, which equals ln det(I - K_sigma) at the current time. The
+Hamiltonian, which equals ln det(I - K_sigma) at the current time; all of
+it is one packed complex vector, which the integrator steps directly. The
 module provides the vector field, the Hamiltonian, small-t initialization,
 an adaptive embedded Runge-Kutta integrator with step-size control, identity
 monitors based on numerical differentiation of the trajectory, and the
@@ -30,7 +31,6 @@ from .specialfn import log_gamma
 
 __all__ = [
     "CPVState",
-    "CPVRates",
     "IdentityReport",
     "LargeTPrediction",
     "cpv_rhs",
@@ -48,40 +48,63 @@ _OVERFLOW_GUARD = 1e12
 _DEFAULT_T_MATCH = 15.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CPVState:
-    """Flow state at time t: u, v maps over the endpoint indices k != m,
-    log y, the regularized log d, and the accumulated ln F."""
+    """Flow state at time t, packed as y = (u_1..u_n, v_1..v_n, log y, log d,
+    ln F) where u_i, v_i belong to the endpoint ``indices[i]`` (the
+    configuration's ``active_indices``). ``y`` is kept as a read-only complex
+    copy; ``u``, ``v``, ``log_y``, ``log_d`` and ``lnF`` are views of it."""
 
     t: float
-    u: dict
-    v: dict
-    log_y: complex
-    log_d: complex
-    lnF: complex
+    indices: tuple
+    y: np.ndarray
 
     def __post_init__(self):
         if not (self.t > 0.0 and math.isfinite(self.t)):
             raise DomainError("CPVState: requires finite t > 0")
+        y = np.array(self.y, dtype=complex)
+        if y.shape != (2 * len(self.indices) + 3,):
+            raise DomainError("CPVState: y must hold 2 * len(indices) + 3 entries")
+        y.flags.writeable = False
+        object.__setattr__(self, "indices", tuple(self.indices))
+        object.__setattr__(self, "y", y)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.y[: len(self.indices)]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.y[len(self.indices) : -3]
+
+    @property
+    def log_y(self) -> complex:
+        return complex(self.y[-3])
+
+    @property
+    def log_d(self) -> complex:
+        return complex(self.y[-2])
+
+    @property
+    def lnF(self) -> complex:
+        return complex(self.y[-1])
 
     def d_scalars(self, params: KernelParams) -> tuple:
-        """The pair (d1, d2) = (alpha + beta - S2, alpha - beta - S3) built
-        from the moment sums S2 = sum u_k (v_k - 1), S3 = sum u_k v_k (v_k - 1)."""
-        s2 = sum(self.u[k] * (self.v[k] - 1.0) for k in self.u)
-        s3 = sum(self.u[k] * self.v[k] * (self.v[k] - 1.0) for k in self.u)
+        """The pair (d1, d2) = (alpha + beta - S2, alpha - beta - S3)."""
+        _, s2, s3 = _moment_sums(self.u.tolist(), self.v.tolist())
         a, b = params.alpha, params.beta
         return (a + b - s2, a - b - s3)
 
 
-@dataclass(frozen=True)
-class CPVRates:
-    """Time derivatives of every CPVState field."""
-
-    du: dict
-    dv: dict
-    dlog_y: complex
-    dlog_d: complex
-    dlnF: complex
+def _moment_sums(u: list, v: list) -> tuple:
+    """(S1, S2, S3) = sum_k u_k (v_k - 1) * ((v_k - 1), 1, v_k)."""
+    s1 = s2 = s3 = 0j
+    for u_k, v_k in zip(u, v):
+        w = u_k * (v_k - 1.0)
+        s1 += w * (v_k - 1.0)
+        s2 += w
+        s3 += w * v_k
+    return s1, s2, s3
 
 
 def pv5_weighted_hamiltonian(u: complex, v: complex, s: complex, alpha: float, beta: complex) -> complex:
@@ -95,74 +118,59 @@ def pv5_weighted_hamiltonian(u: complex, v: complex, s: complex, alpha: float, b
     )
 
 
-def hamiltonian(state: CPVState, params: KernelParams, config: Configuration) -> complex:
-    """H(t), where t H is the sum of single Painleve V Hamiltonians weighted
-    by s_k = -2 i t r_k plus the symmetric pair coupling
-    (1/2) sum_{j != k} u_j u_k (v_j + v_k)(v_j - 1)(v_k - 1)."""
-    t = state.t
-    a, b = params.alpha, params.beta
-    active = config.active_indices
-    th = 0.0 + 0.0j
-    for k in active:
-        s_k = -2.0j * t * config.r[k]
-        th += pv5_weighted_hamiltonian(state.u[k], state.v[k], s_k, a, b)
-    for j in active:
-        uj, vj = state.u[j], state.v[j]
-        for k in active:
-            if j == k:
-                continue
-            uk, vk = state.u[k], state.v[k]
-            th += 0.5 * uj * uk * (vj + vk) * (vj - 1.0) * (vk - 1.0)
-    return th / t
+def cpv_rhs(t: float, y: np.ndarray, params: KernelParams, config: Configuration) -> np.ndarray:
+    """dy/dt for the packed state y (layout of ``CPVState.y``): the coupled
+    Painleve V field, the auxiliary logarithms, and d(lnF)/dt = H.
 
-
-def cpv_rhs(state: CPVState, params: KernelParams, config: Configuration) -> CPVRates:
-    """Vector field of the coupled system, the auxiliary logarithms, and
-    d(lnF)/dt = H."""
-    t = state.t
+    t H is the sum of the ``pv5_weighted_hamiltonian`` terms at
+    s_k = -2 i t r_k plus the pair coupling
+    (1/2) sum_{j != k} u_j u_k (v_j + v_k)(v_j - 1)(v_k - 1)
+    = S2 S3 - sum_k u_k^2 v_k (v_k - 1)^2, whose diagonal sum cancels the
+    u^2 v (v - 1)^2 terms, so t H = 2 i t sum_k r_k u_k v_k
+    - alpha (S2 + S3) - beta S1 + S2 S3."""
     a, b = params.alpha, params.beta
-    active = config.active_indices
-    s1 = sum(state.u[j] * (state.v[j] - 1.0) ** 2 for j in active)
-    s2 = sum(state.u[j] * (state.v[j] - 1.0) for j in active)
-    s3 = sum(state.u[j] * state.v[j] * (state.v[j] - 1.0) for j in active)
-    du = {}
-    dv = {}
-    for k in active:
-        u, v = state.u[k], state.v[k]
-        r_k = config.r[k]
-        du[k] = (
-            -2.0j * t * u * r_k
-            - u * s1
-            - 2.0 * u * v * s2
-            + 2.0 * (a + b) * u * v
-            - 2.0 * b * u
-        ) / t
-        dv[k] = (
-            2.0j * t * v * r_k
-            + v * s1
-            + v * v * s2
-            - s3
-            - a * (v * v - 1.0)
-            - b * (v - 1.0) ** 2
-        ) / t
+    r = [config.r[k] for k in config.active_indices]
+    n = len(r)
+    vals = y.tolist()
+    u, v = vals[:n], vals[n : 2 * n]
+    s1, s2, s3 = _moment_sums(u, v)
     d1 = a + b - s2
     d2 = a - b - s3
-    return CPVRates(
-        du=du,
-        dv=dv,
-        dlog_y=(d1 - d2) / t,
-        dlog_d=(d1 + d2) / t,
-        dlnF=hamiltonian(state, params, config),
-    )
+    du = []
+    dv = []
+    ruv = 0j
+    for r_k, u_k, v_k in zip(r, u, v):
+        phase = 2.0j * t * r_k
+        du.append(u_k * (2.0 * v_k * d1 - phase - s1 - 2.0 * b) / t)
+        dv.append((v_k * (phase + s1 + v_k * (s2 - a)) - s3 + a - b * (v_k - 1.0) ** 2) / t)
+        ruv += r_k * u_k * v_k
+    h = 2.0j * ruv + (s2 * s3 - a * (s2 + s3) - b * s1) / t
+    return np.array(du + dv + [(d1 - d2) / t, (d1 + d2) / t, h])
+
+
+def _rates(state: CPVState, params: KernelParams, config: Configuration, caller: str) -> np.ndarray:
+    """``cpv_rhs`` at the state, once the state is known to belong to config."""
+    if state.indices != config.active_indices:
+        raise DomainError(f"{caller}: state index set does not match the configuration")
+    return cpv_rhs(state.t, state.y, params, config)
+
+
+def hamiltonian(state: CPVState, params: KernelParams, config: Configuration) -> complex:
+    """H(t) = d(lnF)/dt at the state (the last entry of ``cpv_rhs``)."""
+    return complex(_rates(state, params, config, "hamiltonian")[-1])
 
 
 def default_t0(params: KernelParams) -> float:
-    """Initialization time keeping the seeding error in ln F near 1e-8.
+    """Initialization time of the flow.
 
-    Measured behavior: the ln F error induced by truncating the small-t data
-    scales like C * t0^p with p = min(1, 2 alpha + 1) and C up to ~50, so t0
-    solves (2e-10)^(1/p). For alpha < 0 a floor keeps the initial
-    |u_k| ~ t0^(2 alpha) safely below the integrator's overflow guard."""
+    The ln F error induced by truncating the small-t data scales like
+    C * t0^p with p = min(1, 2 alpha + 1) and C up to ~50, so t0 solves
+    (2e-10)^(1/p), which keeps the seeding error near 1e-8. For alpha < 0 a
+    floor keeps the initial |u_k| ~ t0^(2 alpha) below the integrator's
+    overflow guard. The floor binds below alpha = -0.243, and there the
+    seeding error grows like t0^(2 alpha + 1): flow against ``log_det`` at
+    t = 5, tol 1e-9, 1-3 intervals, measured 3e-8 to 2e-7 at alpha = -0.25,
+    1e-3 to 7e-3 at -0.35 and 0.3 to 1.3 at -0.45."""
     p = min(1.0, 2.0 * params.alpha + 1.0)
     t0 = 2e-10 ** (1.0 / p)
     if params.alpha < 0.0:
@@ -184,17 +192,11 @@ def cpv_init(params: KernelParams, config: Configuration, t0: float = None) -> C
     gamma_ratio = cmath.exp(
         log_gamma(1.0 + a - b) + log_gamma(1.0 + a + b) - 2.0 * log_gamma(1.0 + 2.0 * a)
     )
-    u = {}
-    v = {}
-    for k in config.active_indices:
+    indices = config.active_indices
+    u = []
+    for k in indices:
         r_k = config.r[k]
-        u[k] = (
-            math.copysign(1.0, r_k)
-            * cs[k]
-            * gamma_ratio
-            * (2.0 * abs(r_k) * t0) ** (2.0 * a)
-        )
-        v[k] = 1.0 + 0.0j
+        u.append(math.copysign(1.0, r_k) * cs[k] * gamma_ratio * (2.0 * abs(r_k) * t0) ** (2.0 * a))
     log_y = (
         log_gamma(1.0 + a - b)
         - log_gamma(1.0 + a + b)
@@ -209,7 +211,7 @@ def cpv_init(params: KernelParams, config: Configuration, t0: float = None) -> C
         + 2.0 * a * math.log(2.0 * t0)
     )
     lnf = complex(small_t_lnF(params, config, t0))
-    return CPVState(t=t0, u=u, v=v, log_y=log_y, log_d=log_d, lnF=lnf)
+    return CPVState(t=t0, indices=indices, y=u + [1.0 + 0.0j] * len(indices) + [log_y, log_d, lnf])
 
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
@@ -236,44 +238,6 @@ _DP_B4 = (
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-def _pack(state: CPVState, active: tuple) -> np.ndarray:
-    na = len(active)
-    vec = np.empty(2 * na + 3, dtype=complex)
-    for i, k in enumerate(active):
-        vec[i] = state.u[k]
-        vec[na + i] = state.v[k]
-    vec[2 * na] = state.log_y
-    vec[2 * na + 1] = state.log_d
-    vec[2 * na + 2] = state.lnF
-    return vec
-
-
-def _unpack(t: float, vec: np.ndarray, active: tuple) -> CPVState:
-    na = len(active)
-    return CPVState(
-        t=t,
-        u={k: complex(vec[i]) for i, k in enumerate(active)},
-        v={k: complex(vec[na + i]) for i, k in enumerate(active)},
-        log_y=complex(vec[2 * na]),
-        log_d=complex(vec[2 * na + 1]),
-        lnF=complex(vec[2 * na + 2]),
-    )
-
-
-def _rhs_vec(t: float, vec: np.ndarray, params, config, active) -> np.ndarray:
-    state = _unpack(t, vec, active)
-    rates = cpv_rhs(state, params, config)
-    na = len(active)
-    out = np.empty_like(vec)
-    for i, k in enumerate(active):
-        out[i] = rates.du[k]
-        out[na + i] = rates.dv[k]
-    out[2 * na] = rates.dlog_y
-    out[2 * na + 1] = rates.dlog_d
-    out[2 * na + 2] = rates.dlnF
-    return out
-
-
 def _max_step(config: Configuration, tol: float) -> float:
     """Step cap 0.1/max|r_k| tightened by tol^(1/6) so that the order-6
     differentiation error of the identity monitors stays proportional to the
@@ -298,15 +262,10 @@ def cpv_integrate(
         raise DomainError("cpv_integrate: tol must lie in [1e-12, 1e-4]")
     if not t1 > state0.t:
         raise DomainError("cpv_integrate: requires t1 > state0.t")
-    active = config.active_indices
-    if set(state0.u) != set(active) or set(state0.v) != set(active):
-        raise DomainError("cpv_integrate: state index set does not match the configuration")
-
-    t = state0.t
-    y = _pack(state0, active)
+    k1 = _rates(state0, params, config, "cpv_integrate")
+    t, y = state0.t, state0.y
     h_max = _max_step(config, tol)
     h = min(0.05 * t, h_max, 0.5 * (t1 - t))
-    k1 = _rhs_vec(t, y, params, config, active)
     trajectory = [state0]
     err_prev = 1.0
     stages = [None] * 7
@@ -328,7 +287,7 @@ def cpv_integrate(
             if not np.all(np.isfinite(yi)) or np.max(np.abs(yi)) > _OVERFLOW_GUARD:
                 failed = True
                 break
-            stages[i] = _rhs_vec(ti, yi, params, config, active)
+            stages[i] = cpv_rhs(ti, yi, params, config)
         if failed:
             h = 0.2 * h_step
             continue
@@ -338,9 +297,9 @@ def cpv_integrate(
         err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
         if err <= 1.0:
             t = t1 if last else t + h_step
-            y = y5
+            state = CPVState(t=t, indices=state0.indices, y=y5)
+            y = state.y
             k1 = stages[6]
-            state = _unpack(t, y, active)
             if abs(state.lnF.imag) > 1e-6 * (1.0 + abs(state.lnF.real)):
                 raise AssertionError(
                     "cpv_integrate: ln F developed an imaginary part beyond the realness budget"
@@ -400,9 +359,11 @@ def verify_identities(
     if len(trajectory) < 9:
         raise DomainError("verify_identities: needs at least 9 trajectory points")
     a, b = params.alpha, params.beta
-    active = config.active_indices
+    n = len(config.active_indices)
+    r = np.array([config.r[k] for k in config.active_indices])
     ts = np.array([s.t for s in trajectory])
-    th = np.array([s.t * hamiltonian(s, params, config) for s in trajectory])
+    rates = [_rates(s, params, config, "verify_identities") for s in trajectory]
+    th = ts * np.array([dy[-1] for dy in rates])
 
     res_a = 0.0
     res_b = 0.0
@@ -412,14 +373,12 @@ def verify_identities(
         idx = slice(i - 3, i + 4)
         w = _fd_weights_first_derivative(ts[idx], ts[i])
         dth = complex(np.dot(w, th[idx]))
-        state = trajectory[i]
-        rates = cpv_rhs(state, params, config)
-        sum_rkukvk = sum(config.r[k] * state.u[k] * state.v[k] for k in active)
-        res_a = max(res_a, abs(dth - 2.0j * sum_rkukvk))
+        state, dy = trajectory[i], rates[i]
+        res_a = max(res_a, abs(dth - 2.0j * complex(np.sum(r * state.u * state.v))))
         d1, d2 = state.d_scalars(params)
         t = state.t
-        u_dv = sum(state.u[k] * rates.dv[k] for k in active)
-        h_val = rates.dlnF
+        u_dv = complex(np.dot(state.u, dy[n : 2 * n]))
+        h_val = dy[-1]
         total = (
             u_dv
             - 2.0 * h_val
@@ -435,11 +394,12 @@ def verify_identities(
 
 @dataclass(frozen=True)
 class LargeTPrediction:
-    """Closed-form leading large-t values: u, v maps (v is NaN where the
-    matching connection coefficient vanishes), H, y, and d."""
+    """Closed-form leading large-t values: u, v arrays in the order of
+    ``config.active_indices`` (v is NaN where the matching connection
+    coefficient vanishes), H, y, and d."""
 
-    u: dict
-    v: dict
+    u: np.ndarray
+    v: np.ndarray
     H: complex
     y: complex
     d: complex
@@ -473,8 +433,8 @@ def cpv_large_t_prediction(
     ge = (0.0,) + config.gamma + (0.0,)
     g_m_pair = (1.0 - ge[m]) * (1.0 - ge[m + 1])
 
-    u = {}
-    v = {}
+    u = []
+    v = []
     for k in config.active_indices:
         sgn = math.copysign(1.0, r[k])
         prod_u = 1.0 + 0.0j
@@ -487,7 +447,7 @@ def cpv_large_t_prediction(
             prod_v *= _principal_power(ratio, 2.0 * bs[j])
         phase = cmath.exp(sgn * math.pi * 1j * (bs[k] + bs[m] + a + b))
         power_u = 2.0 * (bs[k] - bs[m] - b)
-        u[k] = (
+        u_k = (
             sgn
             * cs[k]
             * cmath.exp(
@@ -503,11 +463,12 @@ def cpv_large_t_prediction(
             * cmath.exp(-2.0j * t * r[k])
         )
         if cs[k] == 0.0:
-            u[k] = 0.0 + 0.0j
-            v[k] = complex(math.nan, math.nan)
+            u.append(0.0 + 0.0j)
+            v.append(complex(math.nan, math.nan))
             continue
         g_k_pair = (1.0 - ge[k]) * (1.0 - ge[k + 1])
-        v[k] = (
+        u.append(u_k)
+        v.append(
             sgn
             * (ge[k + 1] - ge[k])
             / (2.0j * math.pi * cs[k])
@@ -551,4 +512,4 @@ def cpv_large_t_prediction(
         * _principal_power(2.0 * t, 2.0 * a)
         * g_m_pair**-0.5
     )
-    return LargeTPrediction(u=u, v=v, H=h_pred, y=y_pred, d=d_pred)
+    return LargeTPrediction(u=np.array(u), v=np.array(v), H=h_pred, y=y_pred, d=d_pred)

@@ -234,6 +234,23 @@ class TestOutputs:
         )
         assert final[-1] == pytest.approx(expected, abs=1e-7)
 
+    def test_painleve_table_orders_columns_by_endpoint_index(self, capsys):
+        argv = ["painleve", "--r", "0=-1,1=0,2=1", "--gamma", "0=0.4,1=0.4", "--t", "2"]
+        assert main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["columns"] == [
+            "t",
+            "u0_re", "u0_im", "v0_re", "v0_im",
+            "u2_re", "u2_im", "v2_re", "v2_im",
+            "h",
+            "lnf",
+        ]
+        expected = log_det(
+            KernelParams(alpha=0.0, beta_im=0.0),
+            Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.4), t=2.0),
+        )
+        assert results["rows"][-1][-1] == pytest.approx(expected, abs=1e-7)
+
     def test_moments_table_lists_single_radius_statistics(self, capsys):
         code = main(["moments", "--r", "0=0,1=1", "--t", "2"])
         assert code == 0

@@ -37,11 +37,11 @@ class TestStateAndRates:
     def test_state_requires_positive_finite_time(self):
         for bad_t in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                CPVState(t=bad_t, u={}, v={}, log_y=0.0, log_d=0.0, lnF=0.0)
+                CPVState(t=bad_t, indices=(), y=np.zeros(3))
 
     def test_d_scalars_of_zero_solution(self):
         params = KernelParams(alpha=0.25, beta_im=0.4)
-        state = CPVState(t=2.0, u={1: 0.0j}, v={1: 1.0 + 0j}, log_y=0.0, log_d=0.0, lnF=0.0)
+        state = CPVState(t=2.0, indices=(1,), y=[0.0j, 1.0 + 0j, 0.0, 0.0, 0.0])
         d1, d2 = state.d_scalars(params)
         assert d1 == params.alpha + params.beta
         assert d2 == params.alpha - params.beta
@@ -49,22 +49,22 @@ class TestStateAndRates:
     def test_zero_solution_is_stationary_except_logs(self):
         params = KernelParams(alpha=0.3, beta_im=0.2)
         cfg = Configuration(t=2.0, r=(0.0, 1.0), gamma=(0.0,))
-        state = CPVState(t=2.0, u={1: 0.0j}, v={1: 1.0 + 0j}, log_y=0.0, log_d=0.0, lnF=0.0)
-        rates = cpv_rhs(state, params, cfg)
-        assert rates.du[1] == 0.0
+        state = CPVState(t=2.0, indices=(1,), y=[0.0j, 1.0 + 0j, 0.0, 0.0, 0.0])
+        du, dv, dlog_y, dlog_d, dlnf = cpv_rhs(state.t, state.y, params, cfg)
+        assert du == 0.0
         # the empty channel still carries the pure phase rotation dv = 2 i r v
-        assert rates.dv[1] == 2.0j
-        assert rates.dlnF == 0.0
+        assert dv == 2.0j
+        assert dlnf == 0.0
         # the auxiliary logarithms keep their constant-coefficient drift
-        assert rates.dlog_y == pytest.approx(2.0 * params.beta / 2.0, abs=1e-16)
-        assert rates.dlog_d == pytest.approx(2.0 * params.alpha / 2.0, abs=1e-16)
+        assert dlog_y == pytest.approx(2.0 * params.beta / 2.0, abs=1e-16)
+        assert dlog_d == pytest.approx(2.0 * params.alpha / 2.0, abs=1e-16)
 
     def test_single_interval_hamiltonian_reduces_to_weighted_form(self):
         params = KernelParams(alpha=0.25, beta_im=0.3)
         t = 1.7
         cfg = Configuration(t=t, r=(0.0, 1.3), gamma=(0.4,))
         u, v = 0.3 - 0.2j, 1.1 + 0.4j
-        state = CPVState(t=t, u={1: u}, v={1: v}, log_y=0.0, log_d=0.0, lnF=0.0)
+        state = CPVState(t=t, indices=(1,), y=[u, v, 0.0, 0.0, 0.0])
         expected = pv5_weighted_hamiltonian(u, v, -2.0j * t * 1.3, params.alpha, params.beta) / t
         assert hamiltonian(state, params, cfg) == pytest.approx(expected, rel=1e-15)
 
@@ -86,24 +86,53 @@ class TestStateAndRates:
                 alpha=float(rng.uniform(-0.4, 1.0)), beta_im=float(rng.uniform(-0.7, 0.7))
             )
             active = cfg.active_indices
-            u = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in active}
-            v = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in active}
-            state = CPVState(t=t, u=u, v=v, log_y=0.0, log_d=0.0, lnF=0.0)
-            rates = cpv_rhs(state, params, cfg)
+            u = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
+            v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
+            dy = cpv_rhs(t, np.concatenate([u, v, np.zeros(3)]), params, cfg)
+            du, dv = dy[:n], dy[n : 2 * n]
 
-            def weighted_h(u_map, v_map):
-                probe = CPVState(t=t, u=u_map, v=v_map, log_y=0.0, log_d=0.0, lnF=0.0)
+            def weighted_h(u_arr, v_arr):
+                probe = CPVState(t=t, indices=active, y=np.concatenate([u_arr, v_arr, np.zeros(3)]))
                 return t * hamiltonian(probe, params, cfg)
 
-            for k in active:
-                up, um = dict(u), dict(u)
+            for k in range(n):
+                up, um = u.copy(), u.copy()
                 up[k], um[k] = u[k] + h, u[k] - h
                 grad_u = (weighted_h(up, v) - weighted_h(um, v)) / (2.0 * h)
-                vp, vm = dict(v), dict(v)
+                vp, vm = v.copy(), v.copy()
                 vp[k], vm[k] = v[k] + h, v[k] - h
                 grad_v = (weighted_h(u, vp) - weighted_h(u, vm)) / (2.0 * h)
-                worst = max(worst, abs(rates.dv[k] - grad_u / t), abs(rates.du[k] + grad_v / t))
+                worst = max(worst, abs(dv[k] - grad_u / t), abs(du[k] + grad_v / t))
         assert worst <= 1e-7
+
+    def test_hamiltonian_matches_literal_pair_coupling(self):
+        # t H = sum_k pv5_weighted_hamiltonian(u_k, v_k, -2 i t r_k)
+        #       + (1/2) sum_{j != k} u_j u_k (v_j + v_k)(v_j - 1)(v_k - 1),
+        # written out here as the double sum over random one- to three-interval states.
+        rng = np.random.default_rng(20261018)
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            pts = rng.uniform(-2.0, 2.0, size=n + 1)
+            pts[int(rng.integers(0, n + 1))] = 0.0
+            r = tuple(np.sort(pts))
+            t = float(rng.uniform(0.5, 5.0))
+            cfg = Configuration(t=t, r=r, gamma=tuple(rng.uniform(0.05, 0.95, size=n)))
+            params = KernelParams(
+                alpha=float(rng.uniform(-0.4, 1.0)), beta_im=float(rng.uniform(-0.7, 0.7))
+            )
+            a, b = params.alpha, params.beta
+            u = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            v = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            rs = [r[k] for k in cfg.active_indices]
+            th = sum(pv5_weighted_hamiltonian(u[k], v[k], -2.0j * t * rs[k], a, b) for k in range(n))
+            for j in range(n):
+                for k in range(n):
+                    if j != k:
+                        th += 0.5 * u[j] * u[k] * (v[j] + v[k]) * (v[j] - 1.0) * (v[k] - 1.0)
+            state = CPVState(t=t, indices=cfg.active_indices, y=u + v + [0.0, 0.0, 0.0])
+            worst = max(worst, abs(hamiltonian(state, params, cfg) - th / t) / abs(th / t))
+        assert worst <= 1e-13
 
 
 class TestInitialization:
@@ -121,8 +150,8 @@ class TestInitialization:
         state = cpv_init(SINE, SINE_CFG)
         t0 = state.t
         assert t0 == pytest.approx(2e-10)
-        assert state.u[1] == pytest.approx(0.25j / math.pi, rel=1e-14)
-        assert state.v[1] == 1.0 + 0.0j
+        assert state.u[0] == pytest.approx(0.25j / math.pi, rel=1e-14)
+        assert state.v[0] == 1.0 + 0.0j
         assert state.log_y == 0.0
         assert state.log_d == 0.0
         assert state.lnF.real == pytest.approx(-0.5 * t0 / math.pi, rel=1e-12)
@@ -137,7 +166,7 @@ class TestInitialization:
     def test_zero_weight_seed_is_zero(self):
         cfg = Configuration(t=1.0, r=(0.0, 1.0), gamma=(0.0,))
         state = cpv_init(KernelParams(alpha=0.3, beta_im=0.2), cfg)
-        assert state.u[1] == 0.0
+        assert state.u[0] == 0.0
         assert state.lnF == 0.0
 
     def test_rejects_bad_t0(self):
@@ -168,13 +197,22 @@ class TestIntegration:
         with pytest.raises(DomainError):
             cpv_integrate(state0, TWO_INT, TWO_INT_CFG, 1.0)
 
+    def test_rejects_same_size_index_set_of_another_layout(self):
+        # both layouts have two active endpoints: (0, 2) against (1, 2)
+        state0 = cpv_init(TWO_INT, TWO_INT_CFG)
+        other = Configuration(t=5.0, r=(0.0, 1.0, 2.0), gamma=(0.4, 0.4))
+        with pytest.raises(DomainError):
+            cpv_integrate(state0, TWO_INT, other, 1.0)
+        with pytest.raises(DomainError):
+            hamiltonian(state0, TWO_INT, other)
+
     def test_zero_weights_flow_is_trivial(self):
         params = KernelParams(alpha=0.3, beta_im=0.2)
         cfg = Configuration(t=5.0, r=(0.0, 1.0), gamma=(0.0,))
         state0 = cpv_init(params, cfg, t0=1e-3)
         traj = cpv_integrate(state0, params, cfg, 5.0, tol=1e-9)
         final = traj[-1]
-        assert final.u[1] == 0.0
+        assert final.u[0] == 0.0
         assert final.lnF == 0.0
         growth = math.log(5.0 / 1e-3)
         assert final.log_d - state0.log_d == pytest.approx(2.0 * params.alpha * growth, abs=1e-8)
@@ -251,14 +289,14 @@ class TestLargeTimePrediction:
         cfg = Configuration(t=20.0, r=(0.0, 1.0), gamma=(0.0,))
         pred = cpv_large_t_prediction(params, cfg, 20.0)
         assert pred.H == 0.0
-        assert pred.u[1] == 0.0
-        assert math.isnan(pred.v[1].real)
+        assert pred.u[0] == 0.0
+        assert math.isnan(pred.v[0].real)
         assert pred.y == pytest.approx(1.0, abs=1e-15)
 
     def test_oscillation_envelope_is_time_independent(self):
         pred20 = cpv_large_t_prediction(TWO_INT, TWO_INT_CFG, 20.0)
         pred40 = cpv_large_t_prediction(TWO_INT, TWO_INT_CFG, 40.0)
-        for k in TWO_INT_CFG.active_indices:
+        for k in range(len(TWO_INT_CFG.active_indices)):
             assert abs(pred20.u[k] * pred20.v[k]) == pytest.approx(
                 abs(pred40.u[k] * pred40.v[k]), rel=1e-12
             )
@@ -269,7 +307,7 @@ class TestLargeTimePrediction:
         traj = _integrate_to(params, cfg, 20.0, tol=1e-8)
         pred = cpv_large_t_prediction(params, cfg, 20.0)
         tail = [s for s in traj if s.t >= 15.0]
-        for k in cfg.active_indices:
+        for k in range(len(cfg.active_indices)):
             observed = float(np.mean([abs(s.u[k] * s.v[k]) for s in tail]))
             expected = abs(pred.u[k] * pred.v[k])
             assert observed == pytest.approx(expected, rel=0.05)
@@ -278,7 +316,7 @@ class TestLargeTimePrediction:
         cfg = Configuration(t=20.0, r=(0.0, 1.0), gamma=(0.5,))
         traj = _integrate_to(SINE, cfg, 20.0, tol=1e-9)
         pred = cpv_large_t_prediction(SINE, cfg, 20.0)
-        h_numeric = cpv_rhs(traj[-1], SINE, cfg).dlnF
+        h_numeric = cpv_rhs(traj[-1].t, traj[-1].y, SINE, cfg)[-1]
         # split the prediction into its constant part and its 1/t tail by
         # evaluating at a second, much larger time
         h_inf = cpv_large_t_prediction(SINE, cfg, 1e12).H
