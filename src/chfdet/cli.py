@@ -197,8 +197,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_gamma(command: str, gamma: tuple) -> None:
-    closed = command == "det"
+def _validate_gamma(command: str, inner: str, gamma: tuple) -> None:
+    # a hard gap (weight 1) is fine wherever only log_det runs
+    closed = command == "det" or (command == "sweep" and inner == "det")
     for index, value in enumerate(gamma):
         if value < 0.0 or value > 1.0:
             raise ConfigError(f"key 'gamma': entry {index} is {value!r}, outside [0, 1]")
@@ -227,7 +228,8 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
         gamma = (0.0,) * (len(endpoints) - 1)
     else:
         raise ConfigError(f"command '{command}' requires key 'gamma'")
-    _validate_gamma(command, gamma)
+    inner = _as_choice("inner", raw["inner"], _INNER_COMMANDS) if "inner" in raw else "det"
+    _validate_gamma(command, inner, gamma)
 
     t_range = _as_t_range("t_range", raw["t_range"]) if "t_range" in raw else None
     if command in _NEEDS_T_RANGE and t_range is None:
@@ -261,7 +263,6 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
     if not 1e-12 <= tol <= 1e-4:
         raise ConfigError(f"key 'tol': must lie in [1e-12, 1e-04], got {tol!r}")
 
-    inner = _as_choice("inner", raw["inner"], _INNER_COMMANDS) if "inner" in raw else "det"
     fmt = _as_choice("format", raw["format"], _FORMATS) if "format" in raw else "json"
     out = raw.get("out")
 

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .specialfn import bessel_j, kummer_phi, kummer_phi_prime, log_gamma
+from .specialfn import _kummer_pair, bessel_j, kummer_phi, log_gamma
+from .specialfn import kummer_phi_prime  # noqa: F401  (perfbench/tracing.py wraps kernel.kummer_phi_prime by name)
 
 __all__ = [
     "KernelParams",
@@ -123,9 +125,10 @@ class Configuration:
     def n(self) -> int:
         return len(self.gamma)
 
-    @property
+    @cached_property
     def active_indices(self) -> tuple:
-        """Endpoint indices k != m (the indices carrying flow variables)."""
+        """Endpoint indices k != m (the indices carrying flow variables);
+        computed once, since the flow's vector field reads it on every call."""
         return tuple(k for k in range(len(self.r)) if k != self.m)
 
     def scaled_endpoints(self) -> tuple:
@@ -170,7 +173,7 @@ def cap_B(params: KernelParams, x):
 
 
 def _cap_A_and_derivative(params: KernelParams, x):
-    """A(x) and dA/dx together for x != 0 (shares the phi evaluation)."""
+    """A(x) and dA/dx together for x != 0, from one evaluation of phi and phi'."""
     arr = np.asarray(x, dtype=float)
     flat = np.ravel(arr)
     if np.any(flat == 0.0):
@@ -178,8 +181,7 @@ def _cap_A_and_derivative(params: KernelParams, x):
     a = 1.0 + params.alpha + params.beta
     b = 1.0 + 2.0 * params.alpha
     base = _chi_half(params, flat) * np.abs(2.0 * flat) ** params.alpha * np.exp(-1j * flat)
-    phi = kummer_phi(a, b, 2j * flat)
-    dphi = kummer_phi_prime(a, b, 2j * flat)
+    phi, dphi = _kummer_pair(a, b, 2j * flat)
     val = base * phi
     der = val * (params.alpha / flat - 1j) + base * 2j * dphi
     return val.reshape(arr.shape), der.reshape(arr.shape)

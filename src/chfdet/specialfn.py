@@ -8,12 +8,15 @@ scalars or numpy arrays elementwise and targets ~1e-13 relative accuracy on
 the documented domains (|Im z| <= 50, |z| <= 50 for phi).
 
 The evaluation strategies follow the classical playbook: argument-shift
-recurrences into a Stirling/asymptotic zone for the gamma family, a Taylor
-series with an asymptotic-expansion crossover at |z| = 30 for phi (the
-Taylor accumulation runs in double-double arithmetic because the terms
-reach ~e^{|z|} while the sum stays O(1)), a product formula with an
-Euler-Maclaurin tail versus a gamma-integral representation for Barnes G,
-and an ascending series / Hankel-expansion switch at |x| = 12 for Bessel J.
+recurrences into a Stirling/asymptotic zone for the gamma family; for phi,
+Taylor steps of Kummer's equation along the ray from 0 to z up to |z| = 30,
+each carrying phi and phi' together, and the asymptotic expansion beyond; a
+product formula with an Euler-Maclaurin tail versus a gamma-integral
+representation for Barnes G; and an ascending series / Hankel-expansion
+switch at |x| = 12 for Bessel J. The Taylor steps stay in plain double: the
+Kummer series summed at once on the imaginary axis cancels terms of size
+e^{|z|} down to an O(1) sum, while a step of length at most 2 sums terms of
+size at most 2.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 
 import numpy as np
 
-from . import _ddc
 from .errors import DomainError, NonConvergenceError, RegimeError
 from .quadrules import gauss_legendre
 
@@ -65,6 +67,24 @@ _POLE_TOL = 1e-14
 # crossover radii of the series/asymptotic switches
 _PHI_TAYLOR_RADIUS = 30.0
 _BESSEL_SERIES_RADIUS = 12.0
+
+# Kummer Taylor branch. The series is used out to radius 1, where its terms
+# fall like 1/k! from the start.
+_PHI_SEED_RADIUS = 1.0
+# Each ODE step is at most half its centre's radius, so the component of
+# the non-entire second solution z^{1-b} that rounding excites sums like
+# 2^{-n} in the local series, and at most 2 long, so the entire part's
+# terms (about |h|^n/n!) never exceed 2 and sum without cancellation.
+_PHI_STEP_FRACTION = 0.5
+_PHI_STEP_CAP = 2.0
+# terms n = 0..27 of each local series: in a step of length 2 the last two,
+# about 2^26/26! = 2e-19 times a factor polynomial in n, pass the tail test
+# for |a|, |b| up to about 5; the seed series at radius 1 ends far lower
+_PHI_TERMS = 28
+# a local series whose last two terms exceed this share of |phi| + |h phi'|
+# has not converged; below it, each further term is at most |h|/n < 0.1 of
+# the one before, so what the sum leaves out is under about 1e-16
+_PHI_TAIL_TOL = 1e-15
 
 
 def _as_c_array(z):
@@ -147,23 +167,10 @@ def rgamma(z):
     arr, scalar = _as_c_array(z)
     arr = np.atleast_1d(arr)
     k = np.round(arr.real)
-    at_pole = (k <= 0.0) & (np.abs(arr - k) < _POLE_TOL)
+    ok = ~((k <= 0.0) & (np.abs(arr - k) < _POLE_TOL))
     out = np.zeros_like(arr)
-    ok = ~at_pole
     if ok.any():
-        sub = arr[ok]
-        res = np.empty_like(sub)
-        right = sub.real >= 0.5
-        if right.any():
-            res[right] = np.exp(-_log_gamma_right(sub[right]))
-        left = ~right
-        if left.any():
-            w = sub[left]
-            flip = w.imag < 0.0
-            wu = np.where(flip, np.conj(w), w)
-            val = np.exp(-(_LN_PI - _log_sin_upper(wu) - _log_gamma_right(1.0 - wu)))
-            res[left] = np.where(flip, np.conj(val), val)
-        out[ok] = res
+        out[ok] = np.exp(-log_gamma(arr[ok]))
     if scalar:
         return complex(out[0])
     return out.reshape(np.shape(z))
@@ -242,34 +249,74 @@ def trigamma(z):
     return out.reshape(np.shape(z))
 
 
-def _phi_taylor_dd(a, b, z):
-    """Kummer series in compensated double-double arithmetic, |z| <= ~30.
+def _phi_series_pair(a, b, z):
+    """phi and phi' from the Kummer series itself, for |z| <= _PHI_SEED_RADIUS.
 
-    The recurrence factors (a+k) and (b+k)(k+1) are themselves carried in
-    double-double so the accumulated relative error of each term stays at
-    the 1e-30 level; the final cancellation error is then bounded by
-    ~1e-32 times the largest term magnitude.
+    d_k = (a)_{k+1} z^k / ((b)_{k+1} k!) is the k-th term of phi', and the
+    k-th term of phi is d_{k-1} z / k, so one recurrence serves both sums.
+    At z = 0 the result is exactly (1, a/b).
     """
-    total = _ddc.cdd(np.ones_like(z.real), np.zeros_like(z.real))
-    term = _ddc.cdd(np.ones_like(z.real), np.zeros_like(z.real))
-    zc = _ddc.cdd(z.real.copy(), z.imag.copy())
-    are, ale, aim, ali = a.real, 0.0, a.imag, 0.0
-    bre, ble, bim, bli = b.real, 0.0, b.imag, 0.0
-    peak = _ddc.cdd_abs_hi(term)
-    k_min = int(1.2 * float(np.max(np.abs(z)))) + 8
-    for k in range(500):
-        den = _ddc.cdd_mul((bre, ble, bim, bli), _ddc.cdd(float(k + 1), 0.0))
-        term = _ddc.cdd_mul(term, zc)
-        term = _ddc.cdd_mul(term, (are, ale, aim, ali))
-        term = _ddc.cdd_div(term, den)
-        total = _ddc.cdd_add(total, term)
-        tm = _ddc.cdd_abs_hi(term)
-        peak = np.maximum(peak, tm)
-        are, ale = _ddc.dd_add(are, ale, 1.0, 0.0)
-        bre, ble = _ddc.dd_add(bre, ble, 1.0, 0.0)
-        if k + 1 >= k_min and bool(np.all(tm <= 1e-32 * peak + 1e-300)):
-            return _ddc.cdd_to_complex(total)
-    raise NonConvergenceError("kummer_phi: Taylor branch failed to converge in 500 terms")
+    d = np.full_like(z, a / b)
+    phi = np.ones_like(z)
+    dphi = d.copy()
+    for k in range(1, _PHI_TERMS):
+        t = d * z / k
+        d = t * ((a + k) / (b + k))
+        phi += t
+        dphi += d
+    _check_tail(t, d, phi, dphi, "series")
+    return phi, dphi
+
+
+def _phi_ode_step(a, b, c, w, dw, h):
+    """Advance (phi, phi') from c to c + h by the Taylor series of Kummer's
+    equation z w'' + (b - z) w' - a w = 0 about c (DLMF 13.2.1).
+
+    With e_n = c_n h^n the coefficient recurrence
+    c_{n+2} = ((n+a) c_n - (n+1)(n+b-c) c_{n+1}) / (c (n+2)(n+1)) reads
+    e_{n+2} = ((n+a) h q e_n - (n+1)(n q + (b-c) q) e_{n+1}) / ((n+2)(n+1))
+    with q = h/c; then phi(c+h) = sum e_n and h phi'(c+h) = sum n e_n.
+    """
+    q = h / c
+    hq = h * q
+    bq = (b - c) * q
+    e0, e1 = w, dw * h
+    val = e0 + e1
+    der = e1.copy()
+    for n in range(_PHI_TERMS - 1):
+        e2 = ((n + a) * hq * e0 - (n + 1) * (n * q + bq) * e1) / ((n + 2) * (n + 1))
+        val += e2
+        der += (n + 2) * e2
+        e0, e1 = e1, e2
+    _check_tail(e0, e1, val, der, "Taylor step")
+    return val, der / h
+
+
+def _check_tail(t1, t2, val, der, what):
+    if np.any(np.abs(t1) + np.abs(t2) > _PHI_TAIL_TOL * (np.abs(val) + np.abs(der))):
+        raise NonConvergenceError(f"kummer_phi: {what} did not converge in its term limit")
+
+
+def _phi_pair_taylor(a, b, z):
+    """phi and phi' for |z| <= _PHI_TAYLOR_RADIUS: the series out to the
+    seed radius along the ray from 0 to z, then Taylor steps of the ODE.
+
+    The step radii depend on nothing but the constants, so every point
+    follows the same arithmetic whatever else is in the batch.
+    """
+    rho = np.abs(z)
+    phi, dphi = _phi_series_pair(a, b, z * (_PHI_SEED_RADIUS / np.maximum(rho, _PHI_SEED_RADIUS)))
+    radius = _PHI_SEED_RADIUS
+    active = np.flatnonzero(rho > radius)
+    while active.size:
+        nxt = radius + min(_PHI_STEP_FRACTION * radius, _PHI_STEP_CAP)
+        za, ra = z[active], rho[active]
+        c = za * (radius / ra)
+        h = za * ((np.minimum(ra, nxt) - radius) / ra)
+        phi[active], dphi[active] = _phi_ode_step(a, b, c, phi[active], dphi[active], h)
+        radius = nxt
+        active = active[ra > nxt]
+    return phi, dphi
 
 
 def _phi_asymptotic(a, b, z):
@@ -315,16 +362,8 @@ def _phi_asymptotic(a, b, z):
     return phi
 
 
-def kummer_phi(a, b, z):
-    """Confluent hypergeometric function phi(a, b, z) (the regular solution
-    with phi(a, b, 0) = 1, series sum_k (a)_k z^k / ((b)_k k!)).
-
-    a, b are complex scalars, z a complex scalar or array. Raises
-    DomainError when b sits at a non-positive integer pole, and
-    NonConvergenceError / RegimeError when a branch cannot meet its
-    accuracy contract (outside ~|z| <= 50 this may happen for extreme
-    parameter values).
-    """
+def _kummer_pair(a, b, z):
+    """(phi, phi') of phi(a, b, z) over a complex scalar or array z."""
     a = complex(a)
     b = complex(b)
     kb = round(b.real)
@@ -332,20 +371,43 @@ def kummer_phi(a, b, z):
         raise DomainError("kummer_phi: b within pole tolerance of a non-positive integer")
     arr, scalar = _as_c_array(z)
     flat = np.ravel(arr).copy()
-    out = np.empty_like(flat)
+    phi = np.empty_like(flat)
+    dphi = np.empty_like(flat)
     small = np.abs(flat) <= _PHI_TAYLOR_RADIUS
     if small.any():
-        out[small] = _phi_taylor_dd(a, b, flat[small])
+        phi[small], dphi[small] = _phi_pair_taylor(a, b, flat[small])
     large = ~small
     if large.any():
-        out[large] = _phi_asymptotic(a, b, flat[large])
-    out = out.reshape(arr.shape)
-    return _restore(out, scalar)
+        phi[large] = _phi_asymptotic(a, b, flat[large])
+        dphi[large] = (a / b) * _phi_asymptotic(a + 1.0, b + 1.0, flat[large])
+    return _restore(phi.reshape(arr.shape), scalar), _restore(dphi.reshape(arr.shape), scalar)
+
+
+def kummer_phi(a, b, z):
+    """Confluent hypergeometric function phi(a, b, z) (the regular solution
+    with phi(a, b, 0) = 1, series sum_k (a)_k z^k / ((b)_k k!)).
+
+    a, b are complex scalars, z a complex scalar or array. For |z| <= 30
+    the value comes from Taylor steps of Kummer's equation along the ray
+    from 0 to z, in plain double; beyond, from the asymptotic expansion.
+    For the kernel's parameters (a = 1 + alpha + i beta_im, b = 1 + 2 alpha
+    with alpha in [-0.45, 1.5], |beta_im| <= 0.7, and z = 2ix, |x| <= 15)
+    the steps measured at most 1e-14 relative error in phi and in phi',
+    against 30-digit mpmath values and against a double-double summation
+    of the series. Raises
+    DomainError when b sits at a non-positive integer pole, and
+    NonConvergenceError / RegimeError when a branch cannot meet its
+    accuracy contract (outside ~|z| <= 50 this may happen for extreme
+    parameter values).
+    """
+    return _kummer_pair(a, b, z)[0]
 
 
 def kummer_phi_prime(a, b, z):
-    """d/dz phi(a, b, z) = (a/b) phi(a+1, b+1, z)."""
-    return (complex(a) / complex(b)) * kummer_phi(complex(a) + 1.0, complex(b) + 1.0, z)
+    """d/dz phi(a, b, z), from the same evaluation as kummer_phi: the ODE
+    steps carry phi' along with phi for |z| <= 30, and beyond that it is
+    the asymptotic expansion of (a/b) phi(a+1, b+1, z)."""
+    return _kummer_pair(a, b, z)[1]
 
 
 def _em_power_tail(q, n):

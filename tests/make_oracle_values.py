@@ -81,6 +81,15 @@ def main() -> None:
         (mp.mpc(-3.0, 0.0), mp.mpc(1.25), mp.mpc(0, 21.0)),
         (mp.mpc(1.0, 0.0), mp.mpc(1.0), mp.mpc(0, 17.0)),
         (mp.mpc(0.5, 0.0), mp.mpc(1.0), mp.mpc(2.0, 35.0)),
+        # kernel parameters a = 1+alpha+i beta_im, b = 1+2 alpha at the
+        # edges alpha = -0.45, 1.5: the seed radius of the Taylor branch
+        # (|z| = 1) and its last steps before the switch at |z| = 30
+        (mp.mpc(0.55, 0.7), mp.mpc(0.1), mp.mpc(0, 1.0)),
+        (mp.mpc(0.55, 0.7), mp.mpc(0.1), mp.mpc(0, 29.9)),
+        (mp.mpc(0.55, -0.7), mp.mpc(0.1), mp.mpc(0, -30.0)),
+        (mp.mpc(2.5, -0.7), mp.mpc(4.0), mp.mpc(0, -1.0)),
+        (mp.mpc(2.5, -0.7), mp.mpc(4.0), mp.mpc(0, -29.9)),
+        (mp.mpc(2.5, 0.7), mp.mpc(4.0), mp.mpc(0, 30.0)),
     ]
     lines.append("KUMMER = [")
     for a, b, z in kummer_cases:

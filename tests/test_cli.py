@@ -69,6 +69,11 @@ class TestParsing:
     def test_unit_weight_allowed_for_det_only(self):
         rc = parse_config(["det", "--r", "0=0,1=1", "--gamma", "0=1", "--t", "2"])
         assert rc.config.gamma == (1.0,)
+        sweep = ["sweep", "--r", "0=0,1=1", "--gamma", "0=1", "--t-range", "1:2:2"]
+        rc = parse_config(sweep + ["--inner", "det"])
+        assert rc.config.gamma == (1.0,) and rc.inner == "det"
+        with pytest.raises(ConfigError, match="requires weights < 1"):
+            parse_config(sweep + ["--inner", "asymp"])
         with pytest.raises(ConfigError, match="requires weights < 1"):
             parse_config(["asymp", "--r", "0=0,1=1", "--gamma", "0=1", "--t", "2"])
 

@@ -132,6 +132,22 @@ class TestKummer:
             fd = (sf.kummer_phi(a, b, z + h) - sf.kummer_phi(a, b, z - h)) / (2 * h)
             assert abs(fd - sf.kummer_phi_prime(a, b, z)) / abs(fd) < 1e-8
 
+    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.5])
+    @pytest.mark.parametrize("beta_im", [-0.7, 0.7])
+    def test_derivative_matches_contiguous_relation(self, alpha, beta_im):
+        # phi' comes from the same ODE pass as phi; the reference is
+        # d/dz phi(a, b, z) = (a/b) phi(a+1, b+1, z), a separate evaluation
+        a, b = 1.0 + alpha + 1j * beta_im, 1.0 + 2.0 * alpha
+        zs = 2j * np.linspace(-15.0, 15.0, 121)
+        want = (a / b) * sf.kummer_phi(a + 1.0, b + 1.0, zs)
+        got = sf.kummer_phi_prime(a, b, zs)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_value_and_derivative_at_origin_are_exact(self):
+        a, b = 0.55 + 0.7j, 0.1
+        assert sf.kummer_phi(a, b, 0.0) == 1.0
+        assert sf.kummer_phi_prime(a, b, 0.0) == a / b
+
     def test_b_pole_raises(self):
         with pytest.raises(DomainError):
             sf.kummer_phi(0.5, 0.0, 1.0j)
@@ -140,7 +156,7 @@ class TestKummer:
 
     def test_array_input_matches_scalar(self):
         a, b = 0.9 + 0.2j, 1.8
-        zs = np.array([1.0j, 28.0j, 36.0j])
+        zs = np.array([1.0j, 28.0j, 29.5j, 36.0j])
         batch = sf.kummer_phi(a, b, zs)
         one = np.array([sf.kummer_phi(a, b, z) for z in zs])
         assert np.max(np.abs(batch - one)) == 0.0
