@@ -42,7 +42,6 @@ from .painleve import (
     cpv_integrate,
     cpv_large_t_prediction,
     cpv_rhs,
-    default_t0,
     hamiltonian,
     pv5_weighted_hamiltonian,
     verify_identities,
@@ -80,7 +79,6 @@ __all__ = [
     "hamiltonian",
     "pv5_weighted_hamiltonian",
     "cpv_init",
-    "default_t0",
     "cpv_integrate",
     "verify_identities",
     "cpv_large_t_prediction",

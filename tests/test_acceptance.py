@@ -59,6 +59,21 @@ def _flow_lnf(params, config, tol):
     return complex(trajectory[-1].lnF).real
 
 
+def _rescaled(t, u, v, alpha):
+    """Packed state for the physical pairs u, v at time t: U = u t^{-2 alpha},
+    V = (v - 1)/t, with zero logarithms and lnF."""
+    return np.concatenate([u * t ** (-2.0 * alpha), (v - 1.0) / t, np.zeros(3)])
+
+
+def _physical_pair_rates(t, u, v, params, config):
+    """(du/dt, dv/dt) from the field in s = ln t by the chain rule:
+    du/dt = t^{2 alpha - 1} (dU/ds + 2 alpha U) and dv/dt = dV/ds + V."""
+    a, n = params.alpha, len(u)
+    y = _rescaled(t, u, v, a)
+    dy = cpv_rhs(math.log(t), y, params, config)
+    return t ** (2.0 * a - 1.0) * (dy[:n] + 2.0 * a * y[:n]), dy[n : 2 * n] + y[n : 2 * n]
+
+
 def test_criterion_01_quadrature_matches_series_oracle():
     # Agreement is judged against the oracle's own truncation bound (plus a
     # 1e-9 quadrature allowance); the bound itself is below 1e-9 for t <= 0.1
@@ -204,11 +219,11 @@ def test_criterion_06_flow_field_is_hamiltonian():
         active = config.active_indices
         u = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
         v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
-        dy = cpv_rhs(t, np.concatenate([u, v, np.zeros(3)]), params, config)
-        du, dv = dy[:n], dy[n : 2 * n]
+        du, dv = _physical_pair_rates(t, u, v, params, config)
 
         def weighted_h(u_arr, v_arr):
-            probe = CPVState(t=t, indices=active, y=np.concatenate([u_arr, v_arr, np.zeros(3)]))
+            y = _rescaled(t, u_arr, v_arr, params.alpha)
+            probe = CPVState(t=t, indices=active, y=y, alpha=params.alpha)
             return t * hamiltonian(probe, params, config)
 
         for k in range(n):
@@ -328,7 +343,7 @@ def test_criterion_10_hamiltonian_tail_matches_asymptote():
     config = Configuration(r=(0.0, 1.0), gamma=(0.5,), t=20.0)
     state = cpv_init(SINE, config)
     trajectory = cpv_integrate(state, SINE, config, 20.0, tol=1e-8)
-    h_numeric = complex(cpv_rhs(trajectory[-1].t, trajectory[-1].y, SINE, config)[-1])
+    h_numeric = hamiltonian(trajectory[-1], SINE, config)
 
     bs = b_from_gamma(config)
     leading = sum(2.0j * bs[k] * config.r[k] for k in range(len(config.r)))
@@ -344,4 +359,33 @@ def test_criterion_10_hamiltonian_tail_matches_asymptote():
         "Hamiltonian tail",
         ok,
         f"residual/prediction ratio {ratio:.3f} at t=20, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_11_flow_matches_quadrature_at_alpha_edges():
+    # alpha = -0.45 and 1.5 at t = 5 and 60 over one to three intervals, with
+    # criterion 02's layouts and weights; at t = 5 the error must also follow tol
+    endpoints = {1: (0.0, 1.0), 2: (-1.0, 0.0, 1.0), 3: (-1.0, 0.0, 1.0, 2.0)}
+    start = time.perf_counter()
+    worst = {(t, tol): 0.0 for t, tol in ((5.0, 1e-9), (60.0, 1e-9), (5.0, 1e-11))}
+    for alpha in (-0.45, 1.5):
+        params = KernelParams(alpha=alpha, beta_im=0.3)
+        for n in (1, 2, 3):
+            gamma = tuple(0.3 if k % 2 == 0 else 0.6 for k in range(n))
+            for t in (5.0, 60.0):
+                config = Configuration(r=endpoints[n], gamma=gamma, t=t)
+                reference = log_det(params, config)
+                for tol in (1e-9, 1e-11) if t == 5.0 else (1e-9,):
+                    diff = abs(_flow_lnf(params, config, tol=tol) - reference)
+                    worst[t, tol] = max(worst[t, tol], diff)
+    elapsed = time.perf_counter() - start
+    worst_default = max(worst[5.0, 1e-9], worst[60.0, 1e-9])
+    gain = worst[5.0, 1e-9] / worst[5.0, 1e-11]
+    ok = worst_default <= 1e-6 and gain >= 30.0 and elapsed < 60.0
+    _report(
+        11,
+        "flow vs quadrature at the alpha edges",
+        ok,
+        f"worst |diff| {worst[5.0, 1e-9]:.3e} at t=5, {worst[60.0, 1e-9]:.3e} at t=60, "
+        f"{gain:.0f}x smaller at tol 1e-11, {elapsed:.1f}s",
     )

@@ -1,12 +1,14 @@
 """Command line behavior: parsing, validation, outputs, and determinism."""
 
 import json
+import math
 
 import pytest
 
 from chfdet.cli import main, parse_config, run, ConfigError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
+from chfdet.painleve import S0
 
 SINE_ARGS = ["--alpha", "0", "--beta-im", "0", "--r", "0=0,1=1", "--gamma", "0=0.5"]
 
@@ -225,6 +227,23 @@ class TestOutputs:
         assert len(rows) == 3
         residuals = [float(row[4]) for row in rows]
         assert max(residuals) < 1e-7
+
+    def test_verify_runs_below_the_old_flow_seed_time(self, tmp_path):
+        out = tmp_path / "verify.csv"
+        argv = ["verify", *SINE_ARGS, "--t-range", "1e-12:1e-3:3", "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [float(row[0]) for row in rows][::2] == [1e-12, 1e-3]
+        assert max(float(row[4]) for row in rows) < 1e-9
+
+    def test_painleve_runs_below_the_old_flow_seed_time(self, capsys):
+        assert main(["painleve", *SINE_ARGS, "--t", "1e-12"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["diagnostics"]["t0"] == math.exp(S0)
+        final = document["results"]["rows"][-1]
+        assert final[0] == 1e-12
+        # small-t leading term of lnF for the sine kernel at weight 1/2
+        assert final[-1] == pytest.approx(-0.5e-12 / math.pi, abs=1e-9)
 
     def test_painleve_table_has_flow_columns_and_consistent_endpoint(self, capsys):
         code = main(["painleve", *SINE_ARGS, "--t", "2"])

@@ -7,16 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from chfdet import painleve
 from chfdet.errors import DomainError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.painleve import (
+    S0,
     CPVState,
     cpv_init,
     cpv_integrate,
     cpv_large_t_prediction,
     cpv_rhs,
-    default_t0,
     hamiltonian,
     pv5_weighted_hamiltonian,
     verify_identities,
@@ -28,20 +29,38 @@ TWO_INT = KernelParams(alpha=0.3, beta_im=0.2)
 TWO_INT_CFG = Configuration(t=5.0, r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.4))
 
 
-def _integrate_to(params, config, t1, tol=1e-9, t0=None):
-    state0 = cpv_init(params, config, t0=t0)
+def _integrate_to(params, config, t1, tol=1e-9):
+    state0 = cpv_init(params, config)
     return cpv_integrate(state0, params, config, t1, tol=tol)
+
+
+def _rescaled(t, u, v, alpha):
+    """Packed state for the physical pairs u, v at time t: U = u t^{-2 alpha},
+    V = (v - 1)/t, with zero logarithms and lnF."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    return np.concatenate([u * t ** (-2.0 * alpha), (v - 1.0) / t, np.zeros(3)])
+
+
+def _physical_rates(t, u, v, params, config):
+    """(du/dt, dv/dt, d(log y, log d, lnF)/dt) from the field in s = ln t by
+    the chain rule: du/dt = t^{2 alpha - 1} (dU/ds + 2 alpha U) and
+    dv/dt = dV/ds + V."""
+    a, n = params.alpha, len(u)
+    y = _rescaled(t, u, v, a)
+    dy = cpv_rhs(math.log(t), y, params, config)
+    du = t ** (2.0 * a - 1.0) * (dy[:n] + 2.0 * a * y[:n])
+    return du, dy[n : 2 * n] + y[n : 2 * n], dy[2 * n :] / t
 
 
 class TestStateAndRates:
     def test_state_requires_positive_finite_time(self):
         for bad_t in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                CPVState(t=bad_t, indices=(), y=np.zeros(3))
+                CPVState(t=bad_t, indices=(), y=np.zeros(3), alpha=0.0)
 
     def test_d_scalars_of_zero_solution(self):
         params = KernelParams(alpha=0.25, beta_im=0.4)
-        state = CPVState(t=2.0, indices=(1,), y=[0.0j, 1.0 + 0j, 0.0, 0.0, 0.0])
+        state = CPVState(t=2.0, indices=(1,), y=[0.0j, 0.0j, 0.0, 0.0, 0.0], alpha=params.alpha)
         d1, d2 = state.d_scalars(params)
         assert d1 == params.alpha + params.beta
         assert d2 == params.alpha - params.beta
@@ -49,8 +68,7 @@ class TestStateAndRates:
     def test_zero_solution_is_stationary_except_logs(self):
         params = KernelParams(alpha=0.3, beta_im=0.2)
         cfg = Configuration(t=2.0, r=(0.0, 1.0), gamma=(0.0,))
-        state = CPVState(t=2.0, indices=(1,), y=[0.0j, 1.0 + 0j, 0.0, 0.0, 0.0])
-        du, dv, dlog_y, dlog_d, dlnf = cpv_rhs(state.t, state.y, params, cfg)
+        du, dv, (dlog_y, dlog_d, dlnf) = _physical_rates(2.0, [0.0j], [1.0 + 0j], params, cfg)
         assert du == 0.0
         # the empty channel still carries the pure phase rotation dv = 2 i r v
         assert dv == 2.0j
@@ -64,7 +82,8 @@ class TestStateAndRates:
         t = 1.7
         cfg = Configuration(t=t, r=(0.0, 1.3), gamma=(0.4,))
         u, v = 0.3 - 0.2j, 1.1 + 0.4j
-        state = CPVState(t=t, indices=(1,), y=[u, v, 0.0, 0.0, 0.0])
+        y = _rescaled(t, [u], [v], params.alpha)
+        state = CPVState(t=t, indices=(1,), y=y, alpha=params.alpha)
         expected = pv5_weighted_hamiltonian(u, v, -2.0j * t * 1.3, params.alpha, params.beta) / t
         assert hamiltonian(state, params, cfg) == pytest.approx(expected, rel=1e-15)
 
@@ -88,11 +107,11 @@ class TestStateAndRates:
             active = cfg.active_indices
             u = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
             v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
-            dy = cpv_rhs(t, np.concatenate([u, v, np.zeros(3)]), params, cfg)
-            du, dv = dy[:n], dy[n : 2 * n]
+            du, dv, _ = _physical_rates(t, u, v, params, cfg)
 
             def weighted_h(u_arr, v_arr):
-                probe = CPVState(t=t, indices=active, y=np.concatenate([u_arr, v_arr, np.zeros(3)]))
+                y = _rescaled(t, u_arr, v_arr, params.alpha)
+                probe = CPVState(t=t, indices=active, y=y, alpha=params.alpha)
                 return t * hamiltonian(probe, params, cfg)
 
             for k in range(n):
@@ -130,28 +149,20 @@ class TestStateAndRates:
                 for k in range(n):
                     if j != k:
                         th += 0.5 * u[j] * u[k] * (v[j] + v[k]) * (v[j] - 1.0) * (v[k] - 1.0)
-            state = CPVState(t=t, indices=cfg.active_indices, y=u + v + [0.0, 0.0, 0.0])
+            state = CPVState(t=t, indices=cfg.active_indices, y=_rescaled(t, u, v, a), alpha=a)
             worst = max(worst, abs(hamiltonian(state, params, cfg) - th / t) / abs(th / t))
         assert worst <= 1e-13
 
 
 class TestInitialization:
-    def test_default_t0_spot_values(self):
-        assert default_t0(KernelParams(alpha=0.0)) == pytest.approx(2e-10)
-        assert default_t0(KernelParams(alpha=0.3)) == pytest.approx(2e-10)
-        assert default_t0(KernelParams(alpha=1.5)) == pytest.approx(2e-10)
-        # negative exponents hit the overflow floor instead of the error target
-        assert default_t0(KernelParams(alpha=-0.25)) == pytest.approx(5e-19)
-        assert default_t0(KernelParams(alpha=-0.4)) == pytest.approx(
-            0.5 * 10.0 ** (9.0 / -0.8)
-        )
-
     def test_sine_seed_closed_form(self):
         state = cpv_init(SINE, SINE_CFG)
         t0 = state.t
-        assert t0 == pytest.approx(2e-10)
+        assert t0 == math.exp(S0)
         assert state.u[0] == pytest.approx(0.25j / math.pi, rel=1e-14)
-        assert state.v[0] == 1.0 + 0.0j
+        # V = (v - 1)/t sits at 2 i r / (1 + 2 alpha), the fixed point of its leading equation
+        assert state.y[1] == 2.0j
+        assert state.v[0] == pytest.approx(1.0, abs=1e-170)
         assert state.log_y == 0.0
         assert state.log_d == 0.0
         assert state.lnF.real == pytest.approx(-0.5 * t0 / math.pi, rel=1e-12)
@@ -160,7 +171,7 @@ class TestInitialization:
     def test_seed_matches_determinant_at_init_cap(self):
         params = KernelParams(alpha=0.25, beta_im=0.3)
         cfg = Configuration(t=1e-3, r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6))
-        state = cpv_init(params, cfg, t0=1e-3)
+        state = _integrate_to(params, cfg, 1e-3)[-1]
         assert abs(state.lnF.real - log_det(params, cfg)) <= 1e-7
 
     def test_zero_weight_seed_is_zero(self):
@@ -168,11 +179,6 @@ class TestInitialization:
         state = cpv_init(KernelParams(alpha=0.3, beta_im=0.2), cfg)
         assert state.u[0] == 0.0
         assert state.lnF == 0.0
-
-    def test_rejects_bad_t0(self):
-        for bad in (0.0, -1e-4, 2e-3):
-            with pytest.raises(DomainError):
-                cpv_init(SINE, SINE_CFG, t0=bad)
 
     def test_rejects_full_weight(self):
         cfg = Configuration(t=1.0, r=(0.0, 1.0), gamma=(1.0,))
@@ -206,21 +212,50 @@ class TestIntegration:
         with pytest.raises(DomainError):
             hamiltonian(state0, TWO_INT, other)
 
+    def test_rejects_state_seeded_for_another_alpha(self):
+        traj = _integrate_to(TWO_INT, TWO_INT_CFG, 2.0)
+        other = KernelParams(alpha=0.5, beta_im=TWO_INT.beta_im)
+        with pytest.raises(DomainError):
+            cpv_integrate(traj[0], other, TWO_INT_CFG, 1.0)
+        with pytest.raises(DomainError):
+            hamiltonian(traj[-1], other, TWO_INT_CFG)
+        with pytest.raises(DomainError):
+            verify_identities(traj, other, TWO_INT_CFG)
+
+    def test_non_finite_stage_is_rejected_and_retried(self, monkeypatch):
+        # the first three stages evaluated past t = 1 come back infinite; each
+        # fails the error test, and the flow still lands on the determinant
+        real_rhs = painleve.cpv_rhs
+        spoiled = []
+
+        def spoiling_rhs(s, y, params, config):
+            dy = real_rhs(s, y, params, config)
+            if s > 0.0 and len(spoiled) < 3:
+                spoiled.append(s)
+                dy[0] = complex(math.inf, -math.inf)
+            return dy
+
+        monkeypatch.setattr(painleve, "cpv_rhs", spoiling_rhs)
+        traj = _integrate_to(SINE, SINE_CFG, 5.0, tol=1e-9)
+        assert len(spoiled) == 3
+        assert all(np.all(np.isfinite(s.y)) for s in traj)
+        assert abs(traj[-1].lnF.real - log_det(SINE, SINE_CFG)) <= 5e-8
+
     def test_zero_weights_flow_is_trivial(self):
         params = KernelParams(alpha=0.3, beta_im=0.2)
         cfg = Configuration(t=5.0, r=(0.0, 1.0), gamma=(0.0,))
-        state0 = cpv_init(params, cfg, t0=1e-3)
+        state0 = cpv_init(params, cfg)
         traj = cpv_integrate(state0, params, cfg, 5.0, tol=1e-9)
         final = traj[-1]
         assert final.u[0] == 0.0
         assert final.lnF == 0.0
-        growth = math.log(5.0 / 1e-3)
+        growth = math.log(5.0) - S0
         assert final.log_d - state0.log_d == pytest.approx(2.0 * params.alpha * growth, abs=1e-8)
         assert final.log_y - state0.log_y == pytest.approx(2.0 * params.beta * growth, abs=1e-8)
 
     def test_trajectory_endpoints_and_ordering(self):
         traj = _integrate_to(SINE, SINE_CFG, 5.0)
-        assert traj[0].t == pytest.approx(2e-10)
+        assert traj[0].t == math.exp(S0)
         assert traj[-1].t == 5.0
         ts = [s.t for s in traj]
         assert all(b > a for a, b in zip(ts, ts[1:]))
@@ -246,11 +281,12 @@ class TestIdentityMonitors:
     def test_zero_solution_residuals_vanish_exactly(self):
         params = KernelParams(alpha=0.25, beta_im=0.0)
         cfg = Configuration(t=5.0, r=(0.0, 1.0), gamma=(0.0,))
-        traj = _integrate_to(params, cfg, 5.0, tol=1e-9, t0=1e-3)
+        traj = _integrate_to(params, cfg, 5.0, tol=1e-9)
         report = verify_identities(traj, params, cfg)
         assert report.residual_a == 0.0
         assert report.residual_b == 0.0
-        assert report.points_used == len(traj) - 6
+        # stencils lie wholly at t >= 0.1 / max|r| = 0.1
+        assert report.points_used == sum(1 for s in traj if s.t >= 0.1) - 6
 
     def test_sine_residuals_small(self):
         traj = _integrate_to(SINE, SINE_CFG, 5.0, tol=1e-9)
@@ -316,7 +352,7 @@ class TestLargeTimePrediction:
         cfg = Configuration(t=20.0, r=(0.0, 1.0), gamma=(0.5,))
         traj = _integrate_to(SINE, cfg, 20.0, tol=1e-9)
         pred = cpv_large_t_prediction(SINE, cfg, 20.0)
-        h_numeric = cpv_rhs(traj[-1].t, traj[-1].y, SINE, cfg)[-1]
+        h_numeric = hamiltonian(traj[-1], SINE, cfg)
         # split the prediction into its constant part and its 1/t tail by
         # evaluating at a second, much larger time
         h_inf = cpv_large_t_prediction(SINE, cfg, 1e12).H
