@@ -24,11 +24,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .asymptotics import large_gap_lnF, moment_asymptotics
+from .asymptotics import large_gap_lnF, moment_asymptotics, small_t_lnF
 from .errors import DomainError, NonConvergenceError, RegimeError
 from .fredholm import PANEL_ORDER, build_grid, log_det
 from .kernel import Configuration, KernelParams
-from .painleve import cpv_init, cpv_integrate, hamiltonian
+from .painleve import S0, CPVState, cpv_init, cpv_integrate, hamiltonian
 from .stats import numeric_covariance, numeric_mean, numeric_variance
 
 SCHEMA_VERSION = 1
@@ -372,9 +372,25 @@ def _run_asymp(rc: RunConfig):
     return results, columns, rows, diagnostics
 
 
+def _flow_to(rc: RunConfig, state: CPVState, t: float) -> list:
+    """The flow's trajectory from ``state`` to t. A t at or below the seed
+    time e^S0 needs no flow: there U and V still sit at their seed values to
+    rounding, log y and log d drift by 2 beta and 2 alpha per unit of ln t,
+    and lnF is the small-t closed form."""
+    if t > math.exp(S0):
+        return cpv_integrate(state, rc.params, rc.config, t, tol=rc.tol)
+    a, b = rc.params.alpha, rc.params.beta
+    ds = math.log(t) - math.log(state.t)
+    y = state.y.copy()
+    y[-3] += 2.0 * b * ds
+    y[-2] += 2.0 * a * ds
+    y[-1] = small_t_lnF(rc.params, rc.config, t)
+    return [CPVState(t=t, indices=state.indices, y=y, alpha=a)]
+
+
 def _run_painleve(rc: RunConfig):
     state0 = cpv_init(rc.params, rc.config)
-    trajectory = cpv_integrate(state0, rc.params, rc.config, rc.config.t, tol=rc.tol)
+    trajectory = _flow_to(rc, state0, rc.config.t)
     columns = ["t"]
     for k in state0.indices:
         columns += [f"u{k}_re", f"u{k}_im", f"v{k}_re", f"v{k}_im"]
@@ -387,7 +403,7 @@ def _run_painleve(rc: RunConfig):
         row += [hamiltonian(state, rc.params, rc.config).real, state.lnF.real]
         rows.append(row)
     results = {"columns": columns, "rows": rows}
-    diagnostics = {"steps": len(trajectory) - 1, "t0": trajectory[0].t, "tol": rc.tol}
+    diagnostics = {"steps": len(trajectory) - 1, "t0": state0.t, "tol": rc.tol}
     return results, columns, rows, diagnostics
 
 
@@ -405,8 +421,7 @@ def _run_verify(rc: RunConfig):
     state = cpv_init(rc.params, rc.config) if points else None
     for point in points:
         config_t = rc.config.replace_t(point)
-        trajectory = cpv_integrate(state, rc.params, rc.config, point, tol=rc.tol)
-        state = trajectory[-1]
+        state = _flow_to(rc, state, point)[-1]
         lnf_flow = state.lnF.real
         lnf_nystrom, _ = _quadrature_lnf(rc, config_t)
         lnf_asymptotic = large_gap_lnF(rc.params, config_t).total

@@ -7,12 +7,13 @@ it is one packed complex vector, which the integrator steps directly. The
 flow runs in s = ln t on U_k = u_k t^{-2 alpha} and V_k = (v_k - 1)/t,
 which tend to constants as t -> 0 for every alpha, so every flow starts at
 t = e^S0 (seeding error O(t^{1 + 2 alpha}), 4e-18 at alpha = -0.45). At
-tol 1e-9 it then meets ``log_det`` to 2.2e-9 at t = 5 and 5e-8 at t = 60
+tol 1e-9 it then meets ``log_det`` to 1e-9 at t = 5 and 8.3e-8 at t = 60
 for alpha in [-0.45, 1.5] over 1-3 intervals. The module provides the
-vector field, the Hamiltonian, small-t initialization, an adaptive embedded
-Runge-Kutta integrator with step-size control, identity monitors based on
-numerical differentiation of the trajectory at t >= 0.1/max|r_k|, and the
-closed-form large-t predictions used for envelope comparisons.
+vector field, the Hamiltonian, small-t initialization, the DOP853
+Dormand-Prince 8(5) integrator with PI step control, identity monitors
+that differentiate samples of the trajectory taken on a fixed grid at
+t >= 0.1/max|r_k|, and the closed-form large-t predictions used for
+envelope comparisons.
 
 ``log_d`` stores the alpha-regularized logarithm ln(d / (2 alpha)): the
 scalar d carries an overall factor 2 alpha and vanishes identically at
@@ -23,6 +24,7 @@ admissible alpha.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -217,36 +219,98 @@ def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
     return CPVState(t=t0, indices=indices, y=u + v + [log_y, log_d, lnf], alpha=a)
 
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first).
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
+# Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett and Wanner, Solving
+# Ordinary Differential Equations I, II.5 and its DOP853 code): nodes C, stage
+# rows A, whose last row holds the weights B of the 8th-order result (its node
+# is 1, and its field is the next step's first stage), and the weights E5 of
+# the 5th-order embedded error estimate.
+_DOP_C = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+)
+_DOP_A = (
     (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+    (
+        5.26001519587677318785587544488e-2,
+    ),
+    (
+        1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2,
+    ),
+    (
+        2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2,
+    ),
+    (
+        2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (
+        3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ),
+    (
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
+    (
+        5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+        1.89151789931450038304281599044, -5.8012039600105847814672114227,
+        3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+        2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+    ),
 )
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_DP_B4 = (
-    5179.0 / 57600.0,
-    0.0,
-    7571.0 / 16695.0,
-    393.0 / 640.0,
-    -92097.0 / 339200.0,
-    187.0 / 2100.0,
-    1.0 / 40.0,
+_DOP_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
 )
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+_DOP_ROWS = tuple(np.array(row) for row in _DOP_A)
+_DOP_E5_ROW = np.array(_DOP_E5)
 
 
-def _max_step(config: Configuration, tol: float) -> float:
-    """Step cap in t, 0.1/max|r_k| tightened by tol^(1/6) so that the order-6
-    differentiation error of the identity monitors stays proportional to the
-    integration tolerance."""
-    r_max = max(abs(v) for v in config.r)
-    return min(0.1, 0.5 * tol ** (1.0 / 6.0)) / r_max
+def _dop853_step(
+    s: float, y: np.ndarray, k1: np.ndarray, h: float, params: KernelParams, config: Configuration
+) -> tuple:
+    """One DOP853 step of length h in s from (s, y), where k1 is the field
+    there. Returns the 8th-order result and the (13, len(y)) array of the
+    step's twelve fields followed by the field at the result."""
+    stages = np.empty((13, len(y)), dtype=complex)
+    stages[0] = k1
+    for i in range(1, 13):
+        y_i = y + h * (_DOP_ROWS[i] @ stages[:i])
+        stages[i] = cpv_rhs(s + _DOP_C[i] * h, y_i, params, config)
+    return y_i, stages
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -257,11 +321,12 @@ def cpv_integrate(
     t1: float,
     tol: float = 1e-9,
 ) -> list:
-    """Integrate the augmented system in s = ln t from state0.t to t1 with an
-    embedded 5(4) Runge-Kutta pair under PI step control, each step at most
-    ``_max_step`` long in t; returns the accepted states (state0 first, a
-    state exactly at t1 last). A stage with a non-finite entry fails the
-    error test, so its step is rejected and retried at a fifth of the size."""
+    """Integrate the augmented system in s = ln t from state0.t to t1 with the
+    DOP853 pair (8th-order steps, max-norm of the 5th-order embedded error
+    against tol (1 + |y|)) under PI step control; returns the accepted states
+    (state0 first, a state exactly at t1 last). A stage with a non-finite
+    entry fails the error test, so its step is rejected and retried at a
+    fifth of the size."""
     t1 = float(t1)
     tol = float(tol)
     if not (1e-12 <= tol <= 1e-4):
@@ -270,11 +335,9 @@ def cpv_integrate(
         raise DomainError("cpv_integrate: requires t1 > state0.t")
     k1 = _rates(state0, params, config, "cpv_integrate")
     s, s1, y = math.log(state0.t), math.log(t1), state0.y
-    h_max = _max_step(config, tol)
-    h = min(0.05, h_max / state0.t, 0.5 * (s1 - s))
+    h = min(0.05, 0.5 * (s1 - s))
     trajectory = [state0]
     err_prev = 1.0
-    stages = [None] * 7
     for _ in range(200_000):
         if s >= s1:
             return trajectory
@@ -284,58 +347,36 @@ def cpv_integrate(
             )
         last = s1 - s <= h
         h_step = s1 - s if last else h
-        stages[0] = k1
-        for i in range(1, 7):
-            yi = y + h_step * sum(a_ij * stages[j] for j, a_ij in enumerate(_DP_A[i]))
-            stages[i] = cpv_rhs(s + _DP_C[i] * h_step, yi, params, config)
-        # the 7th stage argument already equals the 5th-order result
-        err_vec = h_step * sum(e_j * stages[j] for j, e_j in enumerate(_DP_E) if e_j != 0.0)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(yi))
-        err = math.sqrt(float(np.mean(np.abs(err_vec / scale) ** 2)))
+        y_new, stages = _dop853_step(s, y, k1, h_step, params, config)
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = h_step * float(np.max(np.abs(_DOP_E5_ROW @ stages[:12] / scale)))
         if err <= 1.0:
             s = s1 if last else s + h_step
             state = CPVState(
-                t=t1 if last else math.exp(s), indices=state0.indices, y=yi, alpha=params.alpha
+                t=t1 if last else math.exp(s), indices=state0.indices, y=y_new, alpha=params.alpha
             )
             y = state.y
-            k1 = stages[6]
+            k1 = stages[12]
             if abs(state.lnF.imag) > 1e-6 * (1.0 + abs(state.lnF.real)):
                 raise AssertionError(
                     "cpv_integrate: ln F developed an imaginary part beyond the realness budget"
                 )
             trajectory.append(state)
-            fac = 0.9 * (err + 1e-300) ** -0.14 * (err_prev + 1e-300) ** 0.08
+            fac = 0.9 * (err + 1e-300) ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0)
             err_prev = max(err, 1e-4)
-            h = min(h_step * min(6.0, max(0.2, fac)), h_max / state.t)
+            h = h_step * min(6.0, max(0.2, fac))
         else:
             # a non-finite err (NaN) also lands here: max() keeps the 0.2 floor
-            fac = 0.9 * err**-0.14 * (err_prev + 1e-300) ** 0.08
+            fac = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0)
             h = h_step * min(1.0, max(0.2, fac))
     raise NonConvergenceError("cpv_integrate: step budget exhausted")
 
 
-def _fd_weights_first_derivative(x: np.ndarray, x0: float) -> np.ndarray:
-    """Weights w with sum w_i f(x_i) ~ f'(x0) on the arbitrary nodes x
-    (Fornberg's recursion, truncated at the first derivative)."""
-    n = len(x)
-    w = np.zeros((n, 2))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                w[i, 1] = c1 * (w[i - 1, 0] - c5 * w[i - 1, 1]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
-            w[j, 1] = (c4 * w[j, 1] - w[j, 0]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
-        c1 = c2
-    return w[:, 1]
+# The identity monitors sample every _SAMPLE_SPACING / max|r_k| in t: the
+# 7-point central stencil's O(dt^6) truncation error is then of order 1e-11,
+# so the residuals keep falling with tol down to about tol = 1e-11.
+_SAMPLE_SPACING = 0.5 * 1e-11 ** (1.0 / 6.0)
+_CENTRAL_7 = (-1.0 / 60.0, 9.0 / 60.0, -45.0 / 60.0, 0.0, 45.0 / 60.0, -9.0 / 60.0, 1.0 / 60.0)
 
 
 @dataclass(frozen=True)
@@ -343,7 +384,7 @@ class IdentityReport:
     """Max-norm residuals of the two differential identities monitored along
     a trajectory: (a) the time derivative of t H against 2i sum r_k u_k v_k,
     and (b) the Hamiltonian relation whose auxiliary-logarithm derivatives
-    are expanded through their own differential equations. Only points at
+    are expanded through their own differential equations. Only samples at
     t >= 0.1/max|r_k| take part (``points_used`` counts the stencil centres);
     below that every flow quantity still follows the seed's power law."""
 
@@ -355,40 +396,51 @@ class IdentityReport:
 def verify_identities(
     trajectory: list, params: KernelParams, config: Configuration
 ) -> IdentityReport:
-    """Differentiate trajectory data numerically in t (7-point stencils on
-    the accepted steps lying wholly at t >= 0.1/max|r_k|, the scale of the
-    step cap) and report identity residuals in max-norm. Physical rates come
-    from ``cpv_rhs`` by the chain rule: dv/dt = dV/ds + V and H = (t H)/t."""
+    """Sample the trajectory on the fixed grid
+    t_j = (0.1 + j * 0.5 * 1e-11^(1/6)) / max|r_k| inside its time span, each
+    sample by one partial DOP853 step from the preceding accepted state,
+    differentiate in t with 7-point central stencils and report identity
+    residuals in max-norm. The grid does
+    not depend on the trajectory's steps, so trajectories of one flow at any
+    tolerance are sampled at the same points. Physical rates come from
+    ``cpv_rhs`` by the chain rule: dv/dt = dV/ds + V and H = (t H)/t."""
     r_max = max(abs(v) for v in config.r)
-    ts = np.array([s.t for s in trajectory])
-    first = int(np.searchsorted(ts, 0.1 / r_max))
-    window, ts = trajectory[first:], ts[first:]
-    if len(window) < 9:
-        raise DomainError("verify_identities: needs 9 trajectory points at t >= 0.1/max|r_k|")
+    t_first, dt = 0.1 / r_max, _SAMPLE_SPACING / r_max
+    times = [state.t for state in trajectory]
+    j0 = max(0, math.ceil((times[0] - t_first) / dt))
+    j1 = math.floor((times[-1] - t_first) / dt)
+    if j1 - j0 + 1 < 9:
+        raise DomainError("verify_identities: needs 9 samples at t >= 0.1/max|r_k|")
+    t = t_first + dt * np.arange(j0, j1 + 1)
+    samples, rates = [], []
+    prev = None
+    for t_j in t.tolist():
+        i = max(bisect.bisect_right(times, t_j) - 1, 0)
+        if i != prev:
+            prev, k1 = i, _rates(trajectory[i], params, config, "verify_identities")
+        s_i = math.log(times[i])
+        y_j, stages = _dop853_step(s_i, trajectory[i].y, k1, math.log(t_j) - s_i, params, config)
+        samples.append(y_j)
+        rates.append(stages[12])
+    y, dy = np.array(samples), np.array(rates)
+
     a, b = params.alpha, params.beta
     n = len(config.active_indices)
     r = np.array([config.r[k] for k in config.active_indices])
-    rates = [_rates(s, params, config, "verify_identities") for s in window]
-    th = np.array([dy[-1] for dy in rates])
-
-    res_a = 0.0
-    res_b = 0.0
-    count = 0
-    two_ab = 2.0 * (a * a - b * b)
-    for i in range(3, len(window) - 3):
-        idx = slice(i - 3, i + 4)
-        w = _fd_weights_first_derivative(ts[idx], ts[i])
-        dth = complex(np.dot(w, th[idx]))
-        state, dy = window[i], rates[i]
-        u = state.u
-        res_a = max(res_a, abs(dth - 2.0j * complex(np.sum(r * u * state.v))))
-        t = state.t
-        u_dv = complex(np.dot(u, dy[n : 2 * n] + state.y[n : 2 * n]))
-        # d1 + d2 and d1 - d2 are t d(log d)/dt and t d(log y)/dt
-        total = u_dv - 2.0 * th[i] / t + dth + (a * dy[-2] - b * dy[-3] - two_ab) / t
-        res_b = max(res_b, abs(total))
-        count += 1
-    return IdentityReport(residual_a=res_a, residual_b=res_b, points_used=count)
+    m = len(t) - 6
+    th = dy[:, -1]
+    dth = sum(w * th[k : k + m] for k, w in enumerate(_CENTRAL_7)) / dt
+    y, dy, t = y[3:-3], dy[3:-3], t[3:-3]
+    u = y[:, :n] * t[:, None] ** (2.0 * a)
+    v = 1.0 + t[:, None] * y[:, n : 2 * n]
+    res_a = np.abs(dth - 2.0j * np.sum(r * u * v, axis=1))
+    u_dv = np.sum(u * (dy[:, n : 2 * n] + y[:, n : 2 * n]), axis=1)
+    # d1 + d2 and d1 - d2 are t d(log d)/dt and t d(log y)/dt
+    logs = a * dy[:, -2] - b * dy[:, -3] - 2.0 * (a * a - b * b)
+    res_b = np.abs(u_dv - 2.0 * th[3:-3] / t + dth + logs / t)
+    return IdentityReport(
+        residual_a=float(np.max(res_a)), residual_b=float(np.max(res_b)), points_used=m
+    )
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,23 @@ class TestOutputs:
         # small-t leading term of lnF for the sine kernel at weight 1/2
         assert final[-1] == pytest.approx(-0.5e-12 / math.pi, abs=1e-9)
 
+    def test_painleve_and_verify_answer_below_the_seed_time(self, tmp_path, capsys):
+        # e^S0 is about 1.9e-174; below it the small-t closed form is exact
+        lnf = -0.5e-200 / math.pi
+        assert main(["painleve", *SINE_ARGS, "--t", "1e-200"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["diagnostics"]["steps"] == 0
+        (row,) = document["results"]["rows"]
+        assert row[0] == 1e-200
+        assert row[-2] == pytest.approx(-0.5 / math.pi, rel=1e-12)
+        assert row[-1] == pytest.approx(lnf, rel=1e-14)
+        out = tmp_path / "verify.csv"
+        argv = ["verify", *SINE_ARGS, "--t-range", "1e-200:1e-3:3", "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert float(rows[0][2]) == pytest.approx(lnf, rel=1e-14)
+        assert max(float(row[4]) for row in rows) < 1e-9
+
     def test_painleve_table_has_flow_columns_and_consistent_endpoint(self, capsys):
         code = main(["painleve", *SINE_ARGS, "--t", "2"])
         assert code == 0

@@ -241,6 +241,22 @@ class TestIntegration:
         assert all(np.all(np.isfinite(s.y)) for s in traj)
         assert abs(traj[-1].lnF.real - log_det(SINE, SINE_CFG)) <= 5e-8
 
+    def test_dop853_tableau_is_consistent(self):
+        # each stage row sums to its node; the last row holds the weights of
+        # the 8th-order result (node 1); the error weights sum to zero
+        assert len(painleve._DOP_A) == len(painleve._DOP_C) == 13
+        for c_i, row in zip(painleve._DOP_C[1:], painleve._DOP_A[1:]):
+            assert abs(math.fsum(row) - c_i) <= 1e-14
+        assert painleve._DOP_C[-1] == 1.0
+        assert abs(math.fsum(painleve._DOP_E5)) <= 1e-14
+
+    def test_long_sine_flow_takes_few_steps(self):
+        # the capped 5(4) pair took 3849 steps here; DOP853 takes 660
+        cfg = SINE_CFG.replace_t(60.0)
+        traj = _integrate_to(SINE, cfg, 60.0, tol=1e-9)
+        assert len(traj) - 1 <= 700
+        assert abs(traj[-1].lnF.real - log_det(SINE, cfg)) <= 5e-8
+
     def test_zero_weights_flow_is_trivial(self):
         params = KernelParams(alpha=0.3, beta_im=0.2)
         cfg = Configuration(t=5.0, r=(0.0, 1.0), gamma=(0.0,))
@@ -285,8 +301,16 @@ class TestIdentityMonitors:
         report = verify_identities(traj, params, cfg)
         assert report.residual_a == 0.0
         assert report.residual_b == 0.0
-        # stencils lie wholly at t >= 0.1 / max|r| = 0.1
-        assert report.points_used == sum(1 for s in traj if s.t >= 0.1) - 6
+        # samples every 0.5 * 1e-11^(1/6) in t from 0.1 / max|r| = 0.1 to 5; the
+        # three at each end are no stencil centre
+        spacing = 0.5 * 1e-11 ** (1.0 / 6.0)
+        assert report.points_used == math.floor((5.0 - 0.1) / spacing) + 1 - 6
+
+    def test_samples_do_not_depend_on_the_steps(self):
+        coarse, fine = (_integrate_to(SINE, SINE_CFG, 5.0, tol=tol) for tol in (1e-7, 1e-11))
+        assert len(coarse) < len(fine)
+        used = [verify_identities(traj, SINE, SINE_CFG).points_used for traj in (coarse, fine)]
+        assert used[0] == used[1]
 
     def test_sine_residuals_small(self):
         traj = _integrate_to(SINE, SINE_CFG, 5.0, tol=1e-9)
