@@ -7,16 +7,20 @@ derivatives in closed form, and Bessel J of real order. Everything accepts
 scalars or numpy arrays elementwise and targets ~1e-13 relative accuracy on
 the documented domains (|Im z| <= 50, |z| <= 50 for phi).
 
-The evaluation strategies follow the classical playbook: argument-shift
-recurrences into a Stirling/asymptotic zone for the gamma family; for phi,
-Taylor steps of Kummer's equation along the ray from 0 to z up to |z| = 30,
-each carrying phi and phi' together, and the asymptotic expansion beyond; a
+The evaluation strategies follow the classical playbook: one vectorised
+argument shift into the Stirling zone for the gamma family; for phi, Taylor
+steps of Kummer's equation along the ray from 0 to z up to |z| = 30, each
+carrying phi and phi' together, and the asymptotic expansion beyond, its
+optimal truncation taken over all 64 terms at once; a
 product formula with an Euler-Maclaurin tail versus a gamma-integral
 representation for Barnes G; and an ascending series / Hankel-expansion
 switch at |x| = 12 for Bessel J. The Taylor steps stay in plain double: the
 Kummer series summed at once on the imaginary axis cancels terms of size
 e^{|z|} down to an O(1) sum, while a step of length at most 2 sums terms of
-size at most 2.
+size at most 2. The steps run through fixed radii, so all points on one ray
+share them: each distinct direction z/|z| is marched once in complex
+scalars, and each point finishes with one vectorised step. Kernel nodes
+z = 2ix lie on two rays; a batch of many directions pays one march each.
 """
 
 from __future__ import annotations
@@ -64,6 +68,11 @@ _BERNOULLI = (
 
 _POLE_TOL = 1e-14
 
+# The Stirling sums of the gamma family are used at |w| >= 10; on
+# Re z >= 0.5 the shift into that zone takes at most 10 unit steps.
+_STIRLING_RADIUS = 10.0
+_GAMMA_OFFSETS = np.arange(_STIRLING_RADIUS)
+
 # crossover radii of the series/asymptotic switches
 _PHI_TAYLOR_RADIUS = 30.0
 _BESSEL_SERIES_RADIUS = 12.0
@@ -85,6 +94,24 @@ _PHI_TERMS = 28
 # has not converged; below it, each further term is at most |h|/n < 0.1 of
 # the one before, so what the sum leaves out is under about 1e-16
 _PHI_TAIL_TOL = 1e-15
+# 1/((n+2)(n+1)) for the terms n + 2 = 2..27 of a Taylor step
+_PHI_INV_PAIR = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(_PHI_TERMS - 1))
+
+
+def _phi_radii():
+    # R_0 = seed radius, R_{j+1} = R_j + min(R_j/2, 2), up to the switch
+    radii = [_PHI_SEED_RADIUS]
+    while True:
+        nxt = radii[-1] + min(_PHI_STEP_FRACTION * radii[-1], _PHI_STEP_CAP)
+        if nxt >= _PHI_TAYLOR_RADIUS:
+            return tuple(radii)
+        radii.append(nxt)
+
+
+# the march's radii below the switch (1, 1.5, 2.25, ..., 29.0625)
+_PHI_RADII = _phi_radii()
+# terms of each asymptotic sum before the optimal truncation must stop
+_ASYMPTOTIC_TERMS = 64
 
 
 def _as_c_array(z):
@@ -117,17 +144,23 @@ def _stirling_log_gamma(w):
     return res
 
 
+def _gamma_shift(z):
+    """One shift of the points z (Re z >= 0.5) into the Stirling zone.
+
+    Returns, per point, the smallest n >= 0 with |z + n| >= 10, the table
+    z + k for k = 0..9, and the mask of its columns k < n, so that
+    log_gamma(z) = log_gamma(z + n) - sum_{k < n} log(z + k). The smallest
+    shift keeps |w| and with it the rounding of the Stirling sum least.
+    """
+    y2 = np.minimum(z.imag * z.imag, _STIRLING_RADIUS**2)
+    count = np.maximum(np.ceil(np.sqrt(_STIRLING_RADIUS**2 - y2) - z.real), 0.0)
+    return count, z[:, None] + _GAMMA_OFFSETS, _GAMMA_OFFSETS < count[:, None]
+
+
 def _log_gamma_right(z):
-    # principal branch for Re z >= 0.5, via the shift recurrence
-    w = z.copy()
-    acc = np.zeros_like(w)
-    while True:
-        small = np.abs(w) < 10.0
-        if not small.any():
-            break
-        acc[small] += np.log(w[small])
-        w[small] += 1.0
-    return _stirling_log_gamma(w) - acc
+    # principal branch for Re z >= 0.5
+    count, shifted, used = _gamma_shift(z)
+    return _stirling_log_gamma(z + count) - np.where(used, np.log(shifted), 0.0).sum(axis=1)
 
 
 def _log_sin_upper(z):
@@ -177,21 +210,15 @@ def rgamma(z):
 
 
 def _digamma_right(z):
-    w = z.copy()
-    acc = np.zeros_like(w)
-    while True:
-        small = np.abs(w) < 10.0
-        if not small.any():
-            break
-        acc[small] += 1.0 / w[small]
-        w[small] += 1.0
+    count, shifted, used = _gamma_shift(z)
+    w = z + count
     res = np.log(w) - 0.5 / w
     w2 = w * w
     p = w2
     for n, b2n in enumerate(_BERNOULLI, start=1):
         res = res - b2n / ((2 * n) * p)
         p = p * w2
-    return res - acc
+    return res - np.where(used, 1.0 / shifted, 0.0).sum(axis=1)
 
 
 def digamma(z):
@@ -213,21 +240,15 @@ def digamma(z):
 
 
 def _trigamma_right(z):
-    w = z.copy()
-    acc = np.zeros_like(w)
-    while True:
-        small = np.abs(w) < 10.0
-        if not small.any():
-            break
-        acc[small] += 1.0 / (w[small] * w[small])
-        w[small] += 1.0
+    count, shifted, used = _gamma_shift(z)
+    w = z + count
     w2 = w * w
     res = 1.0 / w + 0.5 / w2
     p = w * w2
     for b2n in _BERNOULLI:
         res = res + b2n / p
         p = p * w2
-    return res + acc
+    return res + np.where(used, 1.0 / (shifted * shifted), 0.0).sum(axis=1)
 
 
 def trigamma(z):
@@ -250,27 +271,29 @@ def trigamma(z):
 
 
 def _phi_series_pair(a, b, z):
-    """phi and phi' from the Kummer series itself, for |z| <= _PHI_SEED_RADIUS.
+    """phi and phi' from the Kummer series itself, for |z| <= _PHI_SEED_RADIUS,
+    over a complex scalar or array z.
 
     d_k = (a)_{k+1} z^k / ((b)_{k+1} k!) is the k-th term of phi', and the
     k-th term of phi is d_{k-1} z / k, so one recurrence serves both sums.
     At z = 0 the result is exactly (1, a/b).
     """
-    d = np.full_like(z, a / b)
-    phi = np.ones_like(z)
-    dphi = d.copy()
+    d = a / b
+    phi = 1.0
+    dphi = d
     for k in range(1, _PHI_TERMS):
         t = d * z / k
         d = t * ((a + k) / (b + k))
-        phi += t
-        dphi += d
+        phi = phi + t
+        dphi = dphi + d
     _check_tail(t, d, phi, dphi, "series")
     return phi, dphi
 
 
 def _phi_ode_step(a, b, c, w, dw, h):
     """Advance (phi, phi') from c to c + h by the Taylor series of Kummer's
-    equation z w'' + (b - z) w' - a w = 0 about c (DLMF 13.2.1).
+    equation z w'' + (b - z) w' - a w = 0 about c (DLMF 13.2.1), over
+    complex scalars (a ray's march) or arrays (each point's last step).
 
     With e_n = c_n h^n the coefficient recurrence
     c_{n+2} = ((n+a) c_n - (n+1)(n+b-c) c_{n+1}) / (c (n+2)(n+1)) reads
@@ -282,41 +305,91 @@ def _phi_ode_step(a, b, c, w, dw, h):
     bq = (b - c) * q
     e0, e1 = w, dw * h
     val = e0 + e1
-    der = e1.copy()
-    for n in range(_PHI_TERMS - 1):
-        e2 = ((n + a) * hq * e0 - (n + 1) * (n * q + bq) * e1) / ((n + 2) * (n + 1))
-        val += e2
-        der += (n + 2) * e2
+    der = e1
+    for n, inv in enumerate(_PHI_INV_PAIR):
+        e2 = ((n + a) * hq * e0 - (n + 1) * (n * q + bq) * e1) * inv
+        val = val + e2
+        der = der + (n + 2) * e2
         e0, e1 = e1, e2
     _check_tail(e0, e1, val, der, "Taylor step")
     return val, der / h
 
 
 def _check_tail(t1, t2, val, der, what):
-    if np.any(np.abs(t1) + np.abs(t2) > _PHI_TAIL_TOL * (np.abs(val) + np.abs(der))):
+    # count_nonzero takes the scalar comparisons of a ray's march cheaply
+    if np.count_nonzero(abs(t1) + abs(t2) > _PHI_TAIL_TOL * (abs(val) + abs(der))):
         raise NonConvergenceError(f"kummer_phi: {what} did not converge in its term limit")
 
 
 def _phi_pair_taylor(a, b, z):
-    """phi and phi' for |z| <= _PHI_TAYLOR_RADIUS: the series out to the
-    seed radius along the ray from 0 to z, then Taylor steps of the ODE.
+    """phi and phi' for |z| <= _PHI_TAYLOR_RADIUS.
 
-    The step radii depend on nothing but the constants, so every point
-    follows the same arithmetic whatever else is in the batch.
+    Points with |z| <= _PHI_SEED_RADIUS take the series. Every other point
+    lies on a ray z/|z|; each distinct ray is marched once, in complex
+    scalars, from the series at radius R_0 = _PHI_SEED_RADIUS through the
+    fixed radii _PHI_RADII, keeping (phi, phi') at each. Each point then
+    takes one vectorised step from the largest radius strictly below |z|.
+    The radii depend on nothing but the constants, and a ray's march on
+    nothing but its direction, so every point follows the same arithmetic
+    whatever else is in the batch. The march costs O(rays x radii) scalar
+    steps: kernel nodes z = 2ix lie on two rays, but a batch of many
+    directions pays one march each.
     """
     rho = np.abs(z)
-    phi, dphi = _phi_series_pair(a, b, z * (_PHI_SEED_RADIUS / np.maximum(rho, _PHI_SEED_RADIUS)))
-    radius = _PHI_SEED_RADIUS
-    active = np.flatnonzero(rho > radius)
-    while active.size:
-        nxt = radius + min(_PHI_STEP_FRACTION * radius, _PHI_STEP_CAP)
-        za, ra = z[active], rho[active]
-        c = za * (radius / ra)
-        h = za * ((np.minimum(ra, nxt) - radius) / ra)
-        phi[active], dphi[active] = _phi_ode_step(a, b, c, phi[active], dphi[active], h)
-        radius = nxt
-        active = active[ra > nxt]
+    phi = np.empty_like(z)
+    dphi = np.empty_like(z)
+    near = rho <= _PHI_SEED_RADIUS
+    if near.any():
+        phi[near], dphi[near] = _phi_series_pair(a, b, z[near])
+    far = np.flatnonzero(~near)
+    if not far.size:
+        return phi, dphi
+    zf, rf = z[far], rho[far]
+    # z/|z| part by part in real division, so kernel nodes give exactly
+    # +-1j; adding 0.0 turns -0.0 into +0.0, so each ray has one key
+    unit = np.empty_like(zf)
+    unit.real = zf.real / rf + 0.0
+    unit.imag = zf.imag / rf + 0.0
+    rays, ray_of = np.unique(unit, return_inverse=True)
+    level = np.searchsorted(_PHI_RADII, rf) - 1
+    w = np.empty_like(zf)
+    dw = np.empty_like(zf)
+    for r, u in enumerate(rays.tolist()):
+        on = ray_of == r
+        states = [_phi_series_pair(a, b, u)]
+        for j in range(int(level[on].max())):
+            c, h = u * _PHI_RADII[j], u * (_PHI_RADII[j + 1] - _PHI_RADII[j])
+            states.append(_phi_ode_step(a, b, c, *states[-1], h))
+        w[on], dw[on] = np.array(states)[level[on]].T
+    u = rays[ray_of]
+    start = np.take(_PHI_RADII, level)
+    phi[far], dphi[far] = _phi_ode_step(a, b, u * start, w, dw, u * (rf - start))
     return phi, dphi
+
+
+def _optimal_sum(ratio_num1, ratio_num2, denom_z):
+    """sum_k (r1)_k (r2)_k / (k! denom_z^k) over the points denom_z, cut
+    at its optimal truncation, and a bound on what the cut leaves out.
+
+    Row k, column i of the arrays holds term k at point i and the partial
+    sum through it. A point stops before its first growing term (bound:
+    the last term kept) or at its first term below 1e-20 of the partial
+    sum (bound: that term); with no stop, all _ASYMPTOTIC_TERMS terms are
+    summed (bound: the last).
+    """
+    n = np.arange(_ASYMPTOTIC_TERMS)
+    cols = np.arange(denom_z.size)
+    ratio = ((ratio_num1 + n) * (ratio_num2 + n) / (n + 1))[:, None] * (1.0 / denom_z)
+    terms = np.empty((_ASYMPTOTIC_TERMS + 1, denom_z.size), dtype=complex)
+    terms[0] = 1.0
+    np.cumprod(ratio, axis=0, out=terms[1:])
+    sums = np.cumsum(terms, axis=0)
+    mag = np.abs(terms)
+    growing = mag[1:] >= mag[:-1]
+    stop = growing | (mag[1:] < 1e-20 * np.abs(sums[1:]))
+    k = np.argmax(stop, axis=0)
+    last = np.where(stop[k, cols], k + 1 - growing[k, cols], _ASYMPTOTIC_TERMS)
+    return sums[last, cols], mag[last, cols]
 
 
 def _phi_asymptotic(a, b, z):
@@ -325,35 +398,8 @@ def _phi_asymptotic(a, b, z):
     phase = np.where(upper, np.exp(1j * math.pi * a), np.exp(-1j * math.pi * a))
     pre1 = phase * np.power(z, -a) * rgamma(b - a)
     pre2 = np.exp(z) * np.power(z, a - b) * rgamma(a)
-
-    def optimal_sum(ratio_num1, ratio_num2, denom_z):
-        total = np.ones_like(z)
-        term = np.ones_like(z)
-        frozen = np.zeros(z.shape, dtype=bool)
-        bound = np.full(z.shape, np.inf)
-        last = np.abs(term)
-        for n in range(64):
-            nxt = term * (ratio_num1 + n) * (ratio_num2 + n) / ((n + 1) * denom_z)
-            mag = np.abs(nxt)
-            growing = mag >= last
-            newly = growing & ~frozen
-            bound[newly] = last[newly]
-            frozen |= growing
-            add = ~frozen
-            total = np.where(add, total + nxt, total)
-            term = nxt
-            last = mag
-            tiny = mag < 1e-20 * np.abs(total)
-            newly = tiny & ~frozen
-            bound[newly] = mag[newly]
-            frozen |= tiny
-            if frozen.all():
-                break
-        bound[~frozen] = last[~frozen]
-        return total, bound
-
-    s1, b1 = optimal_sum(a, 1.0 + a - b, -z)
-    s2, b2 = optimal_sum(b - a, 1.0 - a, z)
+    s1, b1 = _optimal_sum(a, 1.0 + a - b, -z)
+    s2, b2 = _optimal_sum(b - a, 1.0 - a, z)
     gam_b = np.exp(log_gamma(b))
     phi = gam_b * (pre1 * s1 + pre2 * s2)
     err = np.abs(gam_b) * (np.abs(pre1) * b1 + np.abs(pre2) * b2)
@@ -374,12 +420,16 @@ def _kummer_pair(a, b, z):
     phi = np.empty_like(flat)
     dphi = np.empty_like(flat)
     small = np.abs(flat) <= _PHI_TAYLOR_RADIUS
-    if small.any():
-        phi[small], dphi[small] = _phi_pair_taylor(a, b, flat[small])
-    large = ~small
-    if large.any():
-        phi[large] = _phi_asymptotic(a, b, flat[large])
-        dphi[large] = (a / b) * _phi_asymptotic(a + 1.0, b + 1.0, flat[large])
+    # e^z overflows past Re z = 709.8; the result is then checked instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        if small.any():
+            phi[small], dphi[small] = _phi_pair_taylor(a, b, flat[small])
+        large = ~small
+        if large.any():
+            phi[large] = _phi_asymptotic(a, b, flat[large])
+            dphi[large] = (a / b) * _phi_asymptotic(a + 1.0, b + 1.0, flat[large])
+    if not (np.isfinite(phi).all() and np.isfinite(dphi).all()):
+        raise RegimeError("kummer_phi: phi or phi' is not finite in double here")
     return _restore(phi.reshape(arr.shape), scalar), _restore(dphi.reshape(arr.shape), scalar)
 
 
@@ -389,16 +439,21 @@ def kummer_phi(a, b, z):
 
     a, b are complex scalars, z a complex scalar or array. For |z| <= 30
     the value comes from Taylor steps of Kummer's equation along the ray
-    from 0 to z, in plain double; beyond, from the asymptotic expansion.
-    For the kernel's parameters (a = 1 + alpha + i beta_im, b = 1 + 2 alpha
-    with alpha in [-0.45, 1.5], |beta_im| <= 0.7, and z = 2ix, |x| <= 15)
-    the steps measured at most 1e-14 relative error in phi and in phi',
-    against 30-digit mpmath values and against a double-double summation
-    of the series. Raises
-    DomainError when b sits at a non-positive integer pole, and
+    from 0 to z, in plain double: each distinct direction z/|z| in the
+    batch is marched once, in complex scalars, through 17 fixed radii, and
+    every point then takes one vectorised step. So a call costs up to 16
+    scalar steps per distinct direction: every caller in the package
+    passes z = 2ix, which is two rays, while 2000 random directions in
+    |z| <= 30 take about 0.6 s. Beyond |z| = 30 the value comes from the
+    asymptotic expansion. For the kernel's parameters (a = 1 + alpha +
+    i beta_im, b = 1 + 2 alpha with alpha in [-0.45, 1.5], |beta_im| <= 0.7,
+    and z = 2ix) phi and phi' measured within 6e-15 relative of 30-digit
+    mpmath values for |x| <= 15 and within 4e-14 for |x| <= 300. Raises
+    DomainError when b sits at a non-positive integer pole,
     NonConvergenceError / RegimeError when a branch cannot meet its
     accuracy contract (outside ~|z| <= 50 this may happen for extreme
-    parameter values).
+    parameter values), and RegimeError when phi or phi' is not finite in
+    double (e^z overflows for Re z > 709.8).
     """
     return _kummer_pair(a, b, z)[0]
 

@@ -98,6 +98,20 @@ def main() -> None:
     lines.append("]")
     lines.append("")
 
+    # --- Kummer anchors on the asymptotic branch at kernel parameters ---
+    # a = 1+alpha+i beta_im, b = 1+2 alpha formed in double as the kernel
+    # forms them, at the alpha edges, z = +-2ix out to |z| = 400
+    lines.append("KUMMER_KERNEL = [")
+    for alpha in (-0.45, 1.5):
+        for beta_im in (-0.7, 0.7):
+            a, b = 1.0 + alpha + 1j * beta_im, 1.0 + 2.0 * alpha
+            for x in (40.0, 100.0, 200.0):
+                for z in (2j * x, -2j * x):
+                    lines.append("    (%s, %s, %s, %s)," % (
+                        c(a), c(b), c(z), c(mp.hyp1f1(mp.mpc(a), mp.mpc(b), mp.mpc(z)))))
+    lines.append("]")
+    lines.append("")
+
     # --- Barnes log-G anchors: single points and conjugate-pair sums ---
     # ln G(1+z) via mpmath.barnesg with the principal log; every anchor z
     # below was checked to stay on the principal sheet (|Im ln G| < pi).

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from chfdet import specialfn as sf
-from chfdet.errors import DomainError
+from chfdet.errors import DomainError, RegimeError
 from chfdet.quadrules import gauss_jacobi, gauss_legendre, map_to_interval
 
 import _oracle_values as ov
@@ -23,6 +23,20 @@ import _oracle_values as ov
 
 def rel(got, want):
     return abs(got - want) / max(1.0, abs(want))
+
+
+def loop_optimal_sum(r1, r2, dz):
+    """Term-by-term reference for specialfn._optimal_sum: (sum, bound)."""
+    total, term, last = 1.0 + 0.0j, 1.0 + 0.0j, 1.0
+    for n in range(64):
+        term = term * (r1 + n) * (r2 + n) / ((n + 1) * dz)
+        if abs(term) >= last:
+            return total, last
+        total += term
+        last = abs(term)
+        if last < 1e-20 * abs(total):
+            return total, last
+    return total, last
 
 
 class TestLogGamma:
@@ -63,6 +77,14 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             sf.log_gamma(0.0 + 0j)
 
+    def test_array_input_matches_scalar(self):
+        # one shift for every point: a value must not depend on its batch
+        zs = np.array([0.5, 0.7 - 0.2j, 1.3 + 0.2j, 9.6 + 0j, 12.0 - 3.0j, 1.25 - 40.0j,
+                       -3.2 + 0.7j, -0.5 - 2.0j, 0.1 + 4.0j, 0.55 + 0.7j, 0.1])
+        batch = sf.log_gamma(zs)
+        one = np.array([sf.log_gamma(z) for z in zs])
+        assert np.max(np.abs(batch - one)) == 0.0
+
     def test_rgamma_zero_at_poles(self):
         assert sf.rgamma(-2.0) == 0.0
         assert rel(sf.rgamma(0.5 + 0.5j), np.exp(-sf.log_gamma(0.5 + 0.5j))) < 1e-13
@@ -100,6 +122,30 @@ class TestKummer:
     @pytest.mark.parametrize("a,b,z,want", ov.KUMMER)
     def test_anchors(self, a, b, z, want):
         assert rel(sf.kummer_phi(a, b, z), complex(want)) < 1e-11
+
+    @pytest.mark.parametrize("a,b,z,want", ov.KUMMER_KERNEL)
+    def test_kernel_anchors_on_asymptotic_branch(self, a, b, z, want):
+        want = complex(want)
+        assert abs(sf.kummer_phi(a, b, z) - want) / abs(want) < 1e-13
+
+    @pytest.mark.parametrize(
+        "r1,r2,dz",
+        [
+            # both sums of the kernel's expansion, on both rays and off axis
+            (1.25 + 0.4j, 0.75 + 0.4j, 2j * np.linspace(15.1, 300.0, 57)),
+            (0.25 - 0.4j, -0.25 - 0.4j, -2j * np.linspace(15.1, 300.0, 57)),
+            (0.5, 0.5, np.array([2.0 + 35.0j, -31.0 + 0.0j, 45.0 + 5.0j])),
+            # grows from the first term; never stops within 64 terms
+            (10.0, 10.0, np.array([31.0 + 0.0j])),
+            (40.0, 1.0, np.array([110.0 + 0.0j])),
+        ],
+    )
+    def test_optimal_truncation_matches_term_by_term_loop(self, r1, r2, dz):
+        total, bound = sf._optimal_sum(r1, r2, dz)
+        for got_t, got_b, d in zip(total, bound, dz):
+            want_t, want_b = loop_optimal_sum(r1, r2, complex(d))
+            assert abs(got_t - want_t) <= 1e-14 * abs(want_t)
+            assert abs(got_b - want_b) <= 1e-12 * want_b
 
     def test_kummer_transformation(self):
         # phi(a, b, z) = e^z phi(b - a, b, -z), across both branches
@@ -155,11 +201,23 @@ class TestKummer:
             sf.kummer_phi(0.5, -2.0, 1.0j)
 
     def test_array_input_matches_scalar(self):
+        # the origin, the series, radii the march stops at (1.5, 2.25), both
+        # kernel rays, two off-axis rays and the asymptotic branch
         a, b = 0.9 + 0.2j, 1.8
-        zs = np.array([1.0j, 28.0j, 29.5j, 36.0j])
+        zs = np.array([0.0, 0.5j, 1.0j, 1.5j, 2.25j, -2.25j, 7.3j, -7.3j, 28.0j, -29.5j,
+                       3.0 + 4.0j, 6.0 + 8.0j, 2.0 + 35.0j, 36.0j])
         batch = sf.kummer_phi(a, b, zs)
         one = np.array([sf.kummer_phi(a, b, z) for z in zs])
         assert np.max(np.abs(batch - one)) == 0.0
+        batch = sf.kummer_phi_prime(a, b, zs)
+        one = np.array([sf.kummer_phi_prime(a, b, z) for z in zs])
+        assert np.max(np.abs(batch - one)) == 0.0
+
+    @pytest.mark.parametrize("z", [800.0, 720.0])
+    def test_overflow_raises_instead_of_nan(self, z):
+        # e^z overflows in the asymptotic branch; no warning may escape
+        with pytest.raises(RegimeError):
+            sf.kummer_phi(1.3 + 0.2j, 1.5, z)
 
 
 class TestBarnesG:
