@@ -28,11 +28,9 @@ from .fredholm import (
 from .kernel import (
     Configuration,
     KernelParams,
-    bessel_kernel,
     chf_kernel,
     chf_kernel_diagonal,
     sigma_step,
-    sine_kernel,
 )
 from .painleve import (
     CPVState,
@@ -43,7 +41,6 @@ from .painleve import (
     cpv_large_t_prediction,
     cpv_rhs,
     hamiltonian,
-    pv5_weighted_hamiltonian,
     verify_identities,
 )
 from .stats import numeric_covariance, numeric_mean, numeric_variance
@@ -57,8 +54,6 @@ __all__ = [
     "chf_kernel",
     "chf_kernel_diagonal",
     "sigma_step",
-    "sine_kernel",
-    "bessel_kernel",
     "QuadratureGrid",
     "build_grid",
     "log_det",
@@ -77,7 +72,6 @@ __all__ = [
     "LargeTPrediction",
     "cpv_rhs",
     "hamiltonian",
-    "pv5_weighted_hamiltonian",
     "cpv_init",
     "cpv_integrate",
     "verify_identities",

@@ -30,8 +30,6 @@ from .quadrules import gauss_jacobi, gauss_legendre, map_to_interval
 
 __all__ = [
     "QuadratureGrid",
-    "gauss_legendre",
-    "map_to_interval",
     "build_grid",
     "log_det",
     "log_det_series_oracle",

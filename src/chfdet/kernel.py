@@ -1,4 +1,4 @@
-"""Confluent hypergeometric kernel, its diagonal, and reference kernels.
+"""Confluent hypergeometric kernel, its diagonal, and its dense matrix.
 
 The kernel drives a determinantal point process on the real line with a
 root-type singularity |2x|^{2 alpha} and a jump singularity at the origin
@@ -9,16 +9,13 @@ block
 
 its complex conjugate B, and a gamma-function prefactor. For alpha = beta = 0
 it degenerates to the sine kernel and for beta = 0 to a Bessel-type kernel;
-both reductions are implemented here independently (own series, no shared
-code path) so they can serve as cross-checking oracles.
+the tests check both reductions against numpy's sinc and scipy's Bessel J.
 
 With beta imaginary, B is the conjugate of A, so the numerator
 A(x) B(y) - A(y) B(x) is 2i Im(A(x) conj A(y)) and the kernel is real by
 construction apart from one scalar: the gamma-function prefactor, which is
 real only because log_gamma respects complex conjugation. Its realness is
 asserted there, once, and the kernel is then assembled in real arithmetic.
-The Bessel reduction continues its powers into the complex plane and
-asserts the realness of every value instead.
 """
 
 from __future__ import annotations
@@ -30,19 +27,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .specialfn import _kummer_pair, bessel_j, kummer_phi, log_gamma
+from .specialfn import _kummer_pair, kummer_phi, log_gamma
 from .specialfn import kummer_phi_prime  # noqa: F401  (perfbench/tracing.py wraps kernel.kummer_phi_prime by name)
 
 __all__ = [
     "KernelParams",
     "Configuration",
     "cap_A",
-    "cap_B",
     "chf_kernel",
     "chf_kernel_diagonal",
+    "chf_kernel_matrix",
     "sigma_step",
-    "sine_kernel",
-    "bessel_kernel",
 ]
 
 # below this separation the diagonal/midpoint form replaces the divided
@@ -167,11 +162,6 @@ def cap_A(params: KernelParams, x):
     return out
 
 
-def cap_B(params: KernelParams, x):
-    """Companion block B(x), the complex conjugate of A(x)."""
-    return np.conj(cap_A(params, x))
-
-
 def _cap_A_and_derivative(params: KernelParams, x):
     """A(x) and dA/dx together for x != 0, from one evaluation of phi and phi'."""
     arr = np.asarray(x, dtype=float)
@@ -194,16 +184,11 @@ def _gamma_prefactor(params: KernelParams) -> float:
     value = np.exp(
         log_gamma(1.0 + a + bim) + log_gamma(1.0 + a - bim) - 2.0 * log_gamma(1.0 + 2.0 * a)
     )
-    return float(_assert_real(value, "kernel gamma prefactor"))
-
-
-def _assert_real(value, what: str):
-    value = np.asarray(value)
-    bad = np.abs(value.imag) > 1e-10 * (1.0 + np.abs(value.real))
-    if np.any(bad):
-        worst = float(np.max(np.abs(value.imag)))
-        raise AssertionError(f"{what}: imaginary residue {worst:.3e} exceeds tolerance")
-    return value.real
+    if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
+        raise AssertionError(
+            f"kernel gamma prefactor: imaginary residue {abs(value.imag):.3e} exceeds tolerance"
+        )
+    return float(value.real)
 
 
 def _im_cross(u, v):
@@ -313,67 +298,3 @@ def sigma_step(config: Configuration, x):
     if scalar:
         return float(vals[0])
     return vals.reshape(arr.shape)
-
-
-def sine_kernel(x, y):
-    """Reference sine kernel sin(x-y)/(pi (x-y)), elementwise, 1/pi on the
-    diagonal by continuity."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.sinc((x - y) / math.pi) / math.pi
-    if out.ndim == 0:
-        return float(out[()])
-    return out
-
-
-def _bessel_j_signed(nu: float, x):
-    """J_nu continued to negative arguments from the upper half-plane:
-    J_nu(-|x|) = e^{i nu pi} J_nu(|x|). Returns a complex array."""
-    x = np.asarray(x, dtype=float)
-    mag = bessel_j(nu, np.abs(x))
-    phase = np.where(x < 0.0, np.exp(1j * math.pi * nu), 1.0 + 0j)
-    return phase * mag
-
-
-def _sqrt_upper(x):
-    """x^{1/2} continued from the upper half-plane: i*sqrt(|x|) for x < 0."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x < 0.0, 1j * np.sqrt(np.abs(x)), np.sqrt(np.maximum(x, 0.0)) + 0j)
-
-
-def bessel_kernel(alpha: float, x, y):
-    """Reference Bessel-type kernel (the beta = 0 reduction), evaluated
-    independently of the confluent hypergeometric path.
-
-        |x|^a |y|^a / (x^a y^a) * sqrt(xy)/2
-            * [J_{a+1/2}(x) J_{a-1/2}(y) - J_{a-1/2}(x) J_{a+1/2}(y)] / (x - y)
-
-    Power functions of negative arguments are continued from the upper
-    half-plane consistently in every factor, which keeps the value real for
-    real x, y of either sign. Requires x, y != 0 and x != y.
-    """
-    alpha = float(alpha)
-    if not alpha > -0.5:
-        raise DomainError("bessel_kernel: requires alpha > -1/2")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    scalar = xa.ndim == 0 and ya.ndim == 0
-    xb, yb = np.broadcast_arrays(xa, ya)
-    if np.any(xb == 0.0) or np.any(yb == 0.0):
-        raise DomainError("bessel_kernel: requires x, y != 0")
-    if np.any(xb == yb):
-        raise DomainError("bessel_kernel: requires x != y")
-    # |x|^a/x^a = e^{-i a pi} for x < 0 (upper half-plane continuation)
-    sign_phase = np.exp(
-        -1j * math.pi * alpha * ((xb < 0.0).astype(float) + (yb < 0.0).astype(float))
-    )
-    jp_x = _bessel_j_signed(alpha + 0.5, xb)
-    jm_x = _bessel_j_signed(alpha - 0.5, xb)
-    jp_y = _bessel_j_signed(alpha + 0.5, yb)
-    jm_y = _bessel_j_signed(alpha - 0.5, yb)
-    num = jp_x * jm_y - jm_x * jp_y
-    vals = sign_phase * _sqrt_upper(xb) * _sqrt_upper(yb) / 2.0 * num / (xb - yb)
-    out = _assert_real(vals, "bessel_kernel")
-    if scalar:
-        return float(out[()])
-    return out

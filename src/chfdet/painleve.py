@@ -42,7 +42,6 @@ __all__ = [
     "LargeTPrediction",
     "cpv_rhs",
     "hamiltonian",
-    "pv5_weighted_hamiltonian",
     "cpv_init",
     "cpv_integrate",
     "verify_identities",
@@ -119,24 +118,14 @@ def _moment_sums(uu: list, vv: list, t: float, e: float) -> tuple:
     return s1, s2, s1 + s2
 
 
-def pv5_weighted_hamiltonian(u: complex, v: complex, s: complex, alpha: float, beta: complex) -> complex:
-    """The product s * H_V(u, v, s; alpha, beta) of the single Painleve V
-    Hamiltonian: -s u v - alpha u (v^2 - 1) - beta u (v - 1)^2 + u^2 v (v - 1)^2."""
-    return (
-        -s * u * v
-        - alpha * u * (v * v - 1.0)
-        - beta * u * (v - 1.0) ** 2
-        + u * u * v * (v - 1.0) ** 2
-    )
-
-
 def cpv_rhs(s: float, y: np.ndarray, params: KernelParams, config: Configuration) -> np.ndarray:
     """dy/ds at s = ln t for the packed state y (layout of ``CPVState.y``):
     the coupled Painleve V field, the auxiliary logarithms, and
     d(lnF)/ds = t H.
 
-    t H is the sum of the ``pv5_weighted_hamiltonian`` terms at
-    s_k = -2 i t r_k plus the pair coupling
+    t H is the sum of the single Painleve V terms s_k H_V(u_k, v_k, s_k) =
+    -s_k u_k v_k - alpha u_k (v_k^2 - 1) - beta u_k (v_k - 1)^2
+    + u_k^2 v_k (v_k - 1)^2 at s_k = -2 i t r_k plus the pair coupling
     (1/2) sum_{j != k} u_j u_k (v_j + v_k)(v_j - 1)(v_k - 1)
     = S2 S3 - sum_k u_k^2 v_k (v_k - 1)^2, whose diagonal sum cancels the
     u^2 v (v - 1)^2 terms, so t H = 2 i t sum_k r_k u_k v_k

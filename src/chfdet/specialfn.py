@@ -1,20 +1,18 @@
 """Complex special functions built from scratch on numpy doubles.
 
 Provided here: principal-branch log-gamma, digamma, trigamma, the Kummer
-confluent hypergeometric function phi(a, b, z) and its z-derivative, the
-Barnes log-G function (two independent representations), its first two
-derivatives in closed form, and Bessel J of real order. Everything accepts
-scalars or numpy arrays elementwise and targets ~1e-13 relative accuracy on
-the documented domains (|Im z| <= 50, |z| <= 50 for phi).
+confluent hypergeometric function phi(a, b, z) and its z-derivative, and
+the Barnes log-G function with its first two derivatives in closed form.
+Everything accepts scalars or numpy arrays elementwise and targets ~1e-13
+relative accuracy on the documented domains (|Im z| <= 50, |z| <= 50 for
+phi). The tests check each function against mpmath.
 
 The evaluation strategies follow the classical playbook: one vectorised
 argument shift into the Stirling zone for the gamma family; for phi, Taylor
 steps of Kummer's equation along the ray from 0 to z up to |z| = 30, each
 carrying phi and phi' together, and the asymptotic expansion beyond, its
-optimal truncation taken over all 64 terms at once; a
-product formula with an Euler-Maclaurin tail versus a gamma-integral
-representation for Barnes G; and an ascending series / Hankel-expansion
-switch at |x| = 12 for Bessel J. The Taylor steps stay in plain double: the
+optimal truncation taken over all 64 terms at once; and a gamma-integral
+representation for Barnes G. The Taylor steps stay in plain double: the
 Kummer series summed at once on the imaginary axis cancels terms of size
 e^{|z|} down to an O(1) sum, while a step of length at most 2 sums terms of
 size at most 2. The steps run through fixed radii, so all points on one ray
@@ -33,7 +31,6 @@ from .errors import DomainError, NonConvergenceError, RegimeError
 from .quadrules import gauss_legendre
 
 __all__ = [
-    "EULER_GAMMA",
     "log_gamma",
     "digamma",
     "trigamma",
@@ -41,13 +38,9 @@ __all__ = [
     "kummer_phi",
     "kummer_phi_prime",
     "log_barnes_g",
-    "log_barnes_g_product",
     "log_barnes_g_d1",
     "log_barnes_g_d2",
-    "bessel_j",
 ]
-
-EULER_GAMMA = 0.57721566490153286061
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
@@ -73,9 +66,8 @@ _POLE_TOL = 1e-14
 _STIRLING_RADIUS = 10.0
 _GAMMA_OFFSETS = np.arange(_STIRLING_RADIUS)
 
-# crossover radii of the series/asymptotic switches
+# crossover radius of the Kummer Taylor/asymptotic switch
 _PHI_TAYLOR_RADIUS = 30.0
-_BESSEL_SERIES_RADIUS = 12.0
 
 # Kummer Taylor branch. The series is used out to radius 1, where its terms
 # fall like 1/k! from the start.
@@ -465,53 +457,6 @@ def kummer_phi_prime(a, b, z):
     return _kummer_pair(a, b, z)[1]
 
 
-def _em_power_tail(q, n):
-    """sum_{k > n} k^{-q} by Euler-Maclaurin at the left edge k = n+1."""
-    x = float(n + 1)
-    inv = 1.0 / x
-    xq = x ** (-q)
-    s = x * xq / (q - 1.0) + 0.5 * xq
-    s += q * xq * inv / 12.0
-    s -= q * (q + 1.0) * (q + 2.0) * xq * inv**3 / 720.0
-    s += q * (q + 1.0) * (q + 2.0) * (q + 3.0) * (q + 4.0) * xq * inv**5 / 30240.0
-    return s
-
-
-def log_barnes_g_product(z):
-    """log G(1+z) from the Weierstrass-type product definition, with the
-    truncated product completed by an analytically summed tail.
-
-    The k-th log-term decays like z^3/(3k^2); after truncating at
-    N ~ 2.5|z| the remainder is summed as a power series in z whose
-    coefficients are tail zeta sums evaluated by Euler-Maclaurin.
-    """
-    z = complex(z)
-    if z.real <= -1.0 + _POLE_TOL:
-        raise DomainError("log_barnes_g_product: requires Re z > -1")
-    n = max(32, int(math.ceil(2.5 * abs(z))))
-    k = np.arange(1, n + 1, dtype=float)
-    terms = k * np.log1p(z / k) - z + z * z / (2.0 * k)
-    head = complex(np.sum(terms[::-1]))
-    # tail: sum_{k>N} sum_{p>=3} (-1)^{p+1} z^p / (p k^{p-1})
-    tail = 0.0 + 0.0j
-    zp = z * z * z
-    ratio = abs(z) / (n + 1.0)
-    p = 3
-    while p < 120:
-        tail += ((-1.0) ** (p + 1)) * zp / p * _em_power_tail(p - 1.0, n)
-        if abs(zp) * _em_power_tail(p - 1.0, n) < 1e-22 * max(1.0, abs(head)) or ratio == 0.0:
-            break
-        zp = zp * z
-        p += 1
-    return (
-        0.5 * z * _LN_2PI
-        - 0.5 * z * (z + 1.0)
-        - 0.5 * EULER_GAMMA * z * z
-        + head
-        + tail
-    )
-
-
 def log_barnes_g(z):
     """log G(1+z) for Re z > -1 (principal analytic branch, log G(1+0) = 0).
 
@@ -522,7 +467,8 @@ def log_barnes_g(z):
 
     the integral running along the straight segment from 0 to z with
     composite Gauss-Legendre panels (the integrand is analytic there for
-    Re z > -1). Cross-checked against log_barnes_g_product in the tests.
+    Re z > -1). The tests check it against mpmath's barnesg, its log
+    continued along the same segment.
     """
     z = complex(z)
     if z.real <= -1.0 + _POLE_TOL:
@@ -553,78 +499,3 @@ def log_barnes_g_d2(z):
     """Second derivative of log G(1+z):  -1 + psi(1+z) + z psi'(1+z)."""
     z = complex(z)
     return -1.0 + digamma(1.0 + z) + z * trigamma(1.0 + z)
-
-
-def _bessel_series(nu, x):
-    t = (0.5 * x) ** nu * complex(rgamma(nu + 1.0)).real
-    total = t.copy()
-    q = -0.25 * x * x
-    peak = np.abs(t)
-    for k in range(80):
-        t = t * q / ((k + 1.0) * (nu + k + 1.0))
-        total = total + t
-        peak = np.maximum(peak, np.abs(t))
-        if np.all(np.abs(t) <= 1e-17 * peak + 1e-300):
-            return total
-    raise NonConvergenceError("bessel_j: ascending series failed to converge")
-
-
-def _bessel_hankel(nu, x):
-    mu = 4.0 * nu * nu
-    omega = x - (0.5 * nu + 0.25) * math.pi
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    frozen = np.zeros(x.shape, dtype=bool)
-    last = np.abs(term)
-    for m in range(1, 44):
-        term = term * (mu - (2.0 * m - 1.0) ** 2) / (8.0 * m * x)
-        mag = np.abs(term)
-        frozen |= mag >= last
-        add = ~frozen
-        r = m % 4
-        if r == 1:
-            q = np.where(add, q + term, q)
-        elif r == 2:
-            p = np.where(add, p - term, p)
-        elif r == 3:
-            q = np.where(add, q - term, q)
-        else:
-            p = np.where(add, p + term, p)
-        last = mag
-        if frozen.all() or np.all(mag < 1e-18):
-            break
-    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(omega) * p - np.sin(omega) * q)
-
-
-def bessel_j(nu, x):
-    """Bessel function J_nu(x) for real order nu > -1 and real x >= 0.
-
-    Ascending series for x <= 12, Hankel's large-argument expansion beyond,
-    both implemented directly (this function serves as an oracle that is
-    independent of the confluent hypergeometric evaluation path).
-    """
-    nu = float(nu)
-    if nu <= -1.0 + _POLE_TOL and abs(nu - round(nu)) < _POLE_TOL:
-        raise DomainError("bessel_j: order at a negative-integer degeneracy")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.ravel(arr).astype(float)
-    if np.any(flat < 0.0):
-        raise DomainError("bessel_j: requires x >= 0 (continue negative arguments at the call site)")
-    out = np.empty_like(flat)
-    zero = flat == 0.0
-    if zero.any():
-        if nu < 0.0:
-            raise DomainError("bessel_j: x = 0 diverges for negative order")
-        out[zero] = 1.0 if nu == 0.0 else 0.0
-    small = (flat <= _BESSEL_SERIES_RADIUS) & ~zero
-    if small.any():
-        out[small] = _bessel_series(nu, flat[small])
-    large = flat > _BESSEL_SERIES_RADIUS
-    if large.any():
-        out[large] = _bessel_hankel(nu, flat[large])
-    out = out.reshape(arr.shape)
-    if scalar:
-        return float(out[()])
-    return out

@@ -14,8 +14,12 @@ working precision, so every literal is correctly rounded.
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
+
+# sub-steps of the segment 0 -> z along which ln G(1+z) is continued
+BARNES_PATH_STEPS = 24
 
 
 def c(z) -> str:
@@ -25,6 +29,20 @@ def c(z) -> str:
 
 def r(x) -> str:
     return mp.nstr(mp.mpf(x), 25)
+
+
+def log_barnes_g_continued(z):
+    """ln G(1+z) on the analytic branch with ln G(1) = 0: the principal
+    logs of the ratios G(1+z_k)/G(1+z_{k-1}) at z_k = k z / n, summed.
+    Each ratio stays close to 1, so its principal log is the continuation;
+    mpmath's principal log of G(1+z) itself can differ from it by 2 pi i."""
+    total = mp.mpc(0)
+    prev = mp.mpf(1)
+    for k in range(1, BARNES_PATH_STEPS + 1):
+        cur = mp.barnesg(1 + z * k / BARNES_PATH_STEPS)
+        total += mp.log(cur / prev)
+        prev = cur
+    return total
 
 
 def main() -> None:
@@ -112,6 +130,40 @@ def main() -> None:
     lines.append("]")
     lines.append("")
 
+    # --- Bessel kernel (the beta = 0 reduction) from mpmath's Bessel J ---
+    # K(x, y) = (P(x) Q(y) - Q(x) P(y)) / (2 (x - y)) with
+    # P(z) = sign(z) sqrt|z| J_{a+1/2}(|z|), Q(z) = sqrt|z| J_{a-1/2}(|z|),
+    # at the alpha edges, all sign combinations and |x| up to 100, so both
+    # Kummer branches (switch at |2x| = 30) are covered
+    bessel_kernel_cases = [
+        (-0.45, 0.3, 2.0),
+        (-0.45, -26.0, 7.5),
+        (-0.45, -60.0, -59.5),
+        (0.0, 7.5, -14.0),
+        (0.25, 2.0, 26.0),
+        (0.35, -2.0, -3.5),
+        (0.5, -14.0, -11.9),
+        (0.75, 5.0, 33.0),
+        (0.75, -100.0, 100.5),
+        (1.0, -0.3, 12.1),
+        (1.5, 9.0, -33.0),
+        (1.5, 40.0, 41.0),
+    ]
+    lines.append("BESSEL_KERNEL = [")
+    for alpha, x, y in bessel_kernel_cases:
+        a, xm, ym = mp.mpf(alpha), mp.mpf(x), mp.mpf(y)
+
+        def pq(z):
+            root = mp.sqrt(abs(z))
+            return (mp.sign(z) * root * mp.besselj(a + mp.mpf(1) / 2, abs(z)),
+                    root * mp.besselj(a - mp.mpf(1) / 2, abs(z)))
+
+        (px, qx), (py, qy) = pq(xm), pq(ym)
+        val = (px * qy - qx * py) / (2 * (xm - ym))
+        lines.append("    (%s, %s, %s, %s)," % (r(a), r(xm), r(ym), r(val)))
+    lines.append("]")
+    lines.append("")
+
     # --- Barnes log-G anchors: single points and conjugate-pair sums ---
     # ln G(1+z) via mpmath.barnesg with the principal log; every anchor z
     # below was checked to stay on the principal sheet (|Im ln G| < pi).
@@ -135,23 +187,13 @@ def main() -> None:
         lines.append("    (%s, %s)," % (r(cc), r(val.real)))
     lines.append("]")
     lines.append("")
-
-    # --- Bessel J anchors (both regimes of the series/asymptotic switch) ---
-    bessel_cases = [
-        (mp.mpf(0.75), mp.mpf(0.3)),
-        (mp.mpf(0.75), mp.mpf(5.0)),
-        (mp.mpf(0.75), mp.mpf(11.9)),
-        (mp.mpf(0.75), mp.mpf(12.1)),
-        (mp.mpf(0.75), mp.mpf(33.0)),
-        (mp.mpf(-0.25), mp.mpf(2.0)),
-        (mp.mpf(-0.25), mp.mpf(26.0)),
-        (mp.mpf(1.5), mp.mpf(9.0)),
-        (mp.mpf(0.5), mp.mpf(14.0)),
-        (mp.mpf(0.0), mp.mpf(7.5)),
-    ]
-    lines.append("BESSEL_J = [")
-    for nu, x in bessel_cases:
-        lines.append("    (%s, %s, %s)," % (r(nu), r(x), r(mp.besselj(nu, x))))
+    # 25 random points with -0.9 < Re z < 4 and |Im z| < 3
+    rng = np.random.default_rng(3)
+    random_points = rng.uniform(-0.9, 4.0, 25) + 1j * rng.uniform(-3.0, 3.0, 25)
+    lines.append("LOG_BARNES_G_CONTINUED = [")
+    for z in random_points:
+        zc = mp.mpc(complex(z))
+        lines.append("    (%s, %s)," % (c(zc), c(log_barnes_g_continued(zc))))
     lines.append("]")
     lines.append("")
 

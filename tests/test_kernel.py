@@ -1,4 +1,8 @@
-"""Kernel layer: parameter validation, reductions, realness, symmetry."""
+"""Kernel layer: parameter validation, reductions, realness, symmetry.
+
+The sine reduction is checked against numpy's sinc and the Bessel reduction
+against scipy's Bessel J (tests/_references.py) and against frozen mpmath
+values (tests/_oracle_values.py)."""
 
 from __future__ import annotations
 
@@ -12,15 +16,15 @@ from chfdet.errors import DomainError
 from chfdet.kernel import (
     Configuration,
     KernelParams,
-    bessel_kernel,
     cap_A,
-    cap_B,
     chf_kernel,
     chf_kernel_diagonal,
     chf_kernel_matrix,
     sigma_step,
-    sine_kernel,
 )
+
+import _oracle_values as ov
+from _references import bessel_kernel
 
 
 class TestParams:
@@ -94,10 +98,12 @@ class TestCapA:
         with pytest.raises(DomainError):
             cap_A(KernelParams(-0.25, 0.0), 0.0)
 
-    def test_cap_b_is_conjugate(self):
-        p = KernelParams(0.25, 0.3)
-        x = np.array([-1.7, 0.4, 2.2])
-        assert np.all(cap_B(p, x) == np.conj(cap_A(p, x)))
+    def test_reflection_conjugates(self):
+        # A(-x) at -beta is the conjugate of A(x) at beta
+        x = np.array([-1.7, 0.4, 2.2, 5.0, -20.0, 40.0])
+        for alpha, beta_im in ((0.25, 0.3), (-0.45, 0.7), (1.5, -0.7)):
+            p, q = KernelParams(alpha, beta_im), KernelParams(alpha, -beta_im)
+            assert np.max(np.abs(cap_A(q, -x) - np.conj(cap_A(p, x)))) <= 1e-15 * np.max(np.abs(cap_A(p, x)))
 
     def test_jump_factor_modulus(self):
         # |A(x)|^2 has the e^{-+ beta_im pi} jump factor across 0
@@ -117,10 +123,11 @@ class TestChfKernel:
         p = KernelParams(0.0, 0.0)
         xs = np.linspace(-3.0, 3.0, 50)
         ys = np.linspace(-2.5, 3.5, 50) + 0.0123
-        diff = chf_kernel(p, xs[:, None], ys[None, :]) - sine_kernel(xs[:, None], ys[None, :])
+        sine = np.sinc((xs[:, None] - ys[None, :]) / np.pi) / np.pi
+        diff = chf_kernel(p, xs[:, None], ys[None, :]) - sine
         assert np.max(np.abs(diff)) < 1e-11
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 0.5, 1.0, 1.5])
     def test_bessel_reduction_grid(self, alpha):
         p = KernelParams(alpha, 0.0)
         xs = np.linspace(-3.0, 3.0, 50)
@@ -128,6 +135,31 @@ class TestChfKernel:
         ys = xs + 0.0567
         diff = chf_kernel(p, xs[:, None], ys[None, :]) - bessel_kernel(alpha, xs[:, None], ys[None, :])
         assert np.max(np.abs(diff)) < 1e-9
+
+    @pytest.mark.parametrize("alpha,x,y,want", ov.BESSEL_KERNEL)
+    def test_bessel_reduction_anchors(self, alpha, x, y, want):
+        # mpmath's Bessel J, both Kummer branches, out to |x| = 100
+        got = chf_kernel(KernelParams(alpha, 0.0), x, y)
+        assert abs(got - want) / abs(want) < 1e-11
+
+    @pytest.mark.parametrize("x,y", [(1.0, 0.5), (-1.0, 0.5), (1.0, -0.5), (-1.0, -0.5), (-2.0, -3.5)])
+    def test_bessel_reduction_sign_combinations(self, x, y):
+        got = chf_kernel(KernelParams(0.35, 0.0), x, y)
+        assert abs(got - bessel_kernel(0.35, x, y)) < 1e-9
+
+    def test_sine_near_diagonal_limit(self):
+        p = KernelParams(0.0, 0.0)
+        assert abs(chf_kernel(p, 1.0, 1.0 + 1e-9) - 1.0 / math.pi) < 1e-9
+
+    def test_reflection_flips_beta(self):
+        # K(x, y) at beta equals K(-x, -y) at -beta
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-40, 40, 200)
+        y = rng.uniform(-40, 40, 200)
+        for alpha, beta_im in ((0.25, 0.3), (-0.45, 0.7), (1.5, -0.7)):
+            k = chf_kernel(KernelParams(alpha, beta_im), x, y)
+            k_reflected = chf_kernel(KernelParams(alpha, -beta_im), -x, -y)
+            assert np.max(np.abs(k - k_reflected)) < 1e-14
 
     def test_symmetry_is_exact(self):
         p = KernelParams(0.25, 0.3)
@@ -241,24 +273,8 @@ class TestSigmaStep:
 
 
 class TestReferenceKernels:
-    def test_sine_diagonal_limit(self):
-        assert abs(sine_kernel(1.0, 1.0) - 1.0 / math.pi) < 1e-15
-        assert abs(sine_kernel(1.0, 1.0 + 1e-9) - 1.0 / math.pi) < 1e-9
-
     def test_bessel_zero_order_equals_sine(self):
+        # the scipy reference itself, at the order where it is elementary
         got = bessel_kernel(0.0, 1.0, 2.0)
         want = math.sin(-1.0) / (-math.pi)
         assert abs(got - want) < 1e-12
-
-    def test_bessel_sign_combinations_real(self):
-        for x, y in ((1.0, 0.5), (-1.0, 0.5), (1.0, -0.5), (-1.0, -0.5), (-2.0, -3.5)):
-            val = bessel_kernel(0.35, x, y)
-            assert np.isfinite(val)
-
-    def test_bessel_domain_errors(self):
-        with pytest.raises(DomainError):
-            bessel_kernel(0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            bessel_kernel(0.5, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            bessel_kernel(-0.6, 1.0, 2.0)

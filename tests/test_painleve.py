@@ -19,7 +19,6 @@ from chfdet.painleve import (
     cpv_large_t_prediction,
     cpv_rhs,
     hamiltonian,
-    pv5_weighted_hamiltonian,
     verify_identities,
 )
 
@@ -32,6 +31,17 @@ TWO_INT_CFG = Configuration(t=5.0, r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.4))
 def _integrate_to(params, config, t1, tol=1e-9):
     state0 = cpv_init(params, config)
     return cpv_integrate(state0, params, config, t1, tol=tol)
+
+
+def pv5_weighted_hamiltonian(u, v, s, alpha, beta):
+    """The product s * H_V(u, v, s; alpha, beta) of the single Painleve V
+    Hamiltonian: -s u v - alpha u (v^2 - 1) - beta u (v - 1)^2 + u^2 v (v - 1)^2."""
+    return (
+        -s * u * v
+        - alpha * u * (v * v - 1.0)
+        - beta * u * (v - 1.0) ** 2
+        + u * u * v * (v - 1.0) ** 2
+    )
 
 
 def _rescaled(t, u, v, alpha):

@@ -225,15 +225,11 @@ class TestBarnesG:
     def test_integral_representation_anchors(self, z, want):
         assert rel(sf.log_barnes_g(z), complex(want)) < 1e-12
 
-    @pytest.mark.parametrize("z,want", ov.LOG_BARNES_G)
-    def test_product_representation_anchors(self, z, want):
-        assert rel(sf.log_barnes_g_product(z), complex(want)) < 1e-12
-
     def test_two_representations_agree(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-0.9, 4.0, 25) + 1j * rng.uniform(-3.0, 3.0, 25)
-        for z in pts:
-            assert abs(sf.log_barnes_g(z) - sf.log_barnes_g_product(z)) < 1e-12
+        # the integral representation against mpmath's barnesg at 25 random
+        # points, its log continued along 0 -> z (make_oracle_values.py)
+        for z, want in ov.LOG_BARNES_G_CONTINUED:
+            assert abs(sf.log_barnes_g(z) - want) < 1e-12
 
     def test_recursion(self):
         # log G(2+z) = log G(1+z) + log Gamma(1+z)
@@ -269,35 +265,7 @@ class TestBarnesG:
         with pytest.raises(DomainError):
             sf.log_barnes_g(-1.0)
         with pytest.raises(DomainError):
-            sf.log_barnes_g_product(-1.5 + 1j)
-
-
-class TestBesselJ:
-    @pytest.mark.parametrize("nu,x,want", ov.BESSEL_J)
-    def test_anchors(self, nu, x, want):
-        assert abs(sf.bessel_j(nu, x) - want) / max(1e-12, abs(want)) < 1e-11
-
-    def test_three_term_recurrence(self):
-        # J_{nu-1}(x) + J_{nu+1}(x) = (2 nu / x) J_nu(x)
-        for nu in (0.5, 0.75, 1.25):
-            for x in (0.7, 6.0, 11.5, 14.0, 30.0):
-                lhs = sf.bessel_j(nu - 1.0, x) + sf.bessel_j(nu + 1.0, x)
-                rhs = 2.0 * nu / x * sf.bessel_j(nu, x)
-                assert abs(lhs - rhs) < 2e-11
-
-    def test_half_order_closed_form(self):
-        x = np.array([0.5, 3.0, 13.0, 40.0])
-        want = np.sqrt(2.0 / (math.pi * x)) * np.sin(x)
-        got = sf.bessel_j(0.5, x)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_negative_argument_raises(self):
-        with pytest.raises(DomainError):
-            sf.bessel_j(0.5, -1.0)
-
-    def test_zero_argument(self):
-        assert sf.bessel_j(0.0, 0.0) == 1.0
-        assert sf.bessel_j(0.75, 0.0) == 0.0
+            sf.log_barnes_g(-1.5 + 1j)
 
 
 class TestQuadrature:
@@ -357,7 +325,3 @@ class TestQuadrature:
             gauss_jacobi(0, 0.5)
         with pytest.raises(ValueError):
             gauss_jacobi(8, -1.0)
-
-
-def test_euler_gamma_constant():
-    assert abs(sf.EULER_GAMMA - ov.EULER_GAMMA) < 1e-16
