@@ -222,9 +222,8 @@ def small_t_lnF(params: KernelParams, config: Configuration, t: float) -> float:
         return 0.0
     a, beta = params.alpha, params.beta
     cs = c_from_gamma(config, params)
-    gamma_block = cmath.exp(
-        log_gamma(1.0 + a - beta) + log_gamma(1.0 + a + beta) - 2.0 * log_gamma(1.0 + 2.0 * a)
-    )
+    lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - beta, 1.0 + a + beta, 1.0 + 2.0 * a]).tolist()
+    gamma_block = cmath.exp(lg_minus + lg_plus - 2.0 * lg_2a)
     twoa1 = 2.0 * a + 1.0
     total = 0.0 + 0.0j
     for k in config.active_indices:

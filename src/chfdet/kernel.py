@@ -181,9 +181,8 @@ def _gamma_prefactor(params: KernelParams) -> float:
     """G = Gamma(1+a+b) Gamma(1+a-b) / Gamma(1+2a)^2, real for imaginary b
     (the two gammas are conjugate); the one place kernel realness is checked."""
     a, bim = params.alpha, params.beta
-    value = np.exp(
-        log_gamma(1.0 + a + bim) + log_gamma(1.0 + a - bim) - 2.0 * log_gamma(1.0 + 2.0 * a)
-    )
+    lg_plus, lg_minus, lg_2a = log_gamma([1.0 + a + bim, 1.0 + a - bim, 1.0 + 2.0 * a]).tolist()
+    value = np.exp(lg_plus + lg_minus - 2.0 * lg_2a)
     if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
         raise AssertionError(
             f"kernel gamma prefactor: imaginary residue {abs(value.imag):.3e} exceeds tolerance"

@@ -13,7 +13,9 @@ vector field, the Hamiltonian, small-t initialization, the DOP853
 Dormand-Prince 8(5) integrator with PI step control, identity monitors
 that differentiate samples of the trajectory taken on a fixed grid at
 t >= 0.1/max|r_k|, and the closed-form large-t predictions used for
-envelope comparisons.
+envelope comparisons. One flow, or one identity check, owns one (13, n)
+stage buffer that each of its steps refills; every accepted state keeps
+its own read-only y.
 
 ``log_d`` stores the alpha-regularized logarithm ln(d / (2 alpha)): the
 scalar d carries an overall factor 2 alpha and vanishes identically at
@@ -135,28 +137,28 @@ def cpv_rhs(s: float, y: np.ndarray, params: KernelParams, config: Configuration
     dV/ds = 2 i r + V (2 i t r + S1 + 2 S2 - 2 alpha - 1)
     + t V^2 (S2 - alpha - beta), where the O(1) part of t dv/dt cancels
     algebraically."""
-    a, b = params.alpha, params.beta
+    a, b = params.alpha, 1j * params.beta_im
     t = math.exp(s)
     e = t ** (1.0 + 2.0 * a)
-    r = [config.r[k] for k in config.active_indices]
-    n = len(r)
-    vals = y.tolist()
-    uu, vv = vals[:n], vals[n : 2 * n]
+    indices, r = config.active_indices, config.r
+    n = len(indices)
+    dy = y.tolist()
+    uu, vv = dy[:n], dy[n : 2 * n]
     s1, s2, s3 = _moment_sums(uu, vv, t, e)
     c_u = 2.0 * (a + b - s2)
     c_v = s1 + 2.0 * s2 - 2.0 * a - 1.0
     c_vv = t * (s2 - a - b)
-    du = []
-    dv = []
     ruv = 0j
-    for r_k, u_k, v_k in zip(r, uu, vv):
+    for j, k in enumerate(indices):
+        r_k, u_k, v_k = r[k], uu[j], vv[j]
         phase = 2.0j * t * r_k
         v_phys = 1.0 + t * v_k
-        du.append(u_k * (v_phys * c_u - phase - s1 - 2.0 * b - 2.0 * a))
-        dv.append(2.0j * r_k + v_k * (phase + c_v + v_k * c_vv))
+        dy[j] = u_k * (v_phys * c_u - phase - s1 - 2.0 * b - 2.0 * a)
+        dy[n + j] = 2.0j * r_k + v_k * (phase + c_v + v_k * c_vv)
         ruv += r_k * u_k * v_phys
     th = 2.0j * e * ruv + s2 * s3 - a * (s2 + s3) - b * s1
-    return np.array(du + dv + [2.0 * b + s1, 2.0 * a - s2 - s3, th])
+    dy[-3:] = (2.0 * b + s1, 2.0 * a - s2 - s3, th)
+    return np.array(dy)
 
 
 def _rates(state: CPVState, params: KernelParams, config: Configuration, caller: str) -> np.ndarray:
@@ -179,9 +181,8 @@ def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
     lnF seeded with the integrated leading Hamiltonian term."""
     a, b = params.alpha, params.beta
     cs = c_from_gamma(config, params)  # raises for any weight at 1
-    gamma_ratio = cmath.exp(
-        log_gamma(1.0 + a - b) + log_gamma(1.0 + a + b) - 2.0 * log_gamma(1.0 + 2.0 * a)
-    )
+    lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - b, 1.0 + a + b, 1.0 + 2.0 * a]).tolist()
+    gamma_ratio = cmath.exp(lg_minus + lg_plus - 2.0 * lg_2a)
     indices = config.active_indices
     u = []
     v = []
@@ -190,19 +191,8 @@ def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
         u.append(math.copysign(1.0, r_k) * cs[k] * gamma_ratio * (2.0 * abs(r_k)) ** (2.0 * a))
         v.append(2.0j * r_k / (1.0 + 2.0 * a))
     log_2t0 = math.log(2.0) + S0
-    log_y = (
-        log_gamma(1.0 + a - b)
-        - log_gamma(1.0 + a + b)
-        - b * math.pi * 1j
-        + 2.0 * b * log_2t0
-    )
-    log_d = (
-        log_gamma(1.0 + a - b)
-        + log_gamma(1.0 + a + b)
-        - 2.0 * log_gamma(1.0 + 2.0 * a)
-        - a * math.pi * 1j
-        + 2.0 * a * log_2t0
-    )
+    log_y = lg_minus - lg_plus - b * math.pi * 1j + 2.0 * b * log_2t0
+    log_d = lg_minus + lg_plus - 2.0 * lg_2a - a * math.pi * 1j + 2.0 * a * log_2t0
     t0 = math.exp(S0)
     lnf = complex(small_t_lnF(params, config, t0))
     return CPVState(t=t0, indices=indices, y=u + v + [log_y, log_d, lnf], alpha=a)
@@ -284,22 +274,24 @@ _DOP_E5 = (
     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
 )
-_DOP_ROWS = tuple(np.array(row) for row in _DOP_A)
-_DOP_E5_ROW = np.array(_DOP_E5)
+_DOP_ROWS = tuple(np.array(row, dtype=complex) for row in _DOP_A)
+_DOP_E5_ROW = np.array(_DOP_E5, dtype=complex)
 
 
 def _dop853_step(
-    s: float, y: np.ndarray, k1: np.ndarray, h: float, params: KernelParams, config: Configuration
-) -> tuple:
-    """One DOP853 step of length h in s from (s, y), where k1 is the field
-    there. Returns the 8th-order result and the (13, len(y)) array of the
-    step's twelve fields followed by the field at the result."""
-    stages = np.empty((13, len(y)), dtype=complex)
-    stages[0] = k1
+    s: float, y: np.ndarray, h: float, stages: np.ndarray, params: KernelParams,
+    config: Configuration,
+) -> np.ndarray:
+    """One DOP853 step of length h in s from (s, y). ``stages`` is the
+    caller's (13, len(y)) buffer, whose row 0 holds the field at (s, y); the
+    step fills rows 1-12 with its other eleven fields and the field at the
+    result, and returns the 8th-order result as a new array."""
     for i in range(1, 13):
-        y_i = y + h * (_DOP_ROWS[i] @ stages[:i])
+        y_i = np.dot(_DOP_ROWS[i], stages[:i])
+        y_i *= h
+        y_i += y
         stages[i] = cpv_rhs(s + _DOP_C[i] * h, y_i, params, config)
-    return y_i, stages
+    return y_i
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -322,7 +314,8 @@ def cpv_integrate(
         raise DomainError("cpv_integrate: tol must lie in [1e-12, 1e-4]")
     if not t1 > state0.t:
         raise DomainError("cpv_integrate: requires t1 > state0.t")
-    k1 = _rates(state0, params, config, "cpv_integrate")
+    stages = np.empty((13, len(state0.y)), dtype=complex)
+    stages[0] = _rates(state0, params, config, "cpv_integrate")
     s, s1, y = math.log(state0.t), math.log(t1), state0.y
     h = min(0.05, 0.5 * (s1 - s))
     trajectory = [state0]
@@ -336,16 +329,16 @@ def cpv_integrate(
             )
         last = s1 - s <= h
         h_step = s1 - s if last else h
-        y_new, stages = _dop853_step(s, y, k1, h_step, params, config)
+        y_new = _dop853_step(s, y, h_step, stages, params, config)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = h_step * float(np.max(np.abs(_DOP_E5_ROW @ stages[:12] / scale)))
+        err = h_step * float(np.abs(np.dot(_DOP_E5_ROW, stages[:12]) / scale).max())
         if err <= 1.0:
             s = s1 if last else s + h_step
             state = CPVState(
                 t=t1 if last else math.exp(s), indices=state0.indices, y=y_new, alpha=params.alpha
             )
             y = state.y
-            k1 = stages[12]
+            stages[0] = stages[12]
             if abs(state.lnF.imag) > 1e-6 * (1.0 + abs(state.lnF.real)):
                 raise AssertionError(
                     "cpv_integrate: ln F developed an imaginary part beyond the realness budget"
@@ -401,17 +394,18 @@ def verify_identities(
     if j1 - j0 + 1 < 9:
         raise DomainError("verify_identities: needs 9 samples at t >= 0.1/max|r_k|")
     t = t_first + dt * np.arange(j0, j1 + 1)
-    samples, rates = [], []
+    stages = np.empty((13, len(trajectory[0].y)), dtype=complex)
+    y = np.empty((len(t), stages.shape[1]), dtype=complex)
+    dy = np.empty_like(y)
     prev = None
-    for t_j in t.tolist():
+    for j, t_j in enumerate(t.tolist()):
         i = max(bisect.bisect_right(times, t_j) - 1, 0)
         if i != prev:
-            prev, k1 = i, _rates(trajectory[i], params, config, "verify_identities")
+            prev = i
+            stages[0] = _rates(trajectory[i], params, config, "verify_identities")
         s_i = math.log(times[i])
-        y_j, stages = _dop853_step(s_i, trajectory[i].y, k1, math.log(t_j) - s_i, params, config)
-        samples.append(y_j)
-        rates.append(stages[12])
-    y, dy = np.array(samples), np.array(rates)
+        y[j] = _dop853_step(s_i, trajectory[i].y, math.log(t_j) - s_i, stages, params, config)
+        dy[j] = stages[12]
 
     a, b = params.alpha, params.beta
     n = len(config.active_indices)

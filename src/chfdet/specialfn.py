@@ -478,15 +478,16 @@ def log_barnes_g(z):
     npanels = max(1, int(math.ceil(abs(z) / 1.5)))
     xg, wg = gauss_legendre(32)
     s_edges = np.linspace(0.0, 1.0, npanels + 1)
+    mid = 0.5 * (s_edges[:-1] + s_edges[1:])
+    half = 0.5 * (s_edges[1:] - s_edges[:-1])
+    s = mid[:, None] + half[:, None] * xg
+    # every panel node and 1 + z in one call
+    vals = log_gamma(np.append(1.0 + z * s, 1.0 + z))
     integral = 0.0 + 0.0j
-    for lo, hi in zip(s_edges[:-1], s_edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        s = mid + half * xg
-        vals = log_gamma(1.0 + z * s)
-        integral += half * np.sum(wg * vals)
+    for half_i, vals_i in zip(half, vals[:-1].reshape(s.shape)):
+        integral += half_i * np.sum(wg * vals_i)
     integral *= z
-    return 0.5 * z * _LN_2PI - 0.5 * z * (z + 1.0) + z * log_gamma(1.0 + z) - integral
+    return 0.5 * z * _LN_2PI - 0.5 * z * (z + 1.0) + z * complex(vals[-1]) - integral
 
 
 def log_barnes_g_d1(z):

@@ -191,10 +191,11 @@ class TestChfKernel:
 
     def test_prefactor_realness_is_asserted(self, monkeypatch):
         # the gamma prefactor is the one scalar whose realness is checked: a
-        # log_gamma that breaks conjugate symmetry must trip it
+        # log_gamma that breaks conjugate symmetry must trip it (the prefactor
+        # passes its three arguments as one batch)
         exact = kernel.log_gamma
         monkeypatch.setattr(
-            kernel, "log_gamma", lambda z: exact(z) + (1e-6j if np.imag(z) > 0.0 else 0.0)
+            kernel, "log_gamma", lambda z: exact(z) + np.where(np.imag(z) > 0.0, 1e-6j, 0.0)
         )
         with pytest.raises(AssertionError):
             chf_kernel(KernelParams(0.25, 0.3), 0.5, 1.0)

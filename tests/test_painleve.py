@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from chfdet import painleve
+from chfdet import asymptotics, painleve
 from chfdet.errors import DomainError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
@@ -195,6 +195,21 @@ class TestInitialization:
         with pytest.raises(DomainError):
             cpv_init(SINE, cfg)
 
+    def test_two_log_gamma_calls(self, monkeypatch):
+        # the gamma triple (1+a-b, 1+a+b, 1+2a) is one batch, once in cpv_init
+        # and once in small_t_lnF
+        calls = []
+        for module in (painleve, asymptotics):
+            exact = module.log_gamma
+
+            def counting(z, exact=exact):
+                calls.append(np.size(z))
+                return exact(z)
+
+            monkeypatch.setattr(module, "log_gamma", counting)
+        cpv_init(TWO_INT, TWO_INT_CFG)
+        assert calls == [3, 3]
+
 
 class TestIntegration:
     def test_tolerance_validation(self):
@@ -250,6 +265,17 @@ class TestIntegration:
         assert len(spoiled) == 3
         assert all(np.all(np.isfinite(s.y)) for s in traj)
         assert abs(traj[-1].lnF.real - log_det(SINE, SINE_CFG)) <= 5e-8
+
+    def test_states_do_not_share_the_stage_buffer(self):
+        # the step reuses one stage buffer per flow; every accepted state
+        # still holds its own read-only y
+        traj = _integrate_to(TWO_INT, TWO_INT_CFG, 5.0)
+        assert all(not state.y.flags.writeable for state in traj)
+        for prev, state in zip(traj, traj[1:]):
+            assert not np.shares_memory(prev.y, state.y)
+        assert verify_identities(traj, TWO_INT, TWO_INT_CFG) == verify_identities(
+            traj, TWO_INT, TWO_INT_CFG
+        )
 
     def test_dop853_tableau_is_consistent(self):
         # each stage row sums to its node; the last row holds the weights of

@@ -261,6 +261,18 @@ class TestBarnesG:
         want = -1.0 - ov.EULER_GAMMA
         assert abs(sf.log_barnes_g_d2(0.0) - want) < 1e-14
 
+    def test_one_log_gamma_call(self, monkeypatch):
+        # every panel node and 1 + z go to log_gamma as one batch
+        exact, calls = sf.log_gamma, []
+
+        def counting(z):
+            calls.append(np.size(z))
+            return exact(z)
+
+        monkeypatch.setattr(sf, "log_gamma", counting)
+        sf.log_barnes_g(2.4 + 3.2j)  # |z| = 4: three panels of 32 nodes
+        assert calls == [3 * 32 + 1]
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             sf.log_barnes_g(-1.0)
