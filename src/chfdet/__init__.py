@@ -12,19 +12,12 @@ from .asymptotics import (
     MomentAsymptotics,
     b_from_gamma,
     c_from_gamma,
-    h_from_gamma,
     large_gap_lnF,
     moment_asymptotics,
     small_t_lnF,
-    symmetric_counting_asymptotics,
 )
 from .errors import DomainError, NonConvergenceError, RegimeError
-from .fredholm import (
-    QuadratureGrid,
-    build_grid,
-    log_det,
-    log_det_series_oracle,
-)
+from .fredholm import QuadratureGrid, build_grid, log_det
 from .kernel import (
     Configuration,
     KernelParams,
@@ -35,10 +28,8 @@ from .kernel import (
 from .painleve import (
     CPVState,
     IdentityReport,
-    LargeTPrediction,
     cpv_init,
     cpv_integrate,
-    cpv_large_t_prediction,
     cpv_rhs,
     hamiltonian,
     verify_identities,
@@ -57,25 +48,20 @@ __all__ = [
     "QuadratureGrid",
     "build_grid",
     "log_det",
-    "log_det_series_oracle",
     "AsymptoticReport",
     "MomentAsymptotics",
     "b_from_gamma",
     "c_from_gamma",
-    "h_from_gamma",
     "large_gap_lnF",
     "small_t_lnF",
     "moment_asymptotics",
-    "symmetric_counting_asymptotics",
     "CPVState",
     "IdentityReport",
-    "LargeTPrediction",
     "cpv_rhs",
     "hamiltonian",
     "cpv_init",
     "cpv_integrate",
     "verify_identities",
-    "cpv_large_t_prediction",
     "numeric_mean",
     "numeric_variance",
     "numeric_covariance",

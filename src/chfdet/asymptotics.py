@@ -1,12 +1,12 @@
 """Closed-form expansions of the log-determinant and counting statistics.
 
-The weight vector gamma enters through three exponent families: the jump
-exponents b_k (telescoping logs of 1 - gamma), the connection coefficients
-c_k driving the small-t behavior, and the counting exponents h_j of the
-moment generating function. On top of these sit the large-t expansion of
-ln det(I - K_sigma) (linear, logarithmic, and constant terms, the constant
-built from Barnes G values), its small-t counterpart, and the closed-form
-mean/variance/covariance asymptotics of the counting function.
+The weight vector gamma enters through two exponent families: the jump
+exponents b_k (telescoping logs of 1 - gamma) and the connection
+coefficients c_k driving the small-t behavior. On top of these sit the
+large-t expansion of ln det(I - K_sigma) (linear, logarithmic, and constant
+terms, the constant built from Barnes G values), its small-t counterpart,
+and the closed-form mean/variance/covariance asymptotics of the counting
+function.
 
 All algebra is done in complex arithmetic and collapsed to real numbers at
 the report boundary with an asserted imaginary residue; sign rules are never
@@ -33,11 +33,9 @@ __all__ = [
     "MomentAsymptotics",
     "b_from_gamma",
     "c_from_gamma",
-    "h_from_gamma",
     "large_gap_lnF",
     "small_t_lnF",
     "moment_asymptotics",
-    "symmetric_counting_asymptotics",
 ]
 
 _TWO_PI_I = 2.0j * math.pi
@@ -98,13 +96,6 @@ def c_from_gamma(config: Configuration, params: KernelParams) -> list:
                 - (1.0 - ge[m + 1]) * cmath.exp(-(a + b) * math.pi * 1j)
             )
     return out
-
-
-def h_from_gamma(config: Configuration) -> list:
-    """Counting exponents h_j of the moment generating function: -b_j for
-    j <= m and +b_j for j > m."""
-    bs = b_from_gamma(config)
-    return [-bs[j] if j <= config.m else bs[j] for j in range(len(config.r))]
 
 
 @dataclass(frozen=True)
@@ -297,15 +288,3 @@ def moment_asymptotics(
         cov_same=sigma_same + theta2,
         cov_opposite=-sigma_opposite - theta2,
     )
-
-
-def symmetric_counting_asymptotics(params: KernelParams, t: float):
-    """Large-t mean and variance of the symmetric count N(t) + N(-t):
-    mean 2t/pi - alpha, variance (ln 4t + 1 + gamma_E)/pi^2."""
-    t = float(t)
-    if not t > 0.0:
-        raise DomainError("symmetric_counting_asymptotics: requires t > 0")
-    d2_at_one = log_barnes_g_d2(0.0).real
-    mean = 2.0 * t / math.pi - params.alpha
-    var = (math.log(4.0 * t) - d2_at_one) / math.pi**2
-    return mean, var

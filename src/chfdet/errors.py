@@ -12,8 +12,8 @@ class DomainError(ValueError):
 class RegimeError(RuntimeError):
     """The inputs are formally valid but the requested algorithm cannot
     deliver its accuracy contract there (truncation bound too large,
-    non-real output beyond the monitored tolerance, unsupported endpoint
-    singularity for a reference oracle)."""
+    non-real output beyond the monitored tolerance, a value that is not
+    finite in double)."""
 
 
 class NonConvergenceError(RuntimeError):

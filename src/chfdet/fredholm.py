@@ -10,11 +10,6 @@ the two panels touching the origin use the Gauss-Jacobi rule for the weight
 |x|^{2 alpha}; every panel then integrates an analytic function and the
 determinant converges exponentially in the panel order (Bornemann, Math.
 Comp. 79, 2010).
-
-An independent oracle evaluates the same log-determinant from the truncated
-trace series -sum_j Tr(B^j)/j on a separately constructed midpoint grid,
-with a spectral-norm remainder bound; the two routes cross-validate each
-other in the small-t regime where the series converges.
 """
 
 from __future__ import annotations
@@ -24,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, RegimeError
+from .errors import DomainError, NonConvergenceError
 from .kernel import Configuration, KernelParams, chf_kernel_matrix, sigma_step
-from .quadrules import gauss_jacobi, gauss_legendre, map_to_interval
+from .quadrules import gauss_jacobi
 
 __all__ = [
     "QuadratureGrid",
     "build_grid",
     "log_det",
-    "log_det_series_oracle",
 ]
 
 # Nodes per panel, and the widest panel in scaled units. On each panel the
@@ -77,8 +71,8 @@ def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL
     kernel's |x|^{2 alpha} density singularity in the weight: their nodes are
     the Gauss-Jacobi rule for |x|^{2 alpha}, and their Nystrom weights are
     that rule's weights times |x|^{-2 alpha}, so the quadrature acts on an
-    analytic integrand. Every other panel is Gauss-Legendre; at alpha = 0
-    the two rules coincide.
+    analytic integrand. Every other panel is Gauss-Legendre, the same rule at
+    exponent 0; at alpha = 0 the two rules coincide.
     """
     order_per_panel = int(order_per_panel)
     if order_per_panel < 4:
@@ -86,7 +80,7 @@ def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL
     if config.t == 0.0:
         raise DomainError("build_grid: domain is empty at t = 0")
     edges = config.scaled_endpoints()
-    xg, wg = map_to_interval(*gauss_legendre(order_per_panel), 0.0, 1.0)
+    xg, wg = gauss_jacobi(order_per_panel, 0.0)
     xj, wj = gauss_jacobi(order_per_panel, 2.0 * alpha)
     wj = wj * xj ** (-2.0 * alpha)
     panels = []
@@ -139,119 +133,3 @@ def log_det(params: KernelParams, config: Configuration, grid: QuadratureGrid = 
             f"log_det: det(I - B) is not positive and finite (sign {sign}, log {logabs})"
         )
     return float(logabs)
-
-
-def _power_map_exponent(alpha: float) -> int:
-    """Substitution exponent q for x = e s^q on the origin-adjacent
-    intervals: chosen so the transformed density |x|^{2 alpha} dx ~
-    s^{q(1+2 alpha)-1} is at least C^1 at s = 0."""
-    return max(2, int(math.ceil(3.0 / (1.0 + 2.0 * alpha))))
-
-
-def _oracle_nodes(config: Configuration, alpha: float, n_per_interval: int):
-    """Composite midpoint nodes/weights, independent of build_grid.
-
-    The open rule keeps every node strictly inside its interval: the origin
-    (where the kernel branch jumps) and the interval boundaries (where sigma
-    jumps) are never sampled. Like the trapezoid rule, the midpoint rule has
-    an even Euler-Maclaurin error expansion, so one Richardson step applies
-    under mesh doubling. Origin-adjacent intervals are regularized by the
-    power substitution x = e s^q when alpha != 0, which turns the |x|^{2 alpha}
-    endpoint behavior into an integrand with bounded low-order derivatives.
-    """
-    edges = config.scaled_endpoints()
-    nodes = []
-    weights = []
-    s = (np.arange(n_per_interval) + 0.5) / n_per_interval
-    w = np.full(n_per_interval, 1.0 / n_per_interval)
-    for k in range(config.n):
-        a, b = edges[k], edges[k + 1]
-        if alpha != 0.0 and (a == 0.0 or b == 0.0):
-            q = _power_map_exponent(alpha)
-            e = b if a == 0.0 else a
-            x = e * s**q
-            jac = abs(e) * q * s ** (q - 1)
-            nodes.append(x)
-            weights.append(w * jac)
-        else:
-            nodes.append(a + (b - a) * s)
-            weights.append(w * (b - a))
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _series_value(params, config, terms, n_per_interval):
-    nodes, weights = _oracle_nodes(config, params.alpha, n_per_interval)
-    m = _balanced_operator(params, config, nodes, weights)
-    traces = []
-    power = m.copy()
-    for _ in range(terms):
-        traces.append(float(np.trace(power)))
-        power = power @ m
-    value = -sum(tr / (j + 1) for j, tr in enumerate(traces))
-    return value, m
-
-
-def _spectral_norm(m, iters: int = 60) -> float:
-    """Largest singular value by power iteration on M^T M, started from a
-    fixed vector (determinism; the all-ones start is never orthogonal to the
-    top singular subspace in practice for these positive-density kernels)."""
-    n = m.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    est = 0.0
-    for _ in range(iters):
-        w = m.T @ (m @ v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        est = math.sqrt(nrm)
-        v = w / nrm
-    return est
-
-
-def log_det_series_oracle(
-    params: KernelParams,
-    config: Configuration,
-    terms: int = 5,
-    tol: float = None,
-    return_bound: bool = False,
-):
-    """Truncated trace series for ln det(I - K_sigma), with remainder bound.
-
-    ln det(I - M) = -sum_{j>=1} Tr(M^j)/j; the first ``terms`` traces are
-    evaluated on a midpoint grid (refined twice with Richardson), and the
-    omitted tail is bounded through |Tr(M^j)| <= |M|_2^{j-2} |M|_F^2. Valid
-    only in the small-t regime where the spectral norm is below 1; raises
-    RegimeError otherwise, or when ``tol`` is given and the bound exceeds it.
-
-    Returns the value, or (value, bound) when ``return_bound`` is set.
-    """
-    terms = int(terms)
-    if not 1 <= terms <= 8:
-        raise DomainError("log_det_series_oracle: terms must be in [1, 8]")
-    if config.t == 0.0 or all(g == 0.0 for g in config.gamma):
-        return (0.0, 0.0) if return_bound else 0.0
-    v_coarse, _ = _series_value(params, config, terms, 64)
-    v_mid, _ = _series_value(params, config, terms, 128)
-    v_fine, m = _series_value(params, config, terms, 256)
-    rich_1 = v_mid + (v_mid - v_coarse) / 3.0
-    rich_2 = v_fine + (v_fine - v_mid) / 3.0
-    disc_est = abs(rich_2 - rich_1)
-    rho = _spectral_norm(m)
-    if rho >= 0.95:
-        raise RegimeError(
-            f"log_det_series_oracle: spectral norm {rho:.3f} too close to 1; outside series regime"
-        )
-    fro2 = float(np.sum(m * m))
-    if terms == 1:
-        # |Tr M^j| <= |M|_2^{j-2} |M|_F^2 needs j >= 2; tail starts at j = 2
-        tail = fro2 / (2.0 * (1.0 - rho))
-    else:
-        tail = fro2 * rho ** (terms - 1) / ((terms + 1) * (1.0 - rho))
-    bound = tail + 3.0 * disc_est
-    if tol is not None and bound > tol:
-        raise RegimeError(
-            f"log_det_series_oracle: remainder bound {bound:.3e} exceeds requested {tol:.3e}"
-        )
-    if return_bound:
-        return rich_2, bound
-    return rich_2

@@ -10,10 +10,9 @@ t = e^S0 (seeding error O(t^{1 + 2 alpha}), 4e-18 at alpha = -0.45). At
 tol 1e-9 it then meets ``log_det`` to 1e-9 at t = 5 and 8.3e-8 at t = 60
 for alpha in [-0.45, 1.5] over 1-3 intervals. The module provides the
 vector field, the Hamiltonian, small-t initialization, the DOP853
-Dormand-Prince 8(5) integrator with PI step control, identity monitors
+Dormand-Prince 8(5) integrator with PI step control, and identity monitors
 that differentiate samples of the trajectory taken on a fixed grid at
-t >= 0.1/max|r_k|, and the closed-form large-t predictions used for
-envelope comparisons. One flow, or one identity check, owns one (13, n)
+t >= 0.1/max|r_k|. One flow, or one identity check, owns one (13, n)
 stage buffer that each of its steps refills; every accepted state keeps
 its own read-only y.
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import b_from_gamma, c_from_gamma, small_t_lnF
+from .asymptotics import c_from_gamma, small_t_lnF
 from .errors import DomainError, NonConvergenceError
 from .kernel import Configuration, KernelParams
 from .specialfn import log_gamma
@@ -41,17 +40,14 @@ from .specialfn import log_gamma
 __all__ = [
     "CPVState",
     "IdentityReport",
-    "LargeTPrediction",
     "cpv_rhs",
     "hamiltonian",
     "cpv_init",
     "cpv_integrate",
     "verify_identities",
-    "cpv_large_t_prediction",
 ]
 
 S0 = -400.0  # seed time ln t of every flow
-_DEFAULT_T_MATCH = 15.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,126 +420,3 @@ def verify_identities(
     return IdentityReport(
         residual_a=float(np.max(res_a)), residual_b=float(np.max(res_b)), points_used=m
     )
-
-
-@dataclass(frozen=True)
-class LargeTPrediction:
-    """Closed-form leading large-t values: u, v arrays in the order of
-    ``config.active_indices`` (v is NaN where the matching connection
-    coefficient vanishes), H, y, and d."""
-
-    u: np.ndarray
-    v: np.ndarray
-    H: complex
-    y: complex
-    d: complex
-
-
-def _principal_power(x: float, p: complex) -> complex:
-    """x^p for real nonzero x with the branch taken as the limit from the
-    upper half-plane: exp(p (ln|x| + i pi [x < 0]))."""
-    if x == 0.0:
-        raise DomainError("principal power: requires x != 0")
-    log_x = math.log(abs(x)) + (1j * math.pi if x < 0.0 else 0.0)
-    return cmath.exp(p * log_x)
-
-
-def cpv_large_t_prediction(
-    params: KernelParams,
-    config: Configuration,
-    t: float,
-    t_match: float = _DEFAULT_T_MATCH,
-) -> LargeTPrediction:
-    """Leading large-t asymptotics of u_k, v_k, H, y, d for the solution
-    family fixed by the small-t data."""
-    t = float(t)
-    if t < t_match:
-        raise DomainError(f"cpv_large_t_prediction: requires t >= {t_match}")
-    a, b = params.alpha, params.beta
-    r = config.r
-    m = config.m
-    bs = b_from_gamma(config)
-    cs = c_from_gamma(config, params)
-    ge = (0.0,) + config.gamma + (0.0,)
-    g_m_pair = (1.0 - ge[m]) * (1.0 - ge[m + 1])
-
-    u = []
-    v = []
-    for k in config.active_indices:
-        sgn = math.copysign(1.0, r[k])
-        prod_u = 1.0 + 0.0j
-        prod_v = 1.0 + 0.0j
-        for j in config.active_indices:
-            if j == k:
-                continue
-            ratio = (r[k] - r[j]) / (r[m] - r[j])
-            prod_u *= _principal_power(ratio, -2.0 * bs[j])
-            prod_v *= _principal_power(ratio, 2.0 * bs[j])
-        phase = cmath.exp(sgn * math.pi * 1j * (bs[k] + bs[m] + a + b))
-        power_u = 2.0 * (bs[k] - bs[m] - b)
-        u_k = (
-            sgn
-            * cs[k]
-            * cmath.exp(
-                2.0 * log_gamma(1.0 - bs[k])
-                + log_gamma(1.0 + a + b + bs[m])
-                - log_gamma(1.0 + a - b - bs[m])
-            )
-            * prod_u
-            * _principal_power(abs(r[k]), power_u)
-            * g_m_pair**-0.5
-            * phase
-            * _principal_power(2.0 * t, power_u)
-            * cmath.exp(-2.0j * t * r[k])
-        )
-        if cs[k] == 0.0:
-            u.append(0.0 + 0.0j)
-            v.append(complex(math.nan, math.nan))
-            continue
-        g_k_pair = (1.0 - ge[k]) * (1.0 - ge[k + 1])
-        u.append(u_k)
-        v.append(
-            sgn
-            * (ge[k + 1] - ge[k])
-            / (2.0j * math.pi * cs[k])
-            * cmath.exp(
-                log_gamma(1.0 + a - b - bs[m])
-                + log_gamma(1.0 + bs[k])
-                - log_gamma(1.0 + a + b + bs[m])
-                - log_gamma(1.0 - bs[k])
-            )
-            * prod_v
-            * _principal_power(abs(r[k]), -power_u)
-            * (g_m_pair / g_k_pair) ** 0.5
-            / phase
-            * _principal_power(2.0 * t, -power_u)
-            * cmath.exp(2.0j * t * r[k])
-        )
-
-    h_pred = sum(2.0j * bs[k] * r[k] for k in range(len(r))) - (
-        sum(b_k * b_k for b_k in bs) + 2.0 * b * bs[m]
-    ) / t
-
-    prod_y = 1.0 + 0.0j
-    for j in config.active_indices:
-        prod_y *= _principal_power(-r[j], -2.0 * bs[j])
-    y_pred = (
-        cmath.exp(log_gamma(1.0 + a - b - bs[m]) - log_gamma(1.0 + a + b + bs[m]))
-        * prod_y
-        * cmath.exp(-(b + bs[m]) * math.pi * 1j)
-        * _principal_power(2.0 * t, 2.0 * (b + bs[m]))
-        * g_m_pair**0.5
-    )
-    d_pred = (
-        2.0
-        * a
-        * cmath.exp(
-            log_gamma(1.0 + a - b - bs[m])
-            + log_gamma(1.0 + a + b + bs[m])
-            - 2.0 * log_gamma(1.0 + 2.0 * a)
-        )
-        * cmath.exp(-a * math.pi * 1j)
-        * _principal_power(2.0 * t, 2.0 * a)
-        * g_m_pair**-0.5
-    )
-    return LargeTPrediction(u=np.array(u), v=np.array(v), H=h_pred, y=y_pred, d=d_pred)

@@ -1,14 +1,6 @@
-"""Gauss-Legendre and Gauss-Jacobi quadrature rules, computed from scratch
-and cached.
+"""Gauss-Jacobi quadrature rules on [0, 1], computed from scratch and cached.
 
-Legendre nodes are the roots of the Legendre polynomial P_n, found by
-Newton's method from the Chebyshev-like initial guesses
-cos(pi (i - 1/4)/(n + 1/2)); weights follow from
-w_i = 2 / ((1 - x_i^2) P_n'(x_i)^2). The three-term recurrence evaluates P_n
-and P_n' together, so each rule costs O(n^2) once and is then served from a
-cache.
-
-Jacobi rules for the weight x^c on [0, 1] start from the Golub-Welsch
+Rules for the weight x^c on [0, 1] start from the Golub-Welsch
 eigenvalues of the Jacobi matrix of that weight (Golub and Welsch, Math.
 Comp. 23, 1969). Two Newton steps on the orthonormal three-term recurrence
 polish the nodes to rounding level, and the weights are the Christoffel
@@ -22,53 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "gauss_jacobi", "map_to_interval"]
+from .errors import DomainError
+
+__all__ = ["gauss_jacobi"]
 
 _MAX_ORDER = 512
-
-
-def _legendre_and_derivative(n, x):
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre_cached(order):
-    n = order
-    i = np.arange(1, n + 1, dtype=float)
-    x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p, dp = _legendre_and_derivative(n, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    p, dp = _legendre_and_derivative(n, x)
-    x = x - p / dp
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    # ascending nodes, exactly antisymmetric
-    x = x[::-1].copy()
-    x = 0.5 * (x - x[::-1])
-    w = w[::-1].copy()
-    w = 0.5 * (w + w[::-1])
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def gauss_legendre(order):
-    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1].
-
-    Returns read-only arrays (cached); callers must copy before mutating.
-    Orders from 1 through 512 are supported.
-    """
-    if not 1 <= int(order) <= _MAX_ORDER or int(order) != order:
-        raise ValueError(f"gauss_legendre: order must be an integer in [1, {_MAX_ORDER}]")
-    return _gauss_legendre_cached(int(order))
 
 
 def _jacobi_matrix(n, c):
@@ -121,18 +71,12 @@ def gauss_jacobi(order, exponent):
 
     ``exponent`` must exceed -1; exponent 0 gives the Gauss-Legendre rule.
     Returns read-only arrays (cached per order and exponent); callers must
-    copy before mutating. Orders from 1 through 512 are supported.
+    copy before mutating. Orders from 1 through 512 are supported; any other
+    order, or an exponent outside the domain, raises DomainError.
     """
     if not 1 <= int(order) <= _MAX_ORDER or int(order) != order:
-        raise ValueError(f"gauss_jacobi: order must be an integer in [1, {_MAX_ORDER}]")
+        raise DomainError(f"gauss_jacobi: order must be an integer in [1, {_MAX_ORDER}]")
     exponent = float(exponent)
     if not (exponent > -1.0 and math.isfinite(exponent)):
-        raise ValueError(f"gauss_jacobi: exponent must be a finite number > -1, got {exponent}")
+        raise DomainError(f"gauss_jacobi: exponent must be a finite number > -1, got {exponent}")
     return _gauss_jacobi_cached(int(order), exponent)
-
-
-def map_to_interval(x, w, a, b):
-    """Affinely map reference nodes/weights from [-1, 1] to [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return mid + half * x, half * w

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, RegimeError
-from .quadrules import gauss_legendre
+from .quadrules import gauss_jacobi
 
 __all__ = [
     "log_gamma",
@@ -466,9 +466,9 @@ def log_barnes_g(z):
                      - integral_0^z log_gamma(1+t) dt,
 
     the integral running along the straight segment from 0 to z with
-    composite Gauss-Legendre panels (the integrand is analytic there for
-    Re z > -1). The tests check it against mpmath's barnesg, its log
-    continued along the same segment.
+    composite 32-point Gauss-Legendre panels, ``gauss_jacobi(32, 0)`` (the
+    integrand is analytic there for Re z > -1). The tests check it against
+    mpmath's barnesg, its log continued along the same segment.
     """
     z = complex(z)
     if z.real <= -1.0 + _POLE_TOL:
@@ -476,17 +476,13 @@ def log_barnes_g(z):
     if z == 0.0:
         return 0.0 + 0.0j
     npanels = max(1, int(math.ceil(abs(z) / 1.5)))
-    xg, wg = gauss_legendre(32)
+    xg, wg = gauss_jacobi(32, 0.0)
     s_edges = np.linspace(0.0, 1.0, npanels + 1)
-    mid = 0.5 * (s_edges[:-1] + s_edges[1:])
-    half = 0.5 * (s_edges[1:] - s_edges[:-1])
-    s = mid[:, None] + half[:, None] * xg
+    width = np.diff(s_edges)
+    s = s_edges[:-1, None] + width[:, None] * xg
     # every panel node and 1 + z in one call
     vals = log_gamma(np.append(1.0 + z * s, 1.0 + z))
-    integral = 0.0 + 0.0j
-    for half_i, vals_i in zip(half, vals[:-1].reshape(s.shape)):
-        integral += half_i * np.sum(wg * vals_i)
-    integral *= z
+    integral = z * complex(width @ (vals[:-1].reshape(s.shape) @ wg))
     return 0.5 * z * _LN_2PI - 0.5 * z * (z + 1.0) + z * complex(vals[-1]) - integral
 
 

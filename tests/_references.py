@@ -1,7 +1,28 @@
-"""Reference Bessel kernel from scipy, independent of chfdet."""
+"""Test-local references: values the tests compare chfdet against, computed
+by methods the package does not use.
+
+- ``bessel_kernel``: the beta = 0 kernel from scipy's Bessel J.
+- ``gauss_legendre``: the Gauss-Legendre rule by Newton's method on P_n,
+  against which the package's Golub-Welsch rule at exponent 0 is checked.
+- ``log_det_series_oracle``: ln det(I - K_sigma) from the truncated trace
+  series on a midpoint grid, with a remainder bound (small t only).
+- ``cpv_large_t_prediction``: the closed-form large-t tail of the flow
+  variables u, v, H, y and d.
+- ``symmetric_counting_asymptotics``: the large-t mean and variance of the
+  symmetric count N(t) + N(-t).
+"""
+
+import cmath
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv
+
+from chfdet.asymptotics import b_from_gamma, c_from_gamma
+from chfdet.errors import DomainError, RegimeError
+from chfdet.kernel import chf_kernel_matrix, sigma_step
+from chfdet.specialfn import log_barnes_g_d2, log_gamma
 
 
 def bessel_kernel(alpha, x, y):
@@ -18,3 +39,286 @@ def bessel_kernel(alpha, x, y):
     px, qx = pq(x)
     py, qy = pq(y)
     return (px * qy - qx * py) / (2.0 * (x - y))
+
+
+def _legendre_and_derivative(n, x):
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    return p, dp
+
+
+def gauss_legendre(order, lo=-1.0, hi=1.0):
+    """The ``order``-point Gauss-Legendre rule on [lo, hi]: the roots of P_n
+    by Newton's method from cos(pi (i - 1/4)/(n + 1/2)), with weights
+    2 / ((1 - x_i^2) P_n'(x_i)^2), symmetrised and mapped affinely.
+
+    numpy's leggauss is no substitute: its weights are off by about 1e-13
+    relative at order 24."""
+    n = order
+    i = np.arange(1, n + 1, dtype=float)
+    x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre_and_derivative(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    p, dp = _legendre_and_derivative(n, x)
+    x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # ascending nodes, exactly antisymmetric
+    x = x[::-1].copy()
+    x = 0.5 * (x - x[::-1])
+    w = w[::-1].copy()
+    w = 0.5 * (w + w[::-1])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    return mid + half * x, half * w
+
+
+def _power_map_exponent(alpha):
+    """Substitution exponent q for x = e s^q on the origin-adjacent
+    intervals: chosen so the transformed density |x|^{2 alpha} dx ~
+    s^{q(1+2 alpha)-1} is at least C^1 at s = 0."""
+    return max(2, int(math.ceil(3.0 / (1.0 + 2.0 * alpha))))
+
+
+def _oracle_nodes(config, alpha, n_per_interval):
+    """Composite midpoint nodes/weights, independent of build_grid.
+
+    The open rule keeps every node strictly inside its interval: the origin
+    (where the kernel branch jumps) and the interval boundaries (where sigma
+    jumps) are never sampled. Like the trapezoid rule, the midpoint rule has
+    an even Euler-Maclaurin error expansion, so one Richardson step applies
+    under mesh doubling. Origin-adjacent intervals are regularized by the
+    power substitution x = e s^q when alpha != 0, which turns the |x|^{2 alpha}
+    endpoint behavior into an integrand with bounded low-order derivatives.
+    """
+    edges = config.scaled_endpoints()
+    nodes = []
+    weights = []
+    s = (np.arange(n_per_interval) + 0.5) / n_per_interval
+    w = np.full(n_per_interval, 1.0 / n_per_interval)
+    for k in range(config.n):
+        a, b = edges[k], edges[k + 1]
+        if alpha != 0.0 and (a == 0.0 or b == 0.0):
+            q = _power_map_exponent(alpha)
+            e = b if a == 0.0 else a
+            x = e * s**q
+            jac = abs(e) * q * s ** (q - 1)
+            nodes.append(x)
+            weights.append(w * jac)
+        else:
+            nodes.append(a + (b - a) * s)
+            weights.append(w * (b - a))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _series_value(params, config, terms, n_per_interval):
+    nodes, weights = _oracle_nodes(config, params.alpha, n_per_interval)
+    # the symmetric Nystrom matrix D K D with D = diag(sqrt(w sigma))
+    d = np.sqrt(weights * sigma_step(config, nodes))
+    m = (d[:, None] * chf_kernel_matrix(params, nodes)) * d[None, :]
+    traces = []
+    power = m.copy()
+    for _ in range(terms):
+        traces.append(float(np.trace(power)))
+        power = power @ m
+    value = -sum(tr / (j + 1) for j, tr in enumerate(traces))
+    return value, m
+
+
+def _spectral_norm(m, iters=60):
+    """Largest singular value by power iteration on M^T M, started from a
+    fixed vector (determinism; the all-ones start is never orthogonal to the
+    top singular subspace in practice for these positive-density kernels)."""
+    n = m.shape[0]
+    v = np.full(n, 1.0 / math.sqrt(n))
+    est = 0.0
+    for _ in range(iters):
+        w = m.T @ (m @ v)
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            return 0.0
+        est = math.sqrt(nrm)
+        v = w / nrm
+    return est
+
+
+def log_det_series_oracle(params, config, terms=5, tol=None, return_bound=False):
+    """Truncated trace series for ln det(I - K_sigma), with remainder bound.
+
+    ln det(I - M) = -sum_{j>=1} Tr(M^j)/j; the first ``terms`` traces are
+    evaluated on a midpoint grid (refined twice with Richardson), and the
+    omitted tail is bounded through |Tr(M^j)| <= |M|_2^{j-2} |M|_F^2. Valid
+    only in the small-t regime where the spectral norm is below 1; raises
+    RegimeError otherwise, or when ``tol`` is given and the bound exceeds it.
+
+    Returns the value, or (value, bound) when ``return_bound`` is set.
+    """
+    terms = int(terms)
+    if not 1 <= terms <= 8:
+        raise DomainError("log_det_series_oracle: terms must be in [1, 8]")
+    if config.t == 0.0 or all(g == 0.0 for g in config.gamma):
+        return (0.0, 0.0) if return_bound else 0.0
+    v_coarse, _ = _series_value(params, config, terms, 64)
+    v_mid, _ = _series_value(params, config, terms, 128)
+    v_fine, m = _series_value(params, config, terms, 256)
+    rich_1 = v_mid + (v_mid - v_coarse) / 3.0
+    rich_2 = v_fine + (v_fine - v_mid) / 3.0
+    disc_est = abs(rich_2 - rich_1)
+    rho = _spectral_norm(m)
+    if rho >= 0.95:
+        raise RegimeError(
+            f"log_det_series_oracle: spectral norm {rho:.3f} too close to 1; outside series regime"
+        )
+    fro2 = float(np.sum(m * m))
+    if terms == 1:
+        # |Tr M^j| <= |M|_2^{j-2} |M|_F^2 needs j >= 2; tail starts at j = 2
+        tail = fro2 / (2.0 * (1.0 - rho))
+    else:
+        tail = fro2 * rho ** (terms - 1) / ((terms + 1) * (1.0 - rho))
+    bound = tail + 3.0 * disc_est
+    if tol is not None and bound > tol:
+        raise RegimeError(
+            f"log_det_series_oracle: remainder bound {bound:.3e} exceeds requested {tol:.3e}"
+        )
+    if return_bound:
+        return rich_2, bound
+    return rich_2
+
+
+_DEFAULT_T_MATCH = 15.0
+
+
+@dataclass(frozen=True)
+class LargeTPrediction:
+    """Closed-form leading large-t values: u, v arrays in the order of
+    ``config.active_indices`` (v is NaN where the matching connection
+    coefficient vanishes), H, y, and d."""
+
+    u: np.ndarray
+    v: np.ndarray
+    H: complex
+    y: complex
+    d: complex
+
+
+def _principal_power(x, p):
+    """x^p for real nonzero x with the branch taken as the limit from the
+    upper half-plane: exp(p (ln|x| + i pi [x < 0]))."""
+    if x == 0.0:
+        raise DomainError("principal power: requires x != 0")
+    log_x = math.log(abs(x)) + (1j * math.pi if x < 0.0 else 0.0)
+    return cmath.exp(p * log_x)
+
+
+def cpv_large_t_prediction(params, config, t, t_match=_DEFAULT_T_MATCH):
+    """Leading large-t asymptotics of u_k, v_k, H, y, d for the solution
+    family fixed by the small-t data."""
+    t = float(t)
+    if t < t_match:
+        raise DomainError(f"cpv_large_t_prediction: requires t >= {t_match}")
+    a, b = params.alpha, params.beta
+    r = config.r
+    m = config.m
+    bs = b_from_gamma(config)
+    cs = c_from_gamma(config, params)
+    ge = (0.0,) + config.gamma + (0.0,)
+    g_m_pair = (1.0 - ge[m]) * (1.0 - ge[m + 1])
+
+    u = []
+    v = []
+    for k in config.active_indices:
+        sgn = math.copysign(1.0, r[k])
+        prod_u = 1.0 + 0.0j
+        prod_v = 1.0 + 0.0j
+        for j in config.active_indices:
+            if j == k:
+                continue
+            ratio = (r[k] - r[j]) / (r[m] - r[j])
+            prod_u *= _principal_power(ratio, -2.0 * bs[j])
+            prod_v *= _principal_power(ratio, 2.0 * bs[j])
+        phase = cmath.exp(sgn * math.pi * 1j * (bs[k] + bs[m] + a + b))
+        power_u = 2.0 * (bs[k] - bs[m] - b)
+        u_k = (
+            sgn
+            * cs[k]
+            * cmath.exp(
+                2.0 * log_gamma(1.0 - bs[k])
+                + log_gamma(1.0 + a + b + bs[m])
+                - log_gamma(1.0 + a - b - bs[m])
+            )
+            * prod_u
+            * _principal_power(abs(r[k]), power_u)
+            * g_m_pair**-0.5
+            * phase
+            * _principal_power(2.0 * t, power_u)
+            * cmath.exp(-2.0j * t * r[k])
+        )
+        if cs[k] == 0.0:
+            u.append(0.0 + 0.0j)
+            v.append(complex(math.nan, math.nan))
+            continue
+        g_k_pair = (1.0 - ge[k]) * (1.0 - ge[k + 1])
+        u.append(u_k)
+        v.append(
+            sgn
+            * (ge[k + 1] - ge[k])
+            / (2.0j * math.pi * cs[k])
+            * cmath.exp(
+                log_gamma(1.0 + a - b - bs[m])
+                + log_gamma(1.0 + bs[k])
+                - log_gamma(1.0 + a + b + bs[m])
+                - log_gamma(1.0 - bs[k])
+            )
+            * prod_v
+            * _principal_power(abs(r[k]), -power_u)
+            * (g_m_pair / g_k_pair) ** 0.5
+            / phase
+            * _principal_power(2.0 * t, -power_u)
+            * cmath.exp(2.0j * t * r[k])
+        )
+
+    h_pred = sum(2.0j * bs[k] * r[k] for k in range(len(r))) - (
+        sum(b_k * b_k for b_k in bs) + 2.0 * b * bs[m]
+    ) / t
+
+    prod_y = 1.0 + 0.0j
+    for j in config.active_indices:
+        prod_y *= _principal_power(-r[j], -2.0 * bs[j])
+    y_pred = (
+        cmath.exp(log_gamma(1.0 + a - b - bs[m]) - log_gamma(1.0 + a + b + bs[m]))
+        * prod_y
+        * cmath.exp(-(b + bs[m]) * math.pi * 1j)
+        * _principal_power(2.0 * t, 2.0 * (b + bs[m]))
+        * g_m_pair**0.5
+    )
+    d_pred = (
+        2.0
+        * a
+        * cmath.exp(
+            log_gamma(1.0 + a - b - bs[m])
+            + log_gamma(1.0 + a + b + bs[m])
+            - 2.0 * log_gamma(1.0 + 2.0 * a)
+        )
+        * cmath.exp(-a * math.pi * 1j)
+        * _principal_power(2.0 * t, 2.0 * a)
+        * g_m_pair**-0.5
+    )
+    return LargeTPrediction(u=np.array(u), v=np.array(v), H=h_pred, y=y_pred, d=d_pred)
+
+
+def symmetric_counting_asymptotics(params, t):
+    """Large-t mean and variance of the symmetric count N(t) + N(-t):
+    mean 2t/pi - alpha, variance (ln 4t + 1 + gamma_E)/pi^2."""
+    t = float(t)
+    if not t > 0.0:
+        raise DomainError("symmetric_counting_asymptotics: requires t > 0")
+    d2_at_one = log_barnes_g_d2(0.0).real
+    mean = 2.0 * t / math.pi - params.alpha
+    var = (math.log(4.0 * t) - d2_at_one) / math.pi**2
+    return mean, var

@@ -10,19 +10,13 @@ import time
 
 import numpy as np
 
-from chfdet.asymptotics import (
-    b_from_gamma,
-    large_gap_lnF,
-    moment_asymptotics,
-    symmetric_counting_asymptotics,
-)
-from chfdet.fredholm import log_det, log_det_series_oracle
+from chfdet.asymptotics import b_from_gamma, large_gap_lnF, moment_asymptotics
+from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams, chf_kernel
 from chfdet.painleve import (
     CPVState,
     cpv_init,
     cpv_integrate,
-    cpv_large_t_prediction,
     cpv_rhs,
     hamiltonian,
     verify_identities,
@@ -38,7 +32,12 @@ from chfdet.specialfn import (
 )
 from chfdet.stats import numeric_covariance, numeric_mean, numeric_variance
 
-from _references import bessel_kernel
+from _references import (
+    bessel_kernel,
+    cpv_large_t_prediction,
+    log_det_series_oracle,
+    symmetric_counting_asymptotics,
+)
 
 SINE = KernelParams(alpha=0.0, beta_im=0.0)
 

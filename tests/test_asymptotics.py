@@ -9,11 +9,9 @@ import pytest
 from chfdet.asymptotics import (
     b_from_gamma,
     c_from_gamma,
-    h_from_gamma,
     large_gap_lnF,
     moment_asymptotics,
     small_t_lnF,
-    symmetric_counting_asymptotics,
 )
 from chfdet.errors import DomainError
 from chfdet.fredholm import build_grid, log_det
@@ -21,6 +19,7 @@ from chfdet.kernel import Configuration, KernelParams
 from chfdet.specialfn import log_barnes_g, log_barnes_g_d2
 
 import _oracle_values as ov
+from _references import symmetric_counting_asymptotics
 
 
 def _cfg(r, gamma, t):
@@ -79,15 +78,6 @@ class TestExponentMaps:
             - (1.0 - 0.6) * cmath.exp(-(0.25 + b) * math.pi * 1j),
             abs=1e-15,
         )
-
-    def test_counting_exponents_flip_sign_left_of_origin(self):
-        cfg = _cfg((-2.0, -1.0, 0.0, 1.0), (0.2, 0.5, 0.4), 2.0)
-        bs = b_from_gamma(cfg)
-        hs = h_from_gamma(cfg)
-        m = cfg.m
-        for j in range(len(cfg.r)):
-            expected = -bs[j] if j <= m else bs[j]
-            assert hs[j] == expected
 
 
 def _corollary_closed_form(g, t, alpha, beta_im):

@@ -68,6 +68,13 @@ class TestParsing:
         assert code == 2
         assert "'gamma'" in capsys.readouterr().err
 
+    def test_order_beyond_the_rules_is_rejected(self, capsys):
+        code = main(["det", "--r", "0=0,1=1", "--gamma", "0=0.5", "--t", "1", "--order", "1000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("chfdet: error:") and captured.err.count("\n") == 1
+
     def test_unit_weight_allowed_for_det_only(self):
         rc = parse_config(["det", "--r", "0=0,1=1", "--gamma", "0=1", "--t", "2"])
         assert rc.config.gamma == (1.0,)

@@ -189,16 +189,13 @@ class TestChfKernel:
         with pytest.raises(DomainError):
             chf_kernel(KernelParams(-0.25, 0.0), 0.0, 1.0)
 
-    def test_prefactor_realness_is_asserted(self, monkeypatch):
-        # the gamma prefactor is the one scalar whose realness is checked: a
-        # log_gamma that breaks conjugate symmetry must trip it (the prefactor
-        # passes its three arguments as one batch)
-        exact = kernel.log_gamma
-        monkeypatch.setattr(
-            kernel, "log_gamma", lambda z: exact(z) + np.where(np.imag(z) > 0.0, 1e-6j, 0.0)
-        )
-        with pytest.raises(AssertionError):
-            chf_kernel(KernelParams(0.25, 0.3), 0.5, 1.0)
+    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.5])
+    def test_log_gamma_conjugation_is_exact(self, alpha):
+        # the gamma prefactor takes 2 Re log_gamma(1 + a + b) for its two
+        # conjugate numerator gammas; that needs log_gamma to map conjugate
+        # arguments to bitwise conjugate values
+        z = np.array([1.0 + alpha + 0.7j, 1.0 + alpha - 0.7j])
+        assert np.array_equal(kernel.log_gamma(np.conj(z)), np.conj(kernel.log_gamma(z)))
 
 
 class TestKernelMatrix:

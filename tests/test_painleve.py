@@ -1,6 +1,6 @@
 """Tests for the coupled flow module: vector field, Hamiltonian structure,
-initialization, adaptive integration, identity monitors, and the closed-form
-large-time predictions."""
+initialization, adaptive integration, identity monitors, and agreement with
+the closed-form large-time predictions."""
 
 import math
 
@@ -16,11 +16,12 @@ from chfdet.painleve import (
     CPVState,
     cpv_init,
     cpv_integrate,
-    cpv_large_t_prediction,
     cpv_rhs,
     hamiltonian,
     verify_identities,
 )
+
+from _references import cpv_large_t_prediction
 
 SINE = KernelParams(alpha=0.0, beta_im=0.0)
 SINE_CFG = Configuration(t=5.0, r=(0.0, 1.0), gamma=(0.5,))

@@ -16,9 +16,10 @@ import pytest
 
 from chfdet import specialfn as sf
 from chfdet.errors import DomainError, RegimeError
-from chfdet.quadrules import gauss_jacobi, gauss_legendre, map_to_interval
+from chfdet.quadrules import gauss_jacobi
 
 import _oracle_values as ov
+from _references import gauss_legendre
 
 
 def rel(got, want):
@@ -281,40 +282,46 @@ class TestBarnesG:
 
 
 class TestQuadrature:
+    # exponent 0 is the Gauss-Legendre rule, carried to [0, 1]
+
     def test_polynomial_exactness(self):
-        x, w = gauss_legendre(12)
-        # exact for degree <= 23
-        got = float(np.sum(w * x**22))
+        x, w = gauss_jacobi(12, 0.0)
+        # exact for degree <= 23: with u = 2x - 1, int_{-1}^{1} u^22 du = 2/23
+        got = 2.0 * float(np.sum(w * (2.0 * x - 1.0) ** 22))
         assert abs(got - 2.0 / 23.0) < 1e-14
 
     def test_smooth_integral(self):
-        x, w = gauss_legendre(20)
-        assert abs(float(np.sum(w * np.cos(x))) - 2.0 * math.sin(1.0)) < 1e-15
+        # with u = 2x - 1, int_{-1}^{1} cos(u) du = 2 sin(1)
+        x, w = gauss_jacobi(20, 0.0)
+        got = 2.0 * float(np.sum(w * np.cos(2.0 * x - 1.0)))
+        assert abs(got - 2.0 * math.sin(1.0)) < 1e-15
 
     def test_node_symmetry_and_weight_sum(self):
+        # Golub-Welsch nodes are symmetric about 1/2 to rounding, not exactly
         for order in (2, 7, 48, 96):
-            x, w = gauss_legendre(order)
+            x, w = gauss_jacobi(order, 0.0)
             assert np.all(np.diff(x) > 0)
-            assert np.max(np.abs(x + x[::-1])) == 0.0
+            assert np.max(np.abs(x + x[::-1] - 1.0)) <= np.finfo(float).eps
             assert np.all(w > 0)
-            assert abs(float(np.sum(w)) - 2.0) < 1e-13
+            assert abs(float(np.sum(w)) - 1.0) < 5e-14
 
     def test_interval_map(self):
-        x, w = gauss_legendre(16)
-        xs, ws = map_to_interval(x, w, 0.0, math.pi)
+        # build_grid carries the [0, 1] rule to a panel by lo + (hi - lo) x
+        x, w = gauss_jacobi(16, 0.0)
+        xs, ws = math.pi * x, math.pi * w
         assert abs(float(np.sum(ws * np.sin(xs))) - 2.0) < 1e-14
 
     def test_order_one(self):
-        x, w = gauss_legendre(1)
-        assert x[0] == 0.0 and w[0] == 2.0
+        x, w = gauss_jacobi(1, 0.0)
+        assert x[0] == 0.5 and w[0] == 1.0
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(0)
-        with pytest.raises(ValueError):
-            gauss_legendre(1000)
+        with pytest.raises(DomainError):
+            gauss_jacobi(0, 0.0)
+        with pytest.raises(DomainError):
+            gauss_jacobi(1000, 0.0)
 
-    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.5])
+    @pytest.mark.parametrize("alpha", [-0.45, 0.0, 0.25, 1.5])
     def test_jacobi_exactness(self, alpha):
         # int_0^1 x^{2 alpha + k} dx = 1 / (2 alpha + k + 1) for k < 2q
         q = 24
@@ -326,14 +333,14 @@ class TestQuadrature:
             assert abs(float(np.sum(w * x**k)) - want) <= 1e-13 * want
 
     def test_jacobi_zero_exponent_is_legendre(self):
-        for order in (1, 8, 24, 48):
+        for order in (1, 2, 7, 8, 24, 48, 96):
             x, w = gauss_jacobi(order, 0.0)
-            xg, wg = map_to_interval(*gauss_legendre(order), 0.0, 1.0)
+            xg, wg = gauss_legendre(order, 0.0, 1.0)
             assert np.max(np.abs(x - xg)) <= 1e-15
             assert np.max(np.abs(w - wg)) <= 1e-15
 
     def test_jacobi_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             gauss_jacobi(0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             gauss_jacobi(8, -1.0)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from chfdet import stats
-from chfdet.asymptotics import moment_asymptotics, symmetric_counting_asymptotics
+from chfdet.asymptotics import moment_asymptotics
 from chfdet.errors import DomainError, NonConvergenceError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.stats import numeric_covariance, numeric_mean, numeric_variance
+
+from _references import symmetric_counting_asymptotics
 
 PLAIN = KernelParams(alpha=0.0, beta_im=0.0)
 
