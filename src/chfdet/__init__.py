@@ -34,7 +34,13 @@ from .painleve import (
     hamiltonian,
     verify_identities,
 )
-from .stats import numeric_covariance, numeric_mean, numeric_variance
+from .stats import (
+    CountingStatistics,
+    counting_statistics,
+    numeric_covariance,
+    numeric_mean,
+    numeric_variance,
+)
 
 __all__ = [
     "DomainError",
@@ -62,6 +68,8 @@ __all__ = [
     "cpv_init",
     "cpv_integrate",
     "verify_identities",
+    "CountingStatistics",
+    "counting_statistics",
     "numeric_mean",
     "numeric_variance",
     "numeric_covariance",

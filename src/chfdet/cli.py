@@ -29,7 +29,13 @@ from .errors import DomainError, NonConvergenceError, RegimeError
 from .fredholm import PANEL_ORDER, build_grid, log_det
 from .kernel import Configuration, KernelParams
 from .painleve import S0, CPVState, cpv_init, cpv_integrate, hamiltonian
-from .stats import numeric_covariance, numeric_mean, numeric_variance
+from .quadrules import _MAX_ORDER
+from .stats import counting_statistics
+from .stats import (  # noqa: F401  (perfbench/tracing.py wraps these cli names)
+    numeric_covariance,
+    numeric_mean,
+    numeric_variance,
+)
 
 SCHEMA_VERSION = 1
 
@@ -256,8 +262,8 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
     order = None
     if "order" in raw:
         order = _as_int("order", raw["order"])
-        if order < 4:
-            raise ConfigError(f"key 'order': must be >= 4, got {order}")
+        if not 4 <= order <= _MAX_ORDER:
+            raise ConfigError(f"key 'order': must lie in [4, {_MAX_ORDER}], got {order}")
 
     tol = _as_float("tol", raw["tol"]) if "tol" in raw else _DEFAULT_TOL
     if not 1e-12 <= tol <= 1e-4:
@@ -336,10 +342,13 @@ def _linspace(t_range: tuple) -> list:
     return points
 
 
+def _panel_order(rc: RunConfig) -> int:
+    return rc.order if rc.order is not None else PANEL_ORDER
+
+
 def _quadrature_lnf(rc: RunConfig, config: Configuration):
     """log det with the order knob applied; returns (lnf, grid)."""
-    order = rc.order if rc.order is not None else PANEL_ORDER
-    grid = build_grid(config, rc.params.alpha, order_per_panel=order)
+    grid = build_grid(config, rc.params.alpha, order_per_panel=_panel_order(rc))
     return log_det(rc.params, config, grid=grid), grid
 
 
@@ -351,7 +360,7 @@ def _run_det(rc: RunConfig):
     diagnostics = {
         "nodes": int(len(grid.nodes)),
         "panels": len(grid.panels),
-        "order_per_panel": rc.order if rc.order is not None else PANEL_ORDER,
+        "order_per_panel": _panel_order(rc),
     }
     return results, columns, rows, diagnostics
 
@@ -451,22 +460,15 @@ def _run_moments(rc: RunConfig):
     r1 = positives[0]
     r2 = positives[1] if len(positives) > 1 else None
     asym = moment_asymptotics(rc.params, t, r1, r2 if r2 is not None else 2.0 * r1)
+    counts = counting_statistics(rc.params, t, r1, r2, order=_panel_order(rc))
     entries = [
-        ("mean_right", numeric_mean(rc.params, t, r1), asym.mean_right),
-        ("mean_left", numeric_mean(rc.params, t, -r1), asym.mean_left),
-        ("variance", numeric_variance(rc.params, t, r1), asym.var),
+        ("mean_right", counts.mean_right, asym.mean_right),
+        ("mean_left", counts.mean_left, asym.mean_left),
+        ("variance", counts.var, asym.var),
     ]
     if r2 is not None:
-        entries.append(
-            ("cov_same_side", numeric_covariance(rc.params, t, r1, r2, "+"), asym.cov_same)
-        )
-        entries.append(
-            (
-                "cov_opposite_side",
-                numeric_covariance(rc.params, t, r1, r2, "-"),
-                asym.cov_opposite,
-            )
-        )
+        entries.append(("cov_same_side", counts.cov_same, asym.cov_same))
+        entries.append(("cov_opposite_side", counts.cov_opposite, asym.cov_opposite))
     columns = ["statistic", "numeric", "asymptotic", "difference"]
     rows = [[name, numeric, predicted, numeric - predicted] for name, numeric, predicted in entries]
     results = {"columns": columns, "rows": rows}

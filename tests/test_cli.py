@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from chfdet import fredholm
 from chfdet.cli import main, parse_config, run, ConfigError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
@@ -74,6 +75,7 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("chfdet: error:") and captured.err.count("\n") == 1
+        assert "key 'order'" in captured.err
 
     def test_unit_weight_allowed_for_det_only(self):
         rc = parse_config(["det", "--r", "0=0,1=1", "--gamma", "0=1", "--t", "2"])
@@ -315,3 +317,28 @@ class TestOutputs:
         document = json.loads(capsys.readouterr().out)
         assert document["schema_version"] == 1
         assert document["error"]["type"] == "FileNotFoundError"
+
+    def test_moments_order_reaches_the_grid(self, capsys):
+        def numeric(extra):
+            assert main(["moments", "--r", "0=0,1=1,2=2", "--t", "10", *extra]) == 0
+            rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+            return {row[0]: row[1] for row in rows}
+
+        default, fine, coarse = numeric([]), numeric(["--order", "40"]), numeric(["--order", "8"])
+        for name, value in default.items():
+            assert fine[name] == pytest.approx(value, abs=1e-12)
+        for name in ("variance", "cov_same_side", "cov_opposite_side"):
+            assert abs(coarse[name] - default[name]) > 1e-6
+
+    def test_moments_builds_one_kernel_matrix(self, monkeypatch, capsys):
+        calls = []
+        original = fredholm.chf_kernel_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fredholm, "chf_kernel_matrix", counting)
+        assert main(["moments", "--alpha", "0.25", "--r", "0=0,1=1,2=2", "--t", "10"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1

@@ -18,3 +18,9 @@ def test_all_names_exist(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
     exec(f"from {name} import *", {})
+
+
+def test_top_level_reexports_the_statistics():
+    from chfdet import stats
+
+    assert set(stats.__all__) <= set(chfdet.__all__)

@@ -10,11 +10,21 @@ from chfdet.asymptotics import moment_asymptotics
 from chfdet.errors import DomainError, NonConvergenceError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
-from chfdet.stats import numeric_covariance, numeric_mean, numeric_variance
+from chfdet.stats import (
+    counting_statistics,
+    numeric_covariance,
+    numeric_mean,
+    numeric_variance,
+)
 
 from _references import symmetric_counting_asymptotics
 
 PLAIN = KernelParams(alpha=0.0, beta_im=0.0)
+SHARED_PARAMS = [
+    KernelParams(alpha=alpha, beta_im=beta_im)
+    for alpha in (-0.45, 0.0, 1.5)
+    for beta_im in (-0.7, 0.0, 0.7)
+]
 
 
 class TestMean:
@@ -127,3 +137,63 @@ class TestGeneratingFunction:
         c = np.linalg.solve(np.vander(u, increasing=True), f)
         assert -c[1] / h == pytest.approx(numeric_mean(params, t, 1.0), abs=1e-6)
         assert 2.0 * c[2] / h**2 == pytest.approx(numeric_variance(params, t, 1.0), abs=1e-6)
+
+
+def _single_statistics(params, t, r1, r2):
+    return (
+        numeric_mean(params, t, r1),
+        numeric_mean(params, t, -r1),
+        numeric_variance(params, t, r1),
+        numeric_covariance(params, t, r1, r2, "+"),
+        numeric_covariance(params, t, r1, r2, "-"),
+    )
+
+
+def _fields(counts):
+    return (counts.mean_right, counts.mean_left, counts.var, counts.cov_same, counts.cov_opposite)
+
+
+class TestCountingStatistics:
+    @pytest.mark.parametrize("params", SHARED_PARAMS, ids=repr)
+    def test_shared_panels_give_the_single_statistics_bitwise(self, params):
+        # at t = 10, r = (1, 2) every interval is one panel, the same on the
+        # shared grid as on each statistic's own
+        counts = counting_statistics(params, 10.0, 1.0, 2.0)
+        assert _fields(counts) == _single_statistics(params, 10.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("params", SHARED_PARAMS, ids=repr)
+    def test_split_panels_agree_to_rounding(self, params):
+        # at t = 7.3, r = (0.7, 2.9) the shared grid splits (-t r2, 0) at
+        # -t r1 into panels the opposite-side covariance's own grid lacks
+        counts = counting_statistics(params, 7.3, 0.7, 2.9)
+        for got, want in zip(_fields(counts), _single_statistics(params, 7.3, 0.7, 2.9)):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_without_second_radius_covariances_are_absent(self):
+        params = KernelParams(alpha=0.25, beta_im=0.3)
+        single = counting_statistics(params, 10.0, 1.0)
+        pair = counting_statistics(params, 10.0, 1.0, 2.0)
+        assert single.cov_same is None and single.cov_opposite is None
+        assert (single.mean_right, single.mean_left, single.var) == (
+            pair.mean_right,
+            pair.mean_left,
+            pair.var,
+        )
+
+    def test_nonfinite_value_raises(self, monkeypatch):
+        def nan_operator(params, t, r, order):
+            return np.array([-0.5, 0.5]), np.full((2, 2), np.nan)
+
+        monkeypatch.setattr(stats, "_operator", nan_operator)
+        with pytest.raises(NonConvergenceError, match="mean_right"):
+            counting_statistics(PLAIN, 1.0, 1.0)
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            counting_statistics(PLAIN, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            counting_statistics(PLAIN, 1.0, -1.0)
+        with pytest.raises(DomainError):
+            counting_statistics(PLAIN, 1.0, 2.0, 1.0)
+        with pytest.raises(DomainError):
+            counting_statistics(PLAIN, 1.0, 1.0, math.inf)
