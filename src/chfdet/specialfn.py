@@ -15,10 +15,13 @@ optimal truncation taken over all 64 terms at once; and a gamma-integral
 representation for Barnes G. The Taylor steps stay in plain double: the
 Kummer series summed at once on the imaginary axis cancels terms of size
 e^{|z|} down to an O(1) sum, while a step of length at most 2 sums terms of
-size at most 2. The steps run through fixed radii, so all points on one ray
-share them: each distinct direction z/|z| is marched once in complex
-scalars, and each point finishes with one vectorised step. Kernel nodes
-z = 2ix lie on two rays; a batch of many directions pays one march each.
+size at most 2. The steps run through fixed radii, so all points on one
+ray share them. A step is linear in its start (phi, h phi'), so every step
+of a call, each ray's march steps and each point's last one, is a lane of
+one vectorised pass of the coefficient recurrence run from the two unit
+starts, which gives each step's 2x2 matrix; a ray's march then only
+multiplies by its matrices, in complex scalars. The asymptotic expansions
+of phi and phi' share their powers of z and their gamma factors.
 """
 
 from __future__ import annotations
@@ -78,15 +81,18 @@ _PHI_SEED_RADIUS = 1.0
 # terms (about |h|^n/n!) never exceed 2 and sum without cancellation.
 _PHI_STEP_FRACTION = 0.5
 _PHI_STEP_CAP = 2.0
-# terms n = 0..27 of each local series: in a step of length 2 the last two,
-# about 2^26/26! = 2e-19 times a factor polynomial in n, pass the tail test
-# for |a|, |b| up to about 5; the seed series at radius 1 ends far lower
+# terms k = 0..27 of the seed series and n = 0..28 of each Taylor step: in
+# a step of length 2 the last two, about 2^27/27! = 1e-20 times a factor
+# polynomial in n, pass the tail test for |a|, |b| up to about 5; the seed
+# series at radius 1 ends far lower
 _PHI_TERMS = 28
 # a local series whose last two terms exceed this share of |phi| + |h phi'|
 # has not converged; below it, each further term is at most |h|/n < 0.1 of
 # the one before, so what the sum leaves out is under about 1e-16
 _PHI_TAIL_TOL = 1e-15
-# 1/((n+2)(n+1)) for the terms n + 2 = 2..27 of a Taylor step
+# the n = 0..26 of a Taylor step's recurrence, and 1/((n+2)(n+1)) for its
+# terms n + 2 = 2..28
+_PHI_STEP_ORDERS = np.arange(_PHI_TERMS - 1)[:, None]
 _PHI_INV_PAIR = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(_PHI_TERMS - 1))
 
 
@@ -101,7 +107,7 @@ def _phi_radii():
 
 
 # the march's radii below the switch (1, 1.5, 2.25, ..., 29.0625)
-_PHI_RADII = _phi_radii()
+_PHI_RADII = np.array(_phi_radii())
 # terms of each asymptotic sum before the optimal truncation must stop
 _ASYMPTOTIC_TERMS = 64
 
@@ -264,7 +270,7 @@ def trigamma(z):
 
 def _phi_series_pair(a, b, z):
     """phi and phi' from the Kummer series itself, for |z| <= _PHI_SEED_RADIUS,
-    over a complex scalar or array z.
+    over an array z.
 
     d_k = (a)_{k+1} z^k / ((b)_{k+1} k!) is the k-th term of phi', and the
     k-th term of phi is d_{k-1} z / k, so one recurrence serves both sums.
@@ -282,34 +288,51 @@ def _phi_series_pair(a, b, z):
     return phi, dphi
 
 
-def _phi_ode_step(a, b, c, w, dw, h):
-    """Advance (phi, phi') from c to c + h by the Taylor series of Kummer's
-    equation z w'' + (b - z) w' - a w = 0 about c (DLMF 13.2.1), over
-    complex scalars (a ray's march) or arrays (each point's last step).
+def _phi_step_terms(a, b, c, h):
+    """Taylor steps of Kummer's equation z w'' + (b - z) w' - a w = 0 about c
+    (DLMF 13.2.1), one step from c to c + h per lane of the arrays c, h.
 
     With e_n = c_n h^n the coefficient recurrence
     c_{n+2} = ((n+a) c_n - (n+1)(n+b-c) c_{n+1}) / (c (n+2)(n+1)) reads
     e_{n+2} = ((n+a) h q e_n - (n+1)(n q + (b-c) q) e_{n+1}) / ((n+2)(n+1))
-    with q = h/c; then phi(c+h) = sum e_n and h phi'(c+h) = sum n e_n.
+    with q = h/c; then w(c+h) = sum e_n and h w'(c+h) = sum n e_n. The terms
+    are linear in the start (e_0, e_1) = (w, h w'), so the recurrence runs
+    from (1, 0) and from (0, 1) at once, row s of each array holding start
+    s. Returns the step's matrix, m[0, s] = sum_n e_n and m[1, s] =
+    sum_n n e_n, and the last two terms, tail[0, s] = e_27 and tail[1, s]
+    = e_28. The sums run term by term, so no lane's figures depend on the
+    other lanes.
     """
     q = h / c
     hq = h * q
     bq = (b - c) * q
-    e0, e1 = w, dw * h
+    n = _PHI_STEP_ORDERS
+    ca = (n + a) * hq
+    cb = (n + 1) * (n * q + bq)
+    e0 = np.zeros((2, c.size), dtype=complex)
+    e1 = np.zeros_like(e0)
+    e0[0] = 1.0
+    e1[1] = 1.0
     val = e0 + e1
-    der = e1
-    for n, inv in enumerate(_PHI_INV_PAIR):
-        e2 = ((n + a) * hq * e0 - (n + 1) * (n * q + bq) * e1) * inv
-        val = val + e2
-        der = der + (n + 2) * e2
+    der = e1.copy()
+    for order, ca_n, cb_n, inv in zip(range(2, _PHI_TERMS + 1), ca, cb, _PHI_INV_PAIR):
+        e2 = ca_n * e0
+        e2 -= cb_n * e1
+        e2 *= inv
+        val += e2
+        der += order * e2
         e0, e1 = e1, e2
-    _check_tail(e0, e1, val, der, "Taylor step")
-    return val, der / h
+    return np.stack((val, der)), np.stack((e0, e1))
+
+
+def _phi_combine(m, w, e1):
+    # the figures m of the two unit starts, combined for the start (w, h w') = (w, e1)
+    return w * m[..., 0, :] + e1 * m[..., 1, :]
 
 
 def _check_tail(t1, t2, val, der, what):
-    # count_nonzero takes the scalar comparisons of a ray's march cheaply
-    if np.count_nonzero(abs(t1) + abs(t2) > _PHI_TAIL_TOL * (abs(val) + abs(der))):
+    # t1, t2: the last two terms of each local series, from its own start
+    if np.any(abs(t1) + abs(t2) > _PHI_TAIL_TOL * (abs(val) + abs(der))):
         raise NonConvergenceError(f"kummer_phi: {what} did not converge in its term limit")
 
 
@@ -317,25 +340,22 @@ def _phi_pair_taylor(a, b, z):
     """phi and phi' for |z| <= _PHI_TAYLOR_RADIUS.
 
     Points with |z| <= _PHI_SEED_RADIUS take the series. Every other point
-    lies on a ray z/|z|; each distinct ray is marched once, in complex
-    scalars, from the series at radius R_0 = _PHI_SEED_RADIUS through the
-    fixed radii _PHI_RADII, keeping (phi, phi') at each. Each point then
-    takes one vectorised step from the largest radius strictly below |z|.
-    The radii depend on nothing but the constants, and a ray's march on
-    nothing but its direction, so every point follows the same arithmetic
-    whatever else is in the batch. The march costs O(rays x radii) scalar
-    steps: kernel nodes z = 2ix lie on two rays, but a batch of many
-    directions pays one march each.
+    lies on a ray u = z/|z|, which is marched from the series at radius
+    R_0 = _PHI_SEED_RADIUS through the fixed radii _PHI_RADII; each point
+    then takes one step from the largest radius strictly below |z|. Every
+    step of the call, each march step (u R_j, u (R_{j+1} - R_j)) and each
+    point's last step, is one lane of a single _phi_step_terms pass, which
+    gives its 2x2 matrix. Each ray's march then multiplies (phi, h phi') by
+    its matrices in complex scalars, only as far as its points need. The
+    radii depend on nothing but the constants, a ray's march on nothing but
+    its direction and a lane on nothing but its own step, so every point
+    follows the same arithmetic whatever else is in the batch.
     """
     rho = np.abs(z)
     phi = np.empty_like(z)
     dphi = np.empty_like(z)
-    near = rho <= _PHI_SEED_RADIUS
-    if near.any():
-        phi[near], dphi[near] = _phi_series_pair(a, b, z[near])
-    far = np.flatnonzero(~near)
-    if not far.size:
-        return phi, dphi
+    near = np.flatnonzero(rho <= _PHI_SEED_RADIUS)
+    far = np.flatnonzero(rho > _PHI_SEED_RADIUS)
     zf, rf = z[far], rho[far]
     # z/|z| part by part in real division, so kernel nodes give exactly
     # +-1j; adding 0.0 turns -0.0 into +0.0, so each ray has one key
@@ -343,19 +363,51 @@ def _phi_pair_taylor(a, b, z):
     unit.real = zf.real / rf + 0.0
     unit.imag = zf.imag / rf + 0.0
     rays, ray_of = np.unique(unit, return_inverse=True)
+    # the near points and every ray's start at radius R_0 in one series
+    seed, dseed = _phi_series_pair(a, b, np.concatenate((z[near], rays)))
+    phi[near], dphi[near] = seed[: near.size], dseed[: near.size]
+    if not far.size:
+        return phi, dphi
     level = np.searchsorted(_PHI_RADII, rf) - 1
-    w = np.empty_like(zf)
-    dw = np.empty_like(zf)
-    for r, u in enumerate(rays.tolist()):
-        on = ray_of == r
-        states = [_phi_series_pair(a, b, u)]
-        for j in range(int(level[on].max())):
-            c, h = u * _PHI_RADII[j], u * (_PHI_RADII[j + 1] - _PHI_RADII[j])
-            states.append(_phi_ode_step(a, b, c, *states[-1], h))
-        w[on], dw[on] = np.array(states)[level[on]].T
-    u = rays[ray_of]
-    start = np.take(_PHI_RADII, level)
-    phi[far], dphi[far] = _phi_ode_step(a, b, u * start, w, dw, u * (rf - start))
+    # march steps j < top[r] of each ray r, whose points start at radii up
+    # to R_top[r], ray by ray: lane first[r] + j
+    top = np.zeros(rays.size, dtype=int)
+    np.maximum.at(top, ray_of, level)
+    first = np.cumsum(top) - top
+    march = int(top.sum())
+    lane_ray = np.repeat(np.arange(rays.size), top)
+    lane_level = np.arange(march) - first[lane_ray]
+    # then one lane per point; every lane runs from radius R_j to the next
+    # radius or to |z|
+    u = np.concatenate((rays[lane_ray], rays[ray_of]))
+    inner = np.concatenate((_PHI_RADII[lane_level], _PHI_RADII[level]))
+    outer = np.concatenate((_PHI_RADII[lane_level + 1], rf))
+    h = u * (outer - inner)
+    m, tail = _phi_step_terms(a, b, u * inner, h)
+    # the march, in complex scalars; ray r's state at radius R_j is entry
+    # first[r] + r + j of the states
+    mats = m[..., :march].reshape(4, march).T.tolist()
+    steps = h[:march].tolist()
+    states_w, states_dw = [], []
+    for w, dw, lo, hi in zip(seed[near.size :].tolist(), dseed[near.size :].tolist(), first.tolist(),
+                             (first + top).tolist()):
+        states_w.append(w)
+        states_dw.append(dw)
+        for (m00, m01, m10, m11), hj in zip(mats[lo:hi], steps[lo:hi]):
+            e1 = dw * hj
+            w, dw = m00 * w + m01 * e1, (m10 * w + m11 * e1) / hj
+            states_w.append(w)
+            states_dw.append(dw)
+    # every lane's start (phi, h phi'): the march steps', then the points'
+    at = np.concatenate((np.arange(march) + lane_ray, first[ray_of] + ray_of + level))
+    start_w = np.array(states_w)[at]
+    start_e1 = np.array(states_dw)[at] * h
+    val = _phi_combine(m[0], start_w, start_e1)
+    der = _phi_combine(m[1], start_w, start_e1)
+    tail = _phi_combine(tail, start_w, start_e1)
+    _check_tail(tail[0], tail[1], val, der, "Taylor step")
+    phi[far] = val[march:]
+    dphi[far] = der[march:] / h[march:]
     return phi, dphi
 
 
@@ -384,20 +436,35 @@ def _optimal_sum(ratio_num1, ratio_num2, denom_z):
     return sums[last, cols], mag[last, cols]
 
 
-def _phi_asymptotic(a, b, z):
-    """Large-|z| expansion of phi(a, b, z), optimal truncation of both sums."""
+def _phi_asymptotic_pair(a, b, z):
+    """Large-|z| expansions of phi(a, b, z) and of its derivative
+    (a/b) phi(a+1, b+1, z), each the sum of a decaying and a growing
+    series cut at its optimal truncation.
+
+    The two expansions share e^z, z^{-a} (z^{-(a+1)} = z^{-a}/z, with the
+    phase flipped), z^{a-b}, Gamma(b) (Gamma(b+1) = b Gamma(b)) and one
+    rgamma call over b - a, a and a + 1, so an a at a pole of gamma, where
+    phi is a polynomial, maps its factors to 0.
+    """
     upper = np.angle(z) > -math.pi / 2.0
     phase = np.where(upper, np.exp(1j * math.pi * a), np.exp(-1j * math.pi * a))
-    pre1 = phase * np.power(z, -a) * rgamma(b - a)
-    pre2 = np.exp(z) * np.power(z, a - b) * rgamma(a)
-    s1, b1 = _optimal_sum(a, 1.0 + a - b, -z)
-    s2, b2 = _optimal_sum(b - a, 1.0 - a, z)
-    gam_b = np.exp(log_gamma(b))
-    phi = gam_b * (pre1 * s1 + pre2 * s2)
-    err = np.abs(gam_b) * (np.abs(pre1) * b1 + np.abs(pre2) * b2)
-    if np.any(err > 3e-11 * np.maximum(np.abs(phi), 1e-290)):
-        raise RegimeError("kummer_phi: asymptotic branch cannot reach the accuracy target here")
-    return phi
+    rg_ba, rg_a, rg_a1 = rgamma([b - a, a, a + 1.0]).tolist()
+    gam_b = complex(np.exp(log_gamma(b)))
+    decay = phase * np.power(z, -a) * rg_ba
+    grow = np.exp(z) * np.power(z, a - b)
+    values = []
+    for scale, pre1, pre2, sum1, sum2 in (
+        (gam_b, decay, grow * rg_a, (a, 1.0 + a - b), (b - a, 1.0 - a)),
+        (a * gam_b, -decay / z, grow * rg_a1, (a + 1.0, 1.0 + a - b), (b - a, -a)),
+    ):
+        s1, b1 = _optimal_sum(*sum1, -z)
+        s2, b2 = _optimal_sum(*sum2, z)
+        val = scale * (pre1 * s1 + pre2 * s2)
+        err = abs(scale) * (np.abs(pre1) * b1 + np.abs(pre2) * b2)
+        if np.any(err > 3e-11 * np.maximum(np.abs(val), 1e-290)):
+            raise RegimeError("kummer_phi: asymptotic branch cannot reach the accuracy target here")
+        values.append(val)
+    return tuple(values)
 
 
 def _kummer_pair(a, b, z):
@@ -418,8 +485,7 @@ def _kummer_pair(a, b, z):
             phi[small], dphi[small] = _phi_pair_taylor(a, b, flat[small])
         large = ~small
         if large.any():
-            phi[large] = _phi_asymptotic(a, b, flat[large])
-            dphi[large] = (a / b) * _phi_asymptotic(a + 1.0, b + 1.0, flat[large])
+            phi[large], dphi[large] = _phi_asymptotic_pair(a, b, flat[large])
     if not (np.isfinite(phi).all() and np.isfinite(dphi).all()):
         raise RegimeError("kummer_phi: phi or phi' is not finite in double here")
     return _restore(phi.reshape(arr.shape), scalar), _restore(dphi.reshape(arr.shape), scalar)
@@ -432,15 +498,21 @@ def kummer_phi(a, b, z):
     a, b are complex scalars, z a complex scalar or array. For |z| <= 30
     the value comes from Taylor steps of Kummer's equation along the ray
     from 0 to z, in plain double: each distinct direction z/|z| in the
-    batch is marched once, in complex scalars, through 17 fixed radii, and
-    every point then takes one vectorised step. So a call costs up to 16
-    scalar steps per distinct direction: every caller in the package
-    passes z = 2ix, which is two rays, while 2000 random directions in
-    |z| <= 30 take about 0.6 s. Beyond |z| = 30 the value comes from the
-    asymptotic expansion. For the kernel's parameters (a = 1 + alpha +
-    i beta_im, b = 1 + 2 alpha with alpha in [-0.45, 1.5], |beta_im| <= 0.7,
-    and z = 2ix) phi and phi' measured within 6e-15 relative of 30-digit
-    mpmath values for |x| <= 15 and within 4e-14 for |x| <= 300. Raises
+    batch is marched through 17 fixed radii, and every point then takes
+    one last step. All steps of a call run as the lanes of one vectorised
+    pass, which gives each step's 2x2 matrix, so a ray's march is a few
+    complex-scalar multiplies per radius: the 72 kernel nodes of a typical
+    call (z = 2ix, two rays) take about 0.8 ms, and 2000 random directions
+    in |z| <= 30 about 0.07 s. The local series converge in their fixed
+    term count for |a|, |b| up to about 5 (the tests draw |Re a|, |Im a|
+    <= 5 and Re b in [0.3, 5], |Im b| <= 1). Beyond |z| = 30 the value
+    comes from the asymptotic expansion. For the kernel's parameters
+    (a = 1 + alpha + i beta_im, b = 1 + 2 alpha with alpha in
+    [-0.45, 1.5], |beta_im| <= 0.7, and z = 2ix) phi and phi' measured
+    within 5e-15 relative of 50-digit mpmath values for |z| <= 30 and
+    within 8e-15 for 34 <= |z| <= 300. Just above the switch the
+    expansion's optimal truncation leaves about 0.6 e^{-|z|}: up to
+    6e-14 at |z| = 30, falling below 1e-14 by |z| = 34. Raises
     DomainError when b sits at a non-positive integer pole,
     NonConvergenceError / RegimeError when a branch cannot meet its
     accuracy contract (outside ~|z| <= 50 this may happen for extreme

@@ -10,6 +10,10 @@ by methods the package does not use.
   variables u, v, H, y and d.
 - ``symmetric_counting_asymptotics``: the large-t mean and variance of the
   symmetric count N(t) + N(-t).
+- ``kummer_taylor_march``: phi and phi' for |z| <= 30 by stepping Kummer's
+  equation point by point in complex scalars, each step's series summed
+  from its own start, against which the package's one-pass matrices are
+  checked.
 """
 
 import cmath
@@ -322,3 +326,32 @@ def symmetric_counting_asymptotics(params, t):
     mean = 2.0 * t / math.pi - params.alpha
     var = (math.log(4.0 * t) - d2_at_one) / math.pi**2
     return mean, var
+
+
+def kummer_taylor_march(a, b, z):
+    """(phi(a, b, z), phi'(a, b, z)) for 0 < |z| <= 30, one point at a time
+    in Python complex arithmetic: the Kummer series to radius 1, then Taylor
+    steps of z w'' + (b - z) w' - a w = 0 along the ray through the radii
+    R_{j+1} = R_j + min(R_j/2, 2), and a last step to z. Each step sums
+    terms 0..28 of its local series from its own start (w, h w')."""
+    a, b, z = complex(a), complex(b), complex(z)
+    radius = abs(z)
+    u = z / radius
+    at = min(radius, 1.0)
+    d, w, dw = a / b, 1.0 + 0.0j, a / b
+    for k in range(1, 28):
+        t = d * (z if radius <= 1.0 else u) / k
+        d = t * (a + k) / (b + k)
+        w, dw = w + t, dw + d
+    while at < radius:
+        step = min(at / 2.0, 2.0, radius - at)
+        c, h = u * at, u * step
+        e0, e1 = w, dw * h
+        w, hdw = e0 + e1, e1
+        for n in range(27):
+            e2 = ((n + a) * h * h / c * e0 - (n + 1) * (n + b - c) * h / c * e1) / ((n + 2) * (n + 1))
+            w, hdw = w + e2, hdw + (n + 2) * e2
+            e0, e1 = e1, e2
+        dw = hdw / h
+        at += step
+    return w, dw

@@ -21,6 +21,12 @@ mp.mp.dps = 50
 # sub-steps of the segment 0 -> z along which ln G(1+z) is continued
 BARNES_PATH_STEPS = 24
 
+# |x| of the points z = +-2ix of KUMMER_RAYS: the seed radius |z| = 1, the
+# march's radii 2.25 and 29.0625 and points between, both sides of the
+# switch at |z| = 30, and the asymptotic branch
+KUMMER_RAY_X = (0.3, 0.5, 0.8, 1.125, 2.9, 6.1, 9.7, 13.3, 14.53125, 14.9, 15.0, 15.1,
+                21.0, 40.0, 75.0, 150.0)
+
 
 def c(z) -> str:
     z = mp.mpc(z)
@@ -127,6 +133,25 @@ def main() -> None:
                 for z in (2j * x, -2j * x):
                     lines.append("    (%s, %s, %s, %s)," % (
                         c(a), c(b), c(z), c(mp.hyp1f1(mp.mpc(a), mp.mpc(b), mp.mpc(z)))))
+    lines.append("]")
+    lines.append("")
+
+    # --- Kummer phi and phi' on the kernel rays, both branches ---
+    # a = 1+alpha+i beta_im, b = 1+2 alpha formed in double as the kernel
+    # forms them, z = +-2ix from the series (|z| <= 1) through the Taylor
+    # steps and the switch at |z| = 30 out to |z| = 300; phi' is
+    # (a/b) phi(a+1, b+1, z)
+    lines.append("KUMMER_RAYS = [")
+    for alpha in (-0.45, 0.0, 1.5):
+        for beta_im in (-0.7, 0.0, 0.7):
+            a, b = 1.0 + alpha + 1j * beta_im, 1.0 + 2.0 * alpha
+            am, bm = mp.mpc(a), mp.mpc(b)
+            for x in KUMMER_RAY_X:
+                for z in (2j * x, -2j * x):
+                    zm = mp.mpc(z)
+                    lines.append("    (%s, %s, %s, %s, %s)," % (
+                        c(a), c(b), c(z), c(mp.hyp1f1(am, bm, zm)),
+                        c(am / bm * mp.hyp1f1(am + 1, bm + 1, zm))))
     lines.append("]")
     lines.append("")
 

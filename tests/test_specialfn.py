@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from chfdet import specialfn as sf
-from chfdet.errors import DomainError, RegimeError
+from chfdet.errors import DomainError, NonConvergenceError, RegimeError
 from chfdet.quadrules import gauss_jacobi
 
 import _oracle_values as ov
-from _references import gauss_legendre
+from _references import gauss_legendre, kummer_taylor_march
 
 
 def rel(got, want):
@@ -214,11 +214,81 @@ class TestKummer:
         one = np.array([sf.kummer_phi_prime(a, b, z) for z in zs])
         assert np.max(np.abs(batch - one)) == 0.0
 
+    @pytest.mark.parametrize("a,b", sorted({(a, b) for a, b, *_ in ov.KUMMER_RAYS}, key=repr))
+    def test_oracle_on_kernel_rays(self, a, b):
+        # phi and phi' at kernel parameters on z = +-2ix, |z| <= 300; just
+        # above the switch at |z| = 30 the asymptotic expansion's optimal
+        # truncation leaves about 0.6 e^{-|z|}
+        rows = [row[2:] for row in ov.KUMMER_RAYS if row[:2] == (a, b)]
+        z = np.array([row[0] for row in rows])
+        phi, dphi = sf._kummer_pair(a, b, z)
+        for got, col in ((phi, 1), (dphi, 2)):
+            want = np.array([complex(row[col]) for row in rows])
+            err = np.abs(got - want) / np.abs(want)
+            near_switch = (np.abs(z) > 30.0) & (np.abs(z) < 34.0)
+            assert np.max(err[~near_switch]) < 1e-14
+            assert np.max(err[near_switch]) < 6e-14
+
+    @pytest.mark.parametrize(
+        "a,b,z", [(-1.0, 1.5, 40.0j), (-2.0, 0.5, 35.0 + 3.0j), (0.0, 1.5, -45.0j), (-2.0, 1.25 - 0.5j, -31.0j)]
+    )
+    def test_asymptotic_branch_at_poles_of_a(self, a, b, z):
+        # a = 0, -1, -2 terminate the series: phi is the polynomial
+        # sum_k (a)_k z^k / ((b)_k k!), which the expansion must give with
+        # its gamma factors at the poles mapped to 0
+        term, want, dwant = 1.0 + 0.0j, 0.0j, 0.0j
+        for k in range(int(-a) + 1):
+            want += term
+            dwant += k * term / z
+            term *= (a + k) / (b + k) * z / (k + 1)
+        assert rel(sf.kummer_phi(a, b, z), want) < 1e-13
+        dphi = sf.kummer_phi_prime(a, b, z)
+        assert abs(dphi - dwant) <= 1e-13 * max(abs(dwant), 1e-300)
+
+    def test_taylor_steps_converge_in_documented_range(self):
+        # |Re a|, |Im a| <= 5 and Re b in [0.3, 5], half of the cases with
+        # |Im b| <= 1 and a third on the kernel rays: no local series may
+        # fail its tail test
+        rng = np.random.default_rng(11)
+        radii = np.array([3.0, 10.0, 20.0, 29.5])
+        for i in range(200):
+            a = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+            b = complex(rng.uniform(0.3, 5.0), rng.uniform(-1.0, 1.0) if i % 2 else 0.0)
+            ray = (1j if rng.uniform() < 0.5 else -1j) if i % 3 == 0 else np.exp(2j * math.pi * rng.uniform())
+            phi, dphi = sf._kummer_pair(a, b, ray * radii)
+            assert np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi))
+
+    def test_taylor_branch_matches_point_by_point_march(self):
+        # the one-pass step matrices against stepping each point on its own;
+        # radii the march stops at, points between them, both kernel rays
+        # and two off-axis rays, at random parameters in the documented range
+        rng = np.random.default_rng(5)
+        radii = np.array([0.4, 1.0, 1.2, 2.25, 3.1, 9.0, 17.5, 27.0625, 29.0625, 29.99])
+        rays = np.array([1j, -1j, np.exp(0.7j), np.exp(-2.2j)])
+        z = (rays[:, None] * radii).ravel()
+        for _ in range(6):
+            a = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+            b = complex(rng.uniform(0.3, 5.0), rng.uniform(-1.0, 1.0))
+            phi, dphi = sf._kummer_pair(a, b, z)
+            for p, d, zi in zip(phi, dphi, z):
+                want_p, want_d = kummer_taylor_march(a, b, zi)
+                assert abs(p - want_p) <= 1e-13 * abs(want_p)
+                assert abs(d - want_d) <= 1e-13 * abs(want_d)
+
+    def test_taylor_tail_test_fires(self):
+        with pytest.raises(NonConvergenceError, match="Taylor step"):
+            sf.kummer_phi(20.0, 1.5, 10.0j)
+
     @pytest.mark.parametrize("z", [800.0, 720.0])
     def test_overflow_raises_instead_of_nan(self, z):
         # e^z overflows in the asymptotic branch; no warning may escape
         with pytest.raises(RegimeError):
             sf.kummer_phi(1.3 + 0.2j, 1.5, z)
+
+    def test_gamma_overflow_raises_instead_of_nan(self):
+        # Gamma(b) overflows in the asymptotic branch past b of about 171
+        with pytest.raises(RegimeError):
+            sf.kummer_phi(1.3, 200.0, 40.0j)
 
 
 class TestBarnesG:
