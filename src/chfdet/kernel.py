@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .specialfn import _kummer_pair, kummer_phi, log_gamma
-from .specialfn import kummer_phi_prime  # noqa: F401  (perfbench/tracing.py wraps kernel.kummer_phi_prime by name)
+from .specialfn import _kummer_pair, log_gamma
+from .specialfn import kummer_phi, kummer_phi_prime  # noqa: F401  (perfbench/tracing.py wraps both in kernel by name)
 
 __all__ = [
     "KernelParams",
@@ -87,7 +87,6 @@ class Configuration:
     r: tuple
     gamma: tuple
     t: float
-    m: int = None
 
     def __post_init__(self):
         r = tuple(float(v) for v in self.r)
@@ -103,13 +102,8 @@ class Configuration:
             )
         if any(b <= a for a, b in zip(r[:-1], r[1:])):
             raise DomainError(f"Configuration: endpoints must be strictly increasing, got {r}")
-        zeros = [k for k, v in enumerate(r) if v == 0.0]
-        if len(zeros) != 1:
+        if r.count(0.0) != 1:
             raise DomainError("Configuration: exactly one endpoint must be 0")
-        if self.m is None:
-            object.__setattr__(self, "m", zeros[0])
-        elif self.m != zeros[0]:
-            raise DomainError(f"Configuration: m={self.m} but the zero endpoint is at {zeros[0]}")
         if not (self.t >= 0.0 and math.isfinite(self.t)):
             raise DomainError(f"Configuration: t must be nonnegative and finite, got {self.t}")
         if not all(0.0 <= g <= 1.0 for g in gamma):
@@ -118,6 +112,11 @@ class Configuration:
     @property
     def n(self) -> int:
         return len(self.gamma)
+
+    @cached_property
+    def m(self) -> int:
+        """Index of the zero endpoint."""
+        return self.r.index(0.0)
 
     @cached_property
     def active_indices(self) -> tuple:
@@ -147,32 +146,31 @@ def cap_A(params: KernelParams, x):
     raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.ravel(arr)
-    if params.alpha < 0.0 and np.any(flat == 0.0):
-        raise DomainError("cap_A: x = 0 diverges for alpha < 0")
-    a = 1.0 + params.alpha + params.beta
-    b = 1.0 + 2.0 * params.alpha
-    phi = kummer_phi(a, b, 2j * flat)
-    pref = _chi_half(params, flat) * np.abs(2.0 * flat) ** params.alpha * np.exp(-1j * flat)
-    out = (pref * phi).reshape(arr.shape)
-    if scalar:
-        return complex(out[()])
-    return out
+    val = _cap_A_and_derivative(params, arr)[0]
+    if arr.ndim == 0:
+        return complex(val[()])
+    return val
 
 
 def _cap_A_and_derivative(params: KernelParams, x):
-    """A(x) and dA/dx together for x != 0, from one evaluation of phi and phi'."""
+    """A(x) and dA/dx together, from one evaluation of phi and phi'.
+
+    The term alpha/x of the derivative is taken as 0 at x = 0: there dA/dx
+    is exact for alpha = 0, and for alpha > 0 the returned 0 multiplies
+    A(0) = 0. For alpha < 0, x = 0 raises DomainError.
+    """
     arr = np.asarray(x, dtype=float)
     flat = np.ravel(arr)
-    if np.any(flat == 0.0):
-        raise DomainError("cap_A derivative: requires x != 0")
+    nonzero = flat != 0.0
+    if params.alpha < 0.0 and not nonzero.all():
+        raise DomainError("cap_A: x = 0 diverges for alpha < 0")
     a = 1.0 + params.alpha + params.beta
     b = 1.0 + 2.0 * params.alpha
     base = _chi_half(params, flat) * np.abs(2.0 * flat) ** params.alpha * np.exp(-1j * flat)
     phi, dphi = _kummer_pair(a, b, 2j * flat)
     val = base * phi
-    der = val * (params.alpha / flat - 1j) + base * 2j * dphi
+    alpha_over_x = np.divide(params.alpha, flat, out=np.zeros_like(flat), where=nonzero)
+    der = val * (alpha_over_x - 1j) + base * 2j * dphi
     return val.reshape(arr.shape), der.reshape(arr.shape)
 
 

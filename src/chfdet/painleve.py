@@ -26,15 +26,14 @@ admissible alpha.
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import c_from_gamma, small_t_lnF
+from .asymptotics import c_from_gamma
 from .errors import DomainError, NonConvergenceError
-from .kernel import Configuration, KernelParams
+from .kernel import Configuration, KernelParams, _gamma_prefactor
 from .specialfn import log_gamma
 
 __all__ = [
@@ -172,25 +171,29 @@ def hamiltonian(state: CPVState, params: KernelParams, config: Configuration) ->
 
 def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
     """Small-t state at t = e^S0, for every alpha: U_k from the connection
-    coefficients, V_k = 2 i r_k / (1 + 2 alpha) (the fixed point of the
-    leading V equation), log y and log d from their small-t closed forms, and
-    lnF seeded with the integrated leading Hamiltonian term."""
+    coefficients and the kernel's gamma prefactor, V_k = 2 i r_k / (1 + 2 alpha)
+    (the fixed point of the leading V equation), log y and log d from their
+    small-t closed forms, and lnF seeded with the integrated leading
+    Hamiltonian term, 2 i t^(1 + 2 alpha) sum_k r_k U_k / (1 + 2 alpha)^2
+    (the value of ``small_t_lnF`` there)."""
     a, b = params.alpha, params.beta
     cs = c_from_gamma(config, params)  # raises for any weight at 1
     lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - b, 1.0 + a + b, 1.0 + 2.0 * a]).tolist()
-    gamma_ratio = cmath.exp(lg_minus + lg_plus - 2.0 * lg_2a)
+    g = _gamma_prefactor(params)
     indices = config.active_indices
     u = []
     v = []
     for k in indices:
         r_k = config.r[k]
-        u.append(math.copysign(1.0, r_k) * cs[k] * gamma_ratio * (2.0 * abs(r_k)) ** (2.0 * a))
+        u.append(math.copysign(1.0, r_k) * cs[k] * g * (2.0 * abs(r_k)) ** (2.0 * a))
         v.append(2.0j * r_k / (1.0 + 2.0 * a))
     log_2t0 = math.log(2.0) + S0
     log_y = lg_minus - lg_plus - b * math.pi * 1j + 2.0 * b * log_2t0
     log_d = lg_minus + lg_plus - 2.0 * lg_2a - a * math.pi * 1j + 2.0 * a * log_2t0
     t0 = math.exp(S0)
-    lnf = complex(small_t_lnF(params, config, t0))
+    twoa1 = 1.0 + 2.0 * a
+    ru = sum(config.r[k] * u_k for k, u_k in zip(indices, u))
+    lnf = 2.0j * t0**twoa1 / (twoa1 * twoa1) * ru
     return CPVState(t=t0, indices=indices, y=u + v + [log_y, log_d, lnf], alpha=a)
 
 

@@ -14,6 +14,11 @@ by methods the package does not use.
   equation point by point in complex scalars, each step's series summed
   from its own start, against which the package's one-pass matrices are
   checked.
+- ``complex_large_gap_lnF``, ``complex_small_t_lnF``, ``complex_theta_pair``
+  and ``complex_moment_asymptotics``: the expansions in the complex
+  exponents b_k, c_k and beta as published, with both members of every
+  conjugate pair evaluated and an asserted imaginary residue, against which
+  the package's real-arithmetic forms are checked.
 """
 
 import cmath
@@ -23,10 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from chfdet.asymptotics import b_from_gamma, c_from_gamma
+from chfdet.asymptotics import (
+    AsymptoticReport,
+    MomentAsymptotics,
+    _gamma_extended,
+    b_from_gamma,
+    c_from_gamma,
+)
 from chfdet.errors import DomainError, RegimeError
 from chfdet.kernel import chf_kernel_matrix, sigma_step
-from chfdet.specialfn import log_barnes_g_d2, log_gamma
+from chfdet.specialfn import log_barnes_g, log_barnes_g_d1, log_barnes_g_d2, log_gamma
 
 
 def bessel_kernel(alpha, x, y):
@@ -355,3 +366,138 @@ def kummer_taylor_march(a, b, z):
         dw = hdw / h
         at += step
     return w, dw
+
+
+_TWO_PI_I = 2.0j * math.pi
+
+
+def _collapse(z: complex, what: str) -> float:
+    if abs(z.imag) > 1e-12:
+        raise AssertionError(f"{what}: imaginary residue {abs(z.imag):.3e} exceeds 1e-12")
+    return float(z.real)
+
+
+def complex_large_gap_lnF(params, config):
+    """The large-t expansion of ln F in the complex exponents b_k and beta,
+    with the breakdown of ``chfdet.asymptotics.large_gap_lnF``."""
+    if not config.t > 0.0:
+        raise DomainError("large_gap_lnF: requires t > 0")
+    a, beta = params.alpha, params.beta
+    t = config.t
+    r = config.r
+    m = config.m
+    bs = b_from_gamma(config)
+    ge = _gamma_extended(config)
+    active = config.active_indices
+
+    log_t = math.log(t)
+    linear = _collapse(sum(2j * bs[k] * r[k] * t for k in active), "linear term")
+
+    interval_coef = sum(2.0 * beta * bs[k] - 2.0 * bs[k] * bs[k] for k in active)
+    interval_const = sum(
+        (2.0 * beta * bs[k] - 2.0 * bs[k] * bs[k]) * math.log(abs(2.0 * r[k]))
+        for k in active
+    )
+
+    pair_coef = 0.0 + 0.0j
+    pair_const = 0.0 + 0.0j
+    for j in active:
+        for k in active:
+            if j >= k:
+                continue
+            pair_coef += -2.0 * bs[j] * bs[k]
+            pair_const += -2.0 * bs[j] * bs[k] * math.log(
+                abs(2.0 * r[j] * r[k] / (r[k] - r[j]))
+            )
+
+    weight_factor = -0.5 * a * math.log((1.0 - ge[m]) * (1.0 - ge[m + 1]))
+    barnes_center = (
+        log_barnes_g(a + beta + bs[m])
+        + log_barnes_g(a - beta - bs[m])
+        - log_barnes_g(a + beta)
+        - log_barnes_g(a - beta)
+    )
+    barnes_jumps = sum(log_barnes_g(bs[k]) + log_barnes_g(-bs[k]) for k in active)
+
+    breakdown = (
+        ("linear", linear),
+        ("interval_log", _collapse(interval_coef, "interval log coefficient") * log_t),
+        ("pair_log", _collapse(pair_coef, "pair log coefficient") * log_t),
+        ("interval_const", _collapse(interval_const, "interval constants")),
+        ("pair_const", _collapse(pair_const, "pair constants")),
+        ("weight_factor", weight_factor),
+        ("barnes_center", _collapse(barnes_center, "Barnes center block")),
+        ("barnes_jumps", _collapse(barnes_jumps, "Barnes jump block")),
+    )
+    log_term = math.fsum(v for name, v in breakdown if name.endswith("_log"))
+    constant_term = math.fsum(
+        v for name, v in breakdown if name != "linear" and not name.endswith("_log")
+    )
+    return AsymptoticReport(
+        linear_term=linear,
+        log_term=log_term,
+        constant_term=constant_term,
+        breakdown=breakdown,
+    )
+
+
+def complex_small_t_lnF(params, config, t):
+    """The small-t value of ln F in the complex coefficients c_k, with the
+    gamma ratio from its three log-gammas."""
+    t = float(t)
+    if t < 0.0 or not math.isfinite(t):
+        raise DomainError("small_t_lnF: requires t >= 0")
+    if t == 0.0:
+        return 0.0
+    a, beta = params.alpha, params.beta
+    cs = c_from_gamma(config, params)
+    lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - beta, 1.0 + a + beta, 1.0 + 2.0 * a]).tolist()
+    gamma_block = cmath.exp(lg_minus + lg_plus - 2.0 * lg_2a)
+    twoa1 = 2.0 * a + 1.0
+    total = 0.0 + 0.0j
+    for k in config.active_indices:
+        total += (
+            1j
+            * cs[k]
+            * gamma_block
+            * (2.0 * abs(config.r[k])) ** twoa1
+            * t**twoa1
+            / (twoa1 * twoa1)
+        )
+    return _collapse(total, "small-t expansion")
+
+
+def complex_theta_pair(params):
+    """The Barnes G derivative offsets from both conjugate arguments."""
+    a, beta = params.alpha, params.beta
+    theta1 = _collapse(
+        (log_barnes_g_d1(a - beta) - log_barnes_g_d1(a + beta)) / _TWO_PI_I,
+        "first G-derivative offset",
+    )
+    theta2 = _collapse(
+        -(log_barnes_g_d2(a + beta) + log_barnes_g_d2(a - beta)) / (4.0 * math.pi**2),
+        "second G-derivative offset",
+    )
+    return theta1, theta2
+
+
+def complex_moment_asymptotics(params, t, r1, r2):
+    """The large-t counting statistics with the complex theta pair and
+    beta drift."""
+    a, beta = params.alpha, params.beta
+    theta1, theta2 = complex_theta_pair(params)
+    mu = t * r1 / math.pi - 0.5 * a
+    delta = math.log(2.0 * t * r1)
+    beta_drift = _collapse(beta / (1j * math.pi), "jump drift coefficient") * delta
+    d2_at_one = log_barnes_g_d2(0.0).real
+    var = (delta - 0.5 * d2_at_one) / math.pi**2 + theta2
+    x, y = t * r1, t * r2
+    sigma_same = math.log(2.0 * x * y / (y - x)) / (2.0 * math.pi**2)
+    sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
+    return MomentAsymptotics(
+        mean_right=mu + beta_drift + theta1,
+        mean_left=mu - beta_drift - theta1,
+        var=var,
+        cov_same=sigma_same + theta2,
+        cov_opposite=-sigma_opposite - theta2,
+    )

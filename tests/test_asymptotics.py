@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chfdet import asymptotics
 from chfdet.asymptotics import (
     b_from_gamma,
     c_from_gamma,
@@ -19,7 +20,12 @@ from chfdet.kernel import Configuration, KernelParams
 from chfdet.specialfn import log_barnes_g, log_barnes_g_d2
 
 import _oracle_values as ov
-from _references import symmetric_counting_asymptotics
+from _references import (
+    complex_large_gap_lnF,
+    complex_moment_asymptotics,
+    complex_small_t_lnF,
+    symmetric_counting_asymptotics,
+)
 
 
 def _cfg(r, gamma, t):
@@ -285,3 +291,62 @@ class TestMoments:
             moment_asymptotics(params, 0.0, 1.0, 2.0)
         with pytest.raises(DomainError):
             symmetric_counting_asymptotics(params, 0.0)
+
+
+def _random_case(rng):
+    """A seeded expansion case: alpha in [-0.45, 1.5], |beta_im| <= 0.7,
+    1-4 intervals of unequal lengths with the origin at any endpoint,
+    weights in [0, 0.999] and t in [0.5, 100]."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, n + 1))
+    r = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, size=n))])
+    r = tuple(0.0 if k == m else float(v) for k, v in enumerate(r - r[m]))
+    gamma = tuple(float(g) for g in rng.uniform(0.0, 0.999, size=n))
+    t = float(np.exp(rng.uniform(math.log(0.5), math.log(100.0))))
+    params = KernelParams(
+        alpha=float(rng.uniform(-0.45, 1.5)), beta_im=float(rng.uniform(-0.7, 0.7))
+    )
+    return params, _cfg(r, gamma, t)
+
+
+class TestRealForms:
+    """The real-arithmetic expansions against their complex forms as
+    published, which evaluate both members of every conjugate pair."""
+
+    def test_match_complex_forms(self):
+        rng = np.random.default_rng(20240613)
+
+        def close(value, reference):
+            return abs(value - reference) <= 1e-15 * max(1.0, abs(reference))
+
+        for _ in range(500):
+            params, cfg = _random_case(rng)
+            rep, ref = large_gap_lnF(params, cfg), complex_large_gap_lnF(params, cfg)
+            assert [name for name, _ in rep.breakdown] == [name for name, _ in ref.breakdown]
+            for (name, value), (_, expected) in zip(rep.breakdown, ref.breakdown):
+                assert close(value, expected), (name, params, cfg)
+            assert close(rep.log_term, ref.log_term)
+            assert close(rep.constant_term, ref.constant_term)
+            t_small = cfg.t * 1e-3
+            assert close(small_t_lnF(params, cfg, t_small), complex_small_t_lnF(params, cfg, t_small))
+            assert close(small_t_lnF(params, cfg, cfg.t), complex_small_t_lnF(params, cfg, cfg.t))
+            r1 = float(rng.uniform(0.1, 2.0))
+            r2 = r1 + float(rng.uniform(0.01, 2.0))
+            mom = moment_asymptotics(params, cfg.t, r1, r2)
+            mom_ref = complex_moment_asymptotics(params, cfg.t, r1, r2)
+            for name in ("mean_right", "mean_left", "var", "cov_same", "cov_opposite"):
+                assert close(getattr(mom, name), getattr(mom_ref, name)), name
+
+    def test_one_barnes_g_per_conjugate_pair(self, monkeypatch):
+        # two at the origin block and one per active endpoint
+        calls = []
+        exact = asymptotics.log_barnes_g
+
+        def counting(z):
+            calls.append(z)
+            return exact(z)
+
+        monkeypatch.setattr(asymptotics, "log_barnes_g", counting)
+        params = KernelParams(alpha=0.25, beta_im=0.3)
+        large_gap_lnF(params, _cfg((-1.0, 0.0, 1.0, 2.0), (0.3, 0.9, 0.5), 16.0))
+        assert len(calls) == 2 + 3

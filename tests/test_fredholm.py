@@ -16,7 +16,7 @@ SINE = KernelParams(0.0, 0.0)
 
 
 def single_interval(gamma, t):
-    return Configuration(r=(0.0, 1.0), gamma=(gamma,), t=t, m=0)
+    return Configuration(r=(0.0, 1.0), gamma=(gamma,), t=t)
 
 
 class TestBuildGrid:
@@ -71,7 +71,7 @@ class TestBuildGrid:
             assert not np.any(g.nodes == 0.0)
 
     def test_panels_scale_with_t(self):
-        c = Configuration(r=(0.0, 1.0), gamma=(0.5,), t=3.0, m=0)
+        c = Configuration(r=(0.0, 1.0), gamma=(0.5,), t=3.0)
         g = build_grid(c, 0.0, order_per_panel=8)
         assert g.panels[0][0] == 0.0
         assert g.panels[-1][1] == 3.0
@@ -142,18 +142,18 @@ class TestLogDet:
 
     def test_gap_probability_reduction(self):
         p = KernelParams(0.5, 0.4)
-        split = Configuration(r=(0.0, 1.0, 2.0), gamma=(0.4, 0.4), t=1.5, m=0)
-        merged = Configuration(r=(0.0, 2.0), gamma=(0.4,), t=1.5, m=0)
+        split = Configuration(r=(0.0, 1.0, 2.0), gamma=(0.4, 0.4), t=1.5)
+        merged = Configuration(r=(0.0, 2.0), gamma=(0.4,), t=1.5)
         assert abs(log_det(p, split) - log_det(p, merged)) < 1e-10
 
     def test_translation_invariance_of_sine(self):
         centered = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.45, 0.45), t=2.0)
-        shifted = Configuration(r=(0.0, 2.0), gamma=(0.45,), t=2.0, m=0)
+        shifted = Configuration(r=(0.0, 2.0), gamma=(0.45,), t=2.0)
         assert abs(log_det(SINE, centered) - log_det(SINE, shifted)) < 1e-10
 
     def test_translation_invariance_of_sine_at_large_t(self):
         centered = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.45, 0.45), t=100.0)
-        shifted = Configuration(r=(0.0, 2.0), gamma=(0.45,), t=100.0, m=0)
+        shifted = Configuration(r=(0.0, 2.0), gamma=(0.45,), t=100.0)
         assert abs(log_det(SINE, centered) - log_det(SINE, shifted)) < 1e-10
 
 

@@ -49,11 +49,6 @@ class TestConfiguration:
         assert c.active_indices == (0, 2)
         assert c.scaled_endpoints() == (-2.0, 0.0, 2.0)
 
-    def test_explicit_m_checked(self):
-        Configuration(r=(0.0, 1.0), gamma=(0.5,), t=1.0, m=0)
-        with pytest.raises(DomainError):
-            Configuration(r=(0.0, 1.0), gamma=(0.5,), t=1.0, m=1)
-
     def test_requires_zero_endpoint(self):
         with pytest.raises(DomainError):
             Configuration(r=(0.5, 1.0), gamma=(0.3,), t=1.0)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from chfdet import asymptotics, painleve
+from chfdet import asymptotics, kernel, painleve
 from chfdet.errors import DomainError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
@@ -196,11 +196,22 @@ class TestInitialization:
         with pytest.raises(DomainError):
             cpv_init(SINE, cfg)
 
+    def test_lnF_seed_is_the_small_t_expansion(self):
+        cfg = Configuration(t=5.0, r=(-1.0, 0.0, 1.0, 2.0), gamma=(0.3, 0.9, 0.5))
+        for alpha in (-0.45, -0.2, 0.0):
+            params = KernelParams(alpha=alpha, beta_im=-0.7)
+            state = cpv_init(params, cfg)
+            expected = asymptotics.small_t_lnF(params, cfg, state.t)
+            assert expected != 0.0
+            assert state.lnF.real == pytest.approx(expected, rel=1e-14)
+            assert state.lnF.imag == 0.0
+
     def test_two_log_gamma_calls(self, monkeypatch):
-        # the gamma triple (1+a-b, 1+a+b, 1+2a) is one batch, once in cpv_init
-        # and once in small_t_lnF
+        # one batch per site: the gamma triple (1+a-b, 1+a+b, 1+2a) of log y
+        # and log d in cpv_init, and the pair (1+a+b, 1+2a) of the kernel's
+        # gamma prefactor G
         calls = []
-        for module in (painleve, asymptotics):
+        for module in (painleve, asymptotics, kernel):
             exact = module.log_gamma
 
             def counting(z, exact=exact):
@@ -209,7 +220,7 @@ class TestInitialization:
 
             monkeypatch.setattr(module, "log_gamma", counting)
         cpv_init(TWO_INT, TWO_INT_CFG)
-        assert calls == [3, 3]
+        assert calls == [3, 2]
 
 
 class TestIntegration:
