@@ -22,13 +22,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .asymptotics import large_gap_lnF, moment_asymptotics, small_t_lnF
+from .asymptotics import large_gap_lnF, moment_asymptotics
 from .errors import DomainError, NonConvergenceError, RegimeError
 from .fredholm import PANEL_ORDER, build_grid, log_det
 from .kernel import Configuration, KernelParams
-from .painleve import S0, CPVState, cpv_init, cpv_integrate, hamiltonian
+from .painleve import CPVState, cpv_init, cpv_integrate, hamiltonian
 from .quadrules import _MAX_ORDER
 from .stats import counting_statistics
 from .stats import (  # noqa: F401  (perfbench/tracing.py wraps these cli names)
@@ -40,26 +40,31 @@ from .stats import (  # noqa: F401  (perfbench/tracing.py wraps these cli names)
 SCHEMA_VERSION = 1
 
 COMMANDS = ("det", "asymp", "painleve", "verify", "moments", "sweep")
-_INNER_COMMANDS = ("det", "asymp")
 _FORMATS = ("json", "csv")
 _DEFAULT_TOL = 1e-9
 
-# Keys accepted in a config file; identical to the long flags with
-# underscores in place of dashes. "config" itself is deliberately absent:
-# files cannot chain-load other files.
-_FILE_KEYS = (
-    "alpha",
-    "beta_im",
-    "r",
-    "gamma",
-    "t",
-    "t_range",
-    "order",
-    "tol",
-    "inner",
-    "out",
-    "format",
-)
+# The input keys and their help texts. Each key is a long flag, with dashes
+# in place of underscores, and a config-file key. "config" itself is
+# deliberately absent: files cannot chain-load other files.
+_KEYS = {
+    "alpha": "endpoint exponent, a real number > -1/2 (default 0)",
+    "beta_im": "s in the jump exponent beta = i s (default 0)",
+    "r": "endpoints as index=value pairs, e.g. 0=-1,1=0,2=1",
+    "gamma": "interval weights as index=value pairs, e.g. 0=0.3,1=0.6",
+    "t": "scale applied to the endpoints",
+    "t_range": "scale grid as start:stop:count",
+    "order": f"quadrature order per panel (default {PANEL_ORDER})",
+    "tol": "flow integration tolerance (default 1e-09)",
+    "inner": "command run at each sweep point: det or asymp",
+    "out": "output path (default stdout)",
+    "format": "json or csv (default json)",
+}
+
+# The table columns of the commands ``sweep`` can run at each point.
+_INNER_COLUMNS = {
+    "det": ("t", "lnf"),
+    "asymp": ("t", "total", "linear_term", "log_term", "constant_term"),
+}
 
 _NEEDS_T = ("det", "asymp", "painleve", "moments")
 _NEEDS_T_RANGE = ("verify", "sweep")
@@ -167,7 +172,7 @@ def read_config_file(path: str) -> dict:
         if not sep:
             raise ConfigError(f"config file line {lineno}: expected key=value, got {line!r}")
         key = key.strip()
-        if key not in _FILE_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"config file line {lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"config file line {lineno}: duplicate key '{key}'")
@@ -187,19 +192,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config", metavar="FILE", help="flat key=value file supplying defaults for the flags"
     )
-    parser.add_argument("--alpha", help="endpoint exponent, a real number > -1/2 (default 0)")
-    parser.add_argument(
-        "--beta-im", dest="beta_im", help="s in the jump exponent beta = i s (default 0)"
-    )
-    parser.add_argument("--r", help="endpoints as index=value pairs, e.g. 0=-1,1=0,2=1")
-    parser.add_argument("--gamma", help="interval weights as index=value pairs, e.g. 0=0.3,1=0.6")
-    parser.add_argument("--t", help="scale applied to the endpoints")
-    parser.add_argument("--t-range", dest="t_range", help="scale grid as start:stop:count")
-    parser.add_argument("--order", help=f"quadrature order per panel (default {PANEL_ORDER})")
-    parser.add_argument("--tol", help="flow integration tolerance (default 1e-09)")
-    parser.add_argument("--inner", help="command run at each sweep point: det or asymp")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", dest="format", help="json or csv (default json)")
+    for key, text in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), help=text)
     return parser
 
 
@@ -234,7 +228,7 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
         gamma = (0.0,) * (len(endpoints) - 1)
     else:
         raise ConfigError(f"command '{command}' requires key 'gamma'")
-    inner = _as_choice("inner", raw["inner"], _INNER_COMMANDS) if "inner" in raw else "det"
+    inner = _as_choice("inner", raw["inner"], tuple(_INNER_COLUMNS)) if "inner" in raw else "det"
     _validate_gamma(command, inner, gamma)
 
     t_range = _as_t_range("t_range", raw["t_range"]) if "t_range" in raw else None
@@ -293,7 +287,7 @@ def parse_config(argv) -> RunConfig:
     """
     namespace = _build_argparser().parse_args(list(argv))
     merged = read_config_file(namespace.config) if namespace.config else {}
-    for key in _FILE_KEYS:
+    for key in _KEYS:
         value = getattr(namespace, key)
         if value is not None:
             merged[key] = value
@@ -354,47 +348,31 @@ def _quadrature_lnf(rc: RunConfig, config: Configuration):
 
 def _run_det(rc: RunConfig):
     lnf, grid = _quadrature_lnf(rc, rc.config)
-    columns = ["t", "lnf"]
-    rows = [[rc.config.t, lnf]]
-    results = {"t": rc.config.t, "lnf": lnf}
+    columns = _INNER_COLUMNS["det"]
+    row = [rc.config.t, lnf]
     diagnostics = {
         "nodes": int(len(grid.nodes)),
         "panels": len(grid.panels),
         "order_per_panel": _panel_order(rc),
     }
-    return results, columns, rows, diagnostics
+    return dict(zip(columns, row)), columns, [row], diagnostics
 
 
 def _run_asymp(rc: RunConfig):
     report = large_gap_lnF(rc.params, rc.config)
-    columns = ["t", "total", "linear_term", "log_term", "constant_term"]
-    rows = [[rc.config.t, report.total, report.linear_term, report.log_term, report.constant_term]]
-    results = {
-        "t": rc.config.t,
-        "total": report.total,
-        "linear_term": report.linear_term,
-        "log_term": report.log_term,
-        "constant_term": report.constant_term,
-        "breakdown": {name: value for name, value in report.breakdown},
-    }
+    columns = _INNER_COLUMNS["asymp"]
+    row = [rc.config.t, report.total, report.linear_term, report.log_term, report.constant_term]
+    results = dict(zip(columns, row), breakdown=dict(report.breakdown))
     diagnostics = {"warnings": list(report.warnings)}
-    return results, columns, rows, diagnostics
+    return results, columns, [row], diagnostics
 
 
 def _flow_to(rc: RunConfig, state: CPVState, t: float) -> list:
-    """The flow's trajectory from ``state`` to t. A t at or below the seed
-    time e^S0 needs no flow: there U and V still sit at their seed values to
-    rounding, log y and log d drift by 2 beta and 2 alpha per unit of ln t,
-    and lnF is the small-t closed form."""
-    if t > math.exp(S0):
+    """The flow's trajectory from ``state`` to t; just ``state`` when it
+    already sits at t."""
+    if t > state.t:
         return cpv_integrate(state, rc.params, rc.config, t, tol=rc.tol)
-    a, b = rc.params.alpha, rc.params.beta
-    ds = math.log(t) - math.log(state.t)
-    y = state.y.copy()
-    y[-3] += 2.0 * b * ds
-    y[-2] += 2.0 * a * ds
-    y[-1] = small_t_lnF(rc.params, rc.config, t)
-    return [CPVState(t=t, indices=state.indices, y=y, alpha=a)]
+    return [state]
 
 
 def _run_painleve(rc: RunConfig):
@@ -419,31 +397,23 @@ def _run_painleve(rc: RunConfig):
 def _run_verify(rc: RunConfig):
     points = _linspace(rc.t_range)
     columns = [
-        "t",
-        "lnf_nystrom",
-        "lnf_flow",
-        "lnf_asymptotic",
-        "flow_residual",
-        "asymptotic_residual",
+        "t", "lnf_nystrom", "lnf_flow", "lnf_asymptotic", "flow_residual", "asymptotic_residual"
     ]
     rows = []
-    state = cpv_init(rc.params, rc.config) if points else None
+    state = None
     for point in points:
         config_t = rc.config.replace_t(point)
+        seed = cpv_init(rc.params, config_t)
+        # a point below the seed time e^S0 is its own seed; past it the flow
+        # runs on from the previous point
+        if state is None or seed.t == point:
+            state = seed
         state = _flow_to(rc, state, point)[-1]
         lnf_flow = state.lnF.real
         lnf_nystrom, _ = _quadrature_lnf(rc, config_t)
         lnf_asymptotic = large_gap_lnF(rc.params, config_t).total
-        rows.append(
-            [
-                point,
-                lnf_nystrom,
-                lnf_flow,
-                lnf_asymptotic,
-                abs(lnf_flow - lnf_nystrom),
-                abs(lnf_asymptotic - lnf_nystrom),
-            ]
-        )
+        residuals = [abs(lnf_flow - lnf_nystrom), abs(lnf_asymptotic - lnf_nystrom)]
+        rows.append([point, lnf_nystrom, lnf_flow, lnf_asymptotic, *residuals])
     results = {"columns": columns, "rows": rows}
     diagnostics = {
         "points": len(points),
@@ -478,17 +448,13 @@ def _run_moments(rc: RunConfig):
 
 def _run_sweep(rc: RunConfig):
     points = _linspace(rc.t_range)
-    if rc.inner == "det":
-        columns = ["t", "lnf"]
-        rows = [[point, _quadrature_lnf(rc, rc.config.replace_t(point))[0]] for point in points]
-    else:
-        columns = ["t", "total", "linear_term", "log_term", "constant_term"]
-        rows = []
-        for point in points:
-            report = large_gap_lnF(rc.params, rc.config.replace_t(point))
-            rows.append(
-                [point, report.total, report.linear_term, report.log_term, report.constant_term]
-            )
+    inner = _COMMAND_IMPLS[rc.inner]
+    columns = _INNER_COLUMNS[rc.inner]
+    rows = [
+        row
+        for point in points
+        for row in inner(replace(rc, config=rc.config.replace_t(point)))[2]
+    ]
     results = {"columns": columns, "rows": rows}
     diagnostics = {"points": len(points), "inner": rc.inner}
     return results, columns, rows, diagnostics

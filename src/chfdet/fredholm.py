@@ -36,7 +36,10 @@ __all__ = [
 # is off by 2e-8 at width 32; PANEL_WIDTH keeps a factor 2 from that edge.
 # With these, log_det agrees with 40 nodes per panel to 2e-12 or better
 # (1e-14 relative) for alpha in [-0.45, 1.5], |beta_im| up to 0.7, 1-3
-# intervals and t up to 100.
+# intervals and t up to 100, all with weights below 1. At a hard gap
+# (weight 1) rounding in I - B is amplified by its inverse: on the sine gap
+# log_det is off from Dyson's expansion by 1.7e-3 at t = 16 and raises at
+# t = 20 (sign -1), and nothing gates this yet (ROADMAP.md, item 1).
 PANEL_ORDER = 24
 PANEL_WIDTH = 12.0
 
@@ -117,9 +120,10 @@ def log_det(params: KernelParams, config: Configuration, grid: QuadratureGrid = 
 
     Without ``grid``, the matrix is built on ``build_grid(config,
     params.alpha)``, which agrees with a finer panel order to about 1e-12
-    for alpha in [-0.45, 1.5] and t up to 100. With weights in [0, 1] the
-    determinant is a gap probability of a thinned process and so positive;
-    a determinant that is not positive and finite raises
+    for weights below 1, alpha in [-0.45, 1.5] and t up to 100 (near a
+    hard gap it can be far off; see PANEL_WIDTH). With weights in [0, 1]
+    the determinant is a gap probability of a thinned process and so
+    positive; a determinant that is not positive and finite raises
     NonConvergenceError.
     """
     if config.t == 0.0 or all(g == 0.0 for g in config.gamma):

@@ -6,15 +6,15 @@ Hamiltonian, which equals ln det(I - K_sigma) at the current time; all of
 it is one packed complex vector, which the integrator steps directly. The
 flow runs in s = ln t on U_k = u_k t^{-2 alpha} and V_k = (v_k - 1)/t,
 which tend to constants as t -> 0 for every alpha, so every flow starts at
-t = e^S0 (seeding error O(t^{1 + 2 alpha}), 4e-18 at alpha = -0.45). At
-tol 1e-9 it then meets ``log_det`` to 1e-9 at t = 5 and 8.3e-8 at t = 60
-for alpha in [-0.45, 1.5] over 1-3 intervals. The module provides the
-vector field, the Hamiltonian, small-t initialization, the DOP853
-Dormand-Prince 8(5) integrator with PI step control, and identity monitors
-that differentiate samples of the trajectory taken on a fixed grid at
-t >= 0.1/max|r_k|. One flow, or one identity check, owns one (13, n)
-stage buffer that each of its steps refills; every accepted state keeps
-its own read-only y.
+t = e^S0 (seeding error O(t^{1 + 2 alpha}), 4e-18 at alpha = -0.45), and
+below that time the seed itself is the state. At tol 1e-9 the flow then
+meets ``log_det`` to 1e-9 at t = 5 and 8.3e-8 at t = 60 for alpha in
+[-0.45, 1.5] over 1-3 intervals. The module provides the vector field,
+the Hamiltonian, small-t initialization, the DOP853 Dormand-Prince 8(5)
+integrator with PI step control, and identity monitors that differentiate
+samples of the trajectory taken on a fixed grid at t >= 0.1/max|r_k|. One
+flow, or one identity check, owns one (13, n) stage buffer that each of
+its steps refills; every accepted state keeps its own read-only y.
 
 ``log_d`` stores the alpha-regularized logarithm ln(d / (2 alpha)): the
 scalar d carries an overall factor 2 alpha and vanishes identically at
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import c_from_gamma
+from .asymptotics import c_from_gamma, small_t_lnF
 from .errors import DomainError, NonConvergenceError
 from .kernel import Configuration, KernelParams, _gamma_prefactor
 from .specialfn import log_gamma
@@ -170,12 +170,15 @@ def hamiltonian(state: CPVState, params: KernelParams, config: Configuration) ->
 
 
 def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
-    """Small-t state at t = e^S0, for every alpha: U_k from the connection
+    """Small-t state at t0 = min(config.t, e^S0), for every alpha (a
+    configuration at t = 0 seeds at e^S0): U_k from the connection
     coefficients and the kernel's gamma prefactor, V_k = 2 i r_k / (1 + 2 alpha)
     (the fixed point of the leading V equation), log y and log d from their
     small-t closed forms, and lnF seeded with the integrated leading
-    Hamiltonian term, 2 i t^(1 + 2 alpha) sum_k r_k U_k / (1 + 2 alpha)^2
-    (the value of ``small_t_lnF`` there)."""
+    Hamiltonian term, 2 i t0^(1 + 2 alpha) sum_k r_k U_k / (1 + 2 alpha)^2
+    (the value of ``small_t_lnF`` there). Below e^S0 the seed is the answer:
+    U and V still sit at their t -> 0 limits to rounding, and lnF is
+    ``small_t_lnF`` itself."""
     a, b = params.alpha, params.beta
     cs = c_from_gamma(config, params)  # raises for any weight at 1
     lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - b, 1.0 + a + b, 1.0 + 2.0 * a]).tolist()
@@ -187,13 +190,16 @@ def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
         r_k = config.r[k]
         u.append(math.copysign(1.0, r_k) * cs[k] * g * (2.0 * abs(r_k)) ** (2.0 * a))
         v.append(2.0j * r_k / (1.0 + 2.0 * a))
-    log_2t0 = math.log(2.0) + S0
+    if 0.0 < config.t < math.exp(S0):
+        t0, log_2t0 = config.t, math.log(2.0 * config.t)
+        lnf = small_t_lnF(params, config, t0)
+    else:
+        t0, log_2t0 = math.exp(S0), math.log(2.0) + S0
+        twoa1 = 1.0 + 2.0 * a
+        ru = sum(config.r[k] * u_k for k, u_k in zip(indices, u))
+        lnf = 2.0j * t0**twoa1 / (twoa1 * twoa1) * ru
     log_y = lg_minus - lg_plus - b * math.pi * 1j + 2.0 * b * log_2t0
     log_d = lg_minus + lg_plus - 2.0 * lg_2a - a * math.pi * 1j + 2.0 * a * log_2t0
-    t0 = math.exp(S0)
-    twoa1 = 1.0 + 2.0 * a
-    ru = sum(config.r[k] * u_k for k, u_k in zip(indices, u))
-    lnf = 2.0j * t0**twoa1 / (twoa1 * twoa1) * ru
     return CPVState(t=t0, indices=indices, y=u + v + [log_y, log_d, lnf], alpha=a)
 
 

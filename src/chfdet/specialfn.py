@@ -9,7 +9,7 @@ phi). The tests check each function against mpmath.
 
 The evaluation strategies follow the classical playbook: one vectorised
 argument shift into the Stirling zone for the gamma family; for phi, Taylor
-steps of Kummer's equation along the ray from 0 to z up to |z| = 30, each
+steps of Kummer's equation along the ray from 0 to z up to |z| = 34, each
 carrying phi and phi' together, and the asymptotic expansion beyond, its
 optimal truncation taken over all 64 terms at once; and a gamma-integral
 representation for Barnes G. The Taylor steps stay in plain double: the
@@ -69,8 +69,10 @@ _POLE_TOL = 1e-14
 _STIRLING_RADIUS = 10.0
 _GAMMA_OFFSETS = np.arange(_STIRLING_RADIUS)
 
-# crossover radius of the Kummer Taylor/asymptotic switch
-_PHI_TAYLOR_RADIUS = 30.0
+# crossover radius of the Kummer Taylor/asymptotic switch: the asymptotic
+# expansion's optimal truncation leaves about 0.6 e^{-|z|}, under 1e-14 of
+# phi from |z| = 34 on
+_PHI_TAYLOR_RADIUS = 34.0
 
 # Kummer Taylor branch. The series is used out to radius 1, where its terms
 # fall like 1/k! from the start.
@@ -106,7 +108,7 @@ def _phi_radii():
         radii.append(nxt)
 
 
-# the march's radii below the switch (1, 1.5, 2.25, ..., 29.0625)
+# the march's radii below the switch (1, 1.5, 2.25, ..., 33.0625)
 _PHI_RADII = np.array(_phi_radii())
 # terms of each asymptotic sum before the optimal truncation must stop
 _ASYMPTOTIC_TERMS = 64
@@ -495,24 +497,23 @@ def kummer_phi(a, b, z):
     """Confluent hypergeometric function phi(a, b, z) (the regular solution
     with phi(a, b, 0) = 1, series sum_k (a)_k z^k / ((b)_k k!)).
 
-    a, b are complex scalars, z a complex scalar or array. For |z| <= 30
+    a, b are complex scalars, z a complex scalar or array. For |z| <= 34
     the value comes from Taylor steps of Kummer's equation along the ray
     from 0 to z, in plain double: each distinct direction z/|z| in the
-    batch is marched through 17 fixed radii, and every point then takes
+    batch is marched through 19 fixed radii, and every point then takes
     one last step. All steps of a call run as the lanes of one vectorised
     pass, which gives each step's 2x2 matrix, so a ray's march is a few
     complex-scalar multiplies per radius: the 72 kernel nodes of a typical
-    call (z = 2ix, two rays) take about 0.8 ms, and 2000 random directions
-    in |z| <= 30 about 0.07 s. The local series converge in their fixed
+    call (z = 2ix, two rays) take about 0.5 ms, and 2000 random directions
+    in |z| <= 34 about 0.05 s. The local series converge in their fixed
     term count for |a|, |b| up to about 5 (the tests draw |Re a|, |Im a|
-    <= 5 and Re b in [0.3, 5], |Im b| <= 1). Beyond |z| = 30 the value
-    comes from the asymptotic expansion. For the kernel's parameters
+    <= 5 and Re b in [0.3, 5], |Im b| <= 1). Beyond |z| = 34 the value
+    comes from the asymptotic expansion, whose optimal truncation leaves
+    about 0.6 e^{-|z|}. For the kernel's parameters
     (a = 1 + alpha + i beta_im, b = 1 + 2 alpha with alpha in
     [-0.45, 1.5], |beta_im| <= 0.7, and z = 2ix) phi and phi' measured
-    within 5e-15 relative of 50-digit mpmath values for |z| <= 30 and
-    within 8e-15 for 34 <= |z| <= 300. Just above the switch the
-    expansion's optimal truncation leaves about 0.6 e^{-|z|}: up to
-    6e-14 at |z| = 30, falling below 1e-14 by |z| = 34. Raises
+    within 6.2e-15 relative of 40-digit mpmath values for |z| <= 34 and
+    within 1.01e-14 for 34 < |z| <= 600. Raises
     DomainError when b sits at a non-positive integer pole,
     NonConvergenceError / RegimeError when a branch cannot meet its
     accuracy contract (outside ~|z| <= 50 this may happen for extreme
@@ -524,7 +525,7 @@ def kummer_phi(a, b, z):
 
 def kummer_phi_prime(a, b, z):
     """d/dz phi(a, b, z), from the same evaluation as kummer_phi: the ODE
-    steps carry phi' along with phi for |z| <= 30, and beyond that it is
+    steps carry phi' along with phi for |z| <= 34, and beyond that it is
     the asymptotic expansion of (a/b) phi(a+1, b+1, z)."""
     return _kummer_pair(a, b, z)[1]
 

@@ -10,7 +10,7 @@ by methods the package does not use.
   variables u, v, H, y and d.
 - ``symmetric_counting_asymptotics``: the large-t mean and variance of the
   symmetric count N(t) + N(-t).
-- ``kummer_taylor_march``: phi and phi' for |z| <= 30 by stepping Kummer's
+- ``kummer_taylor_march``: phi and phi' for |z| <= 34 by stepping Kummer's
   equation point by point in complex scalars, each step's series summed
   from its own start, against which the package's one-pass matrices are
   checked.
@@ -340,7 +340,7 @@ def symmetric_counting_asymptotics(params, t):
 
 
 def kummer_taylor_march(a, b, z):
-    """(phi(a, b, z), phi'(a, b, z)) for 0 < |z| <= 30, one point at a time
+    """(phi(a, b, z), phi'(a, b, z)) for 0 < |z| <= 34, one point at a time
     in Python complex arithmetic: the Kummer series to radius 1, then Taylor
     steps of z w'' + (b - z) w' - a w = 0 along the ray through the radii
     R_{j+1} = R_j + min(R_j/2, 2), and a last step to z. Each step sums

@@ -22,10 +22,11 @@ mp.mp.dps = 50
 BARNES_PATH_STEPS = 24
 
 # |x| of the points z = +-2ix of KUMMER_RAYS: the seed radius |z| = 1, the
-# march's radii 2.25 and 29.0625 and points between, both sides of the
-# switch at |z| = 30, and the asymptotic branch
+# march's radii 2.25 and 29.0625 and points between, |z| = 30 just above
+# the old switch, both sides of the switch at |z| = 34, and the asymptotic
+# branch
 KUMMER_RAY_X = (0.3, 0.5, 0.8, 1.125, 2.9, 6.1, 9.7, 13.3, 14.53125, 14.9, 15.0, 15.1,
-                21.0, 40.0, 75.0, 150.0)
+                16.9, 17.1, 21.0, 40.0, 75.0, 150.0)
 
 
 def c(z) -> str:
@@ -107,7 +108,7 @@ def main() -> None:
         (mp.mpc(0.5, 0.0), mp.mpc(1.0), mp.mpc(2.0, 35.0)),
         # kernel parameters a = 1+alpha+i beta_im, b = 1+2 alpha at the
         # edges alpha = -0.45, 1.5: the seed radius of the Taylor branch
-        # (|z| = 1) and its last steps before the switch at |z| = 30
+        # (|z| = 1) and its steps at |z| = 30
         (mp.mpc(0.55, 0.7), mp.mpc(0.1), mp.mpc(0, 1.0)),
         (mp.mpc(0.55, 0.7), mp.mpc(0.1), mp.mpc(0, 29.9)),
         (mp.mpc(0.55, -0.7), mp.mpc(0.1), mp.mpc(0, -30.0)),
@@ -139,7 +140,7 @@ def main() -> None:
     # --- Kummer phi and phi' on the kernel rays, both branches ---
     # a = 1+alpha+i beta_im, b = 1+2 alpha formed in double as the kernel
     # forms them, z = +-2ix from the series (|z| <= 1) through the Taylor
-    # steps and the switch at |z| = 30 out to |z| = 300; phi' is
+    # steps and the switch at |z| = 34 out to |z| = 300; phi' is
     # (a/b) phi(a+1, b+1, z)
     lines.append("KUMMER_RAYS = [")
     for alpha in (-0.45, 0.0, 1.5):
@@ -159,7 +160,7 @@ def main() -> None:
     # K(x, y) = (P(x) Q(y) - Q(x) P(y)) / (2 (x - y)) with
     # P(z) = sign(z) sqrt|z| J_{a+1/2}(|z|), Q(z) = sqrt|z| J_{a-1/2}(|z|),
     # at the alpha edges, all sign combinations and |x| up to 100, so both
-    # Kummer branches (switch at |2x| = 30) are covered
+    # Kummer branches (switch at |2x| = 34) are covered
     bessel_kernel_cases = [
         (-0.45, 0.3, 2.0),
         (-0.45, -26.0, 7.5),

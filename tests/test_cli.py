@@ -225,6 +225,21 @@ class TestOutputs:
         rerun = json.loads(capsys.readouterr().out)
         assert rerun == document
 
+    @pytest.mark.parametrize(
+        "inner,gamma", [("det", "0=0.3,1=1,2=0.5"), ("asymp", "0=0.3,1=0.9,2=0.5")]
+    )
+    def test_sweep_rows_are_the_inner_command_rows(self, inner, gamma, capsys):
+        args = ["--alpha", "0.5", "--beta-im", "-0.2", "--r", "0=-1,1=0,2=1,3=2"]
+        args += ["--gamma", gamma, "--format", "csv"]
+        assert main(["sweep", "--inner", inner, *args, "--t-range", "1:30:4"]) == 0
+        sweep = capsys.readouterr().out.splitlines()
+        expected = []
+        for point in (1.0, 1.0 + 29.0 / 3.0, 1.0 + 29.0 * 2.0 / 3.0, 30.0):
+            assert main([inner, *args, "--t", repr(point)]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            expected.append(row)
+        assert sweep == [header] + expected
+
     def test_verify_reports_small_flow_residuals_for_plain_kernel(self, tmp_path):
         out = tmp_path / "verify.csv"
         code = main(
@@ -270,6 +285,10 @@ class TestOutputs:
         _, rows = _read_csv(out)
         assert float(rows[0][2]) == pytest.approx(lnf, rel=1e-14)
         assert max(float(row[4]) for row in rows) < 1e-9
+
+    def test_painleve_seeds_at_t_below_the_seed_time(self, capsys):
+        assert main(["painleve", *SINE_ARGS, "--t", "1e-200"]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["t0"] == 1e-200
 
     def test_painleve_table_has_flow_columns_and_consistent_endpoint(self, capsys):
         code = main(["painleve", *SINE_ARGS, "--t", "2"])

@@ -206,6 +206,24 @@ class TestInitialization:
             assert state.lnF.real == pytest.approx(expected, rel=1e-14)
             assert state.lnF.imag == 0.0
 
+    def test_seeds_at_t_below_the_seed_time(self):
+        cfg = Configuration(t=1e-200, r=(-1.0, 0.0, 1.0, 2.0), gamma=(0.3, 0.9, 0.5))
+        for alpha in (-0.45, 0.0, 0.25):
+            params = KernelParams(alpha=alpha, beta_im=-0.7)
+            state = cpv_init(params, cfg)
+            seed = cpv_init(params, cfg.replace_t(1.0))
+            assert state.t == 1e-200
+            assert seed.t == math.exp(S0)
+            assert np.array_equal(state.y[:-3], seed.y[:-3])
+            expected = asymptotics.small_t_lnF(params, cfg, 1e-200)
+            assert expected != 0.0
+            assert abs(state.lnF - expected) <= 1e-14 * abs(expected)
+
+    def test_zero_t_seeds_at_the_seed_time(self):
+        state = cpv_init(TWO_INT, TWO_INT_CFG.replace_t(0.0))
+        assert state.t == math.exp(S0)
+        assert np.array_equal(state.y, cpv_init(TWO_INT, TWO_INT_CFG).y)
+
     def test_two_log_gamma_calls(self, monkeypatch):
         # one batch per site: the gamma triple (1+a-b, 1+a+b, 1+2a) of log y
         # and log d in cpv_init, and the pair (1+a+b, 1+2a) of the kernel's

@@ -216,21 +216,18 @@ class TestKummer:
 
     @pytest.mark.parametrize("a,b", sorted({(a, b) for a, b, *_ in ov.KUMMER_RAYS}, key=repr))
     def test_oracle_on_kernel_rays(self, a, b):
-        # phi and phi' at kernel parameters on z = +-2ix, |z| <= 300; just
-        # above the switch at |z| = 30 the asymptotic expansion's optimal
-        # truncation leaves about 0.6 e^{-|z|}
+        # phi and phi' at kernel parameters on z = +-2ix, |z| <= 300, on
+        # both sides of the switch at |z| = 34
         rows = [row[2:] for row in ov.KUMMER_RAYS if row[:2] == (a, b)]
         z = np.array([row[0] for row in rows])
         phi, dphi = sf._kummer_pair(a, b, z)
         for got, col in ((phi, 1), (dphi, 2)):
             want = np.array([complex(row[col]) for row in rows])
             err = np.abs(got - want) / np.abs(want)
-            near_switch = (np.abs(z) > 30.0) & (np.abs(z) < 34.0)
-            assert np.max(err[~near_switch]) < 1e-14
-            assert np.max(err[near_switch]) < 6e-14
+            assert np.max(err) < 1e-14
 
     @pytest.mark.parametrize(
-        "a,b,z", [(-1.0, 1.5, 40.0j), (-2.0, 0.5, 35.0 + 3.0j), (0.0, 1.5, -45.0j), (-2.0, 1.25 - 0.5j, -31.0j)]
+        "a,b,z", [(-1.0, 1.5, 40.0j), (-2.0, 0.5, 35.0 + 3.0j), (0.0, 1.5, -45.0j), (-2.0, 1.25 - 0.5j, -35.0j)]
     )
     def test_asymptotic_branch_at_poles_of_a(self, a, b, z):
         # a = 0, -1, -2 terminate the series: phi is the polynomial
@@ -250,7 +247,7 @@ class TestKummer:
         # |Im b| <= 1 and a third on the kernel rays: no local series may
         # fail its tail test
         rng = np.random.default_rng(11)
-        radii = np.array([3.0, 10.0, 20.0, 29.5])
+        radii = np.array([3.0, 10.0, 20.0, 29.5, 33.5])
         for i in range(200):
             a = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
             b = complex(rng.uniform(0.3, 5.0), rng.uniform(-1.0, 1.0) if i % 2 else 0.0)
