@@ -537,7 +537,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"chfdet: error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, RegimeError, AssertionError, ArithmeticError, OSError) as exc:
+    except (NonConvergenceError, RegimeError, ArithmeticError, OSError) as exc:
         sys.stdout.write(_error_json(rc.command, exc))
         return 1
     return 0

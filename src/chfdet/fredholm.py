@@ -55,7 +55,6 @@ class QuadratureGrid:
     """
 
     panels: tuple
-    total_order: int
 
     @property
     def nodes(self):
@@ -100,8 +99,7 @@ def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL
             else:
                 xs, ws = lo + h * xg, h * wg
             panels.append((lo, hi, xs, ws))
-    total = sum(len(p[2]) for p in panels)
-    return QuadratureGrid(panels=tuple(panels), total_order=total)
+    return QuadratureGrid(panels=tuple(panels))
 
 
 def _balanced_operator(params: KernelParams, config: Configuration, nodes, weights):

@@ -15,6 +15,14 @@ With beta imaginary, B is the conjugate of A, so the numerator
 A(x) B(y) - A(y) B(x) is 2i Im(A(x) conj A(y)), the two gammas of the
 prefactor's numerator are conjugate as well, and the kernel is real by
 construction: it is assembled in real arithmetic throughout.
+
+The diagonal K(x, x) = G/pi Im(A'(x) conj A(x)) is the one-point density of
+the process. With A = c e^{-ix} phi(2ix) and c = chi^{1/2}(x) |2x|^alpha
+real, it is taken in closed form from phi and phi',
+
+    K(x, x) = G/pi c^2 (2 Re(phi' conj phi) - |phi|^2),
+
+since the c' term of A' is a real multiple of A and drops out.
 """
 
 from __future__ import annotations
@@ -131,13 +139,6 @@ class Configuration:
         return Configuration(r=self.r, gamma=self.gamma, t=t)
 
 
-def _chi_half(params: KernelParams, x):
-    """The square root of the jump factor: e^{+beta pi i/2} left of 0,
-    e^{-beta pi i/2} right of 0 (real-valued since beta is imaginary)."""
-    sign = np.where(np.asarray(x, dtype=float) < 0.0, 1.0, -1.0)
-    return np.exp(sign * params.beta * (1j * math.pi / 2.0))
-
-
 def cap_A(params: KernelParams, x):
     """Kernel building block A(x); scalar or elementwise over arrays.
 
@@ -146,32 +147,29 @@ def cap_A(params: KernelParams, x):
     raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
-    val = _cap_A_and_derivative(params, arr)[0]
+    val = _cap_A_and_density(params, np.ravel(arr))[0].reshape(arr.shape)
     if arr.ndim == 0:
         return complex(val[()])
     return val
 
 
-def _cap_A_and_derivative(params: KernelParams, x):
-    """A(x) and dA/dx together, from one evaluation of phi and phi'.
+def _cap_A_and_density(params: KernelParams, x):
+    """A(x) and Im(A'(x) conj A(x)) over a 1-d array, from one evaluation of
+    phi and phi'.
 
-    The term alpha/x of the derivative is taken as 0 at x = 0: there dA/dx
-    is exact for alpha = 0, and for alpha > 0 the returned 0 multiplies
-    A(0) = 0. For alpha < 0, x = 0 raises DomainError.
+    With A = c e^{-ix} phi(2ix) and c = chi^{1/2} |2x|^alpha real, the c'
+    term of A' is a real multiple of A and the -i term gives -c^2 |phi|^2,
+    so Im(A' conj A) = c^2 (2 Re(phi' conj phi) - |phi|^2). It is 0 at
+    x = 0 for alpha > 0. For alpha < 0, x = 0 raises DomainError.
     """
-    arr = np.asarray(x, dtype=float)
-    flat = np.ravel(arr)
-    nonzero = flat != 0.0
-    if params.alpha < 0.0 and not nonzero.all():
+    if params.alpha < 0.0 and np.any(x == 0.0):
         raise DomainError("cap_A: x = 0 diverges for alpha < 0")
-    a = 1.0 + params.alpha + params.beta
-    b = 1.0 + 2.0 * params.alpha
-    base = _chi_half(params, flat) * np.abs(2.0 * flat) ** params.alpha * np.exp(-1j * flat)
-    phi, dphi = _kummer_pair(a, b, 2j * flat)
-    val = base * phi
-    alpha_over_x = np.divide(params.alpha, flat, out=np.zeros_like(flat), where=nonzero)
-    der = val * (alpha_over_x - 1j) + base * 2j * dphi
-    return val.reshape(arr.shape), der.reshape(arr.shape)
+    # chi^{1/2} = e^{-+ beta_im pi/2} left/right of 0, real since beta is imaginary
+    c = np.exp(np.where(x < 0.0, -0.5, 0.5) * (math.pi * params.beta_im)) * np.abs(2.0 * x) ** params.alpha
+    phi, dphi = _kummer_pair(1.0 + params.alpha + params.beta, 1.0 + 2.0 * params.alpha, 2j * x)
+    val = c * np.exp(-1j * x) * phi
+    cross = dphi.real * phi.real + dphi.imag * phi.imag
+    return val, c * c * (2.0 * cross - (phi.real * phi.real + phi.imag * phi.imag))
 
 
 def _gamma_prefactor(params: KernelParams) -> float:
@@ -223,30 +221,21 @@ def chf_kernel(params: KernelParams, x, y):
 
 
 def chf_kernel_diagonal(params: KernelParams, x):
-    """Diagonal value K(x, x) = lim_{y -> x} K(x, y), via the derivative form.
+    """Diagonal value K(x, x) = lim_{y -> x} K(x, y), in closed form.
 
-    The divided difference degenerates to G/pi Im(A'(x) conj A(x)).
-    Positive for x != 0 (it is the one-point density of the process). At
-    x = 0 it vanishes like |2x|^{2 alpha} for alpha > 0 and diverges for
-    alpha < 0; alpha <= 0 raises DomainError at x = 0.
+    The divided difference degenerates to G/pi Im(A'(x) conj A(x)), which is
+    G/pi c^2 (2 Re(phi' conj phi) - |phi|^2) with c = chi^{1/2} |2x|^alpha
+    and phi, phi' at 2ix. Positive for x != 0 (it is the one-point density
+    of the process). At x = 0 it vanishes like |2x|^{2 alpha} for alpha > 0
+    and diverges for alpha < 0; alpha <= 0 raises DomainError at x = 0.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.ravel(arr)
-    out = np.empty(flat.shape, dtype=float)
-    zero = flat == 0.0
-    if zero.any():
-        if params.alpha <= 0.0:
-            raise DomainError("chf_kernel_diagonal: x = 0 requires alpha > 0")
-        out[zero] = 0.0
-    nz = ~zero
-    if nz.any():
-        val, der = _cap_A_and_derivative(params, flat[nz])
-        out[nz] = _gamma_prefactor(params) / math.pi * _im_cross(der, val)
-    out = out.reshape(arr.shape)
-    if scalar:
-        return float(out[()])
-    return out
+    if params.alpha <= 0.0 and np.any(arr == 0.0):
+        raise DomainError("chf_kernel_diagonal: x = 0 requires alpha > 0")
+    out = _gamma_prefactor(params) / math.pi * _cap_A_and_density(params, np.ravel(arr))[1]
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 def chf_kernel_matrix(params: KernelParams, x):
@@ -255,21 +244,20 @@ def chf_kernel_matrix(params: KernelParams, x):
     Identical arithmetic to chf_kernel, but organized around the rank-2
     structure of the numerator: A is evaluated once per node and the matrix
     is assembled from real outer products, so the special-function cost is
-    O(N) instead of O(N^2). The diagonal uses the analytic derivative form.
-    Numerator and denominator are both antisymmetric to the last bit, so
-    the result is exactly symmetric.
+    O(N) instead of O(N^2). The diagonal is the closed form of
+    chf_kernel_diagonal, G/pi c^2 (2 Re(phi' conj phi) - |phi|^2), from the
+    same phi and phi' as A. Numerator and denominator are both antisymmetric
+    to the last bit, so the result is exactly symmetric.
     """
     nodes = np.asarray(x, dtype=float)
     if nodes.ndim != 1:
         raise ValueError("chf_kernel_matrix: nodes must be a 1-d array")
-    if params.alpha < 0.0 and np.any(nodes == 0.0):
-        raise DomainError("chf_kernel_matrix: x = 0 diverges for alpha < 0")
-    val, der = _cap_A_and_derivative(params, nodes)
+    val, density = _cap_A_and_density(params, nodes)
     scale = _gamma_prefactor(params) / math.pi
     dx = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dx, 1.0)
     mat = scale * _im_cross(val[:, None], val[None, :]) / dx
-    np.fill_diagonal(mat, scale * _im_cross(der, val))
+    np.fill_diagonal(mat, scale * density)
     return mat
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import c_from_gamma, small_t_lnF
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, RegimeError
 from .kernel import Configuration, KernelParams, _gamma_prefactor
 from .specialfn import log_gamma
 
@@ -345,7 +345,7 @@ def cpv_integrate(
             y = state.y
             stages[0] = stages[12]
             if abs(state.lnF.imag) > 1e-6 * (1.0 + abs(state.lnF.real)):
-                raise AssertionError(
+                raise RegimeError(
                     "cpv_integrate: ln F developed an imaginary part beyond the realness budget"
                 )
             trajectory.append(state)

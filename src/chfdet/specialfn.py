@@ -169,6 +169,34 @@ def _log_sin_upper(z):
     return -1j * math.pi * z + 1j * math.pi / 2.0 - math.log(2.0) + np.log1p(-np.exp(2j * math.pi * z))
 
 
+def _log_gamma_left(z):
+    # the reflection, taken at the upper half-plane point of each conjugate
+    # pair, so conjugate arguments give bitwise conjugate values
+    flip = z.imag < 0.0
+    zu = np.where(flip, np.conj(z), z)
+    val = _LN_PI - _log_sin_upper(zu) - _log_gamma_right(1.0 - zu)
+    return np.where(flip, np.conj(val), val)
+
+
+def _gamma_family(z, name, right, left):
+    """Shared driver of log_gamma, digamma and trigamma over a complex scalar
+    or array z: the pole check, then right(z) on Re z >= 0.5 and the
+    reflection left(z) on the rest."""
+    arr, scalar = _as_c_array(z)
+    arr = np.atleast_1d(arr)
+    _check_poles(arr, name)
+    out = np.empty_like(arr)
+    on_right = arr.real >= 0.5
+    if on_right.any():
+        out[on_right] = right(arr[on_right])
+    on_left = ~on_right
+    if on_left.any():
+        out[on_left] = left(arr[on_left])
+    if scalar:
+        return complex(out[0])
+    return out.reshape(np.shape(z))
+
+
 def log_gamma(z):
     """Principal-branch log-gamma, analytic on the plane cut along the
     non-positive real axis; on the cut, the limit from above is returned.
@@ -176,23 +204,7 @@ def log_gamma(z):
     Satisfies log_gamma(z + 1) = log_gamma(z) + log(z) with the principal
     logarithm everywhere off the cut.
     """
-    arr, scalar = _as_c_array(z)
-    arr = np.atleast_1d(arr)
-    _check_poles(arr, "log_gamma")
-    out = np.empty_like(arr)
-    right = arr.real >= 0.5
-    if right.any():
-        out[right] = _log_gamma_right(arr[right])
-    left = ~right
-    if left.any():
-        w = arr[left]
-        flip = w.imag < 0.0
-        wu = np.where(flip, np.conj(w), w)
-        val = _LN_PI - _log_sin_upper(wu) - _log_gamma_right(1.0 - wu)
-        out[left] = np.where(flip, np.conj(val), val)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    return _gamma_family(z, "log_gamma", _log_gamma_right, _log_gamma_left)
 
 
 def rgamma(z):
@@ -223,20 +235,9 @@ def _digamma_right(z):
 
 def digamma(z):
     """Digamma psi(z) = d/dz log_gamma(z)."""
-    arr, scalar = _as_c_array(z)
-    arr = np.atleast_1d(arr)
-    _check_poles(arr, "digamma")
-    out = np.empty_like(arr)
-    right = arr.real >= 0.5
-    if right.any():
-        out[right] = _digamma_right(arr[right])
-    left = ~right
-    if left.any():
-        w = arr[left]
-        out[left] = _digamma_right(1.0 - w) - math.pi / np.tan(math.pi * w)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    return _gamma_family(
+        z, "digamma", _digamma_right, lambda w: _digamma_right(1.0 - w) - math.pi / np.tan(math.pi * w)
+    )
 
 
 def _trigamma_right(z):
@@ -251,23 +252,14 @@ def _trigamma_right(z):
     return res + np.where(used, 1.0 / (shifted * shifted), 0.0).sum(axis=1)
 
 
+def _trigamma_left(z):
+    s = np.sin(math.pi * z)
+    return -_trigamma_right(1.0 - z) + (math.pi * math.pi) / (s * s)
+
+
 def trigamma(z):
     """Trigamma psi'(z) = d/dz digamma(z)."""
-    arr, scalar = _as_c_array(z)
-    arr = np.atleast_1d(arr)
-    _check_poles(arr, "trigamma")
-    out = np.empty_like(arr)
-    right = arr.real >= 0.5
-    if right.any():
-        out[right] = _trigamma_right(arr[right])
-    left = ~right
-    if left.any():
-        w = arr[left]
-        s = np.sin(math.pi * w)
-        out[left] = -_trigamma_right(1.0 - w) + (math.pi * math.pi) / (s * s)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    return _gamma_family(z, "trigamma", _trigamma_right, _trigamma_left)
 
 
 def _phi_series_pair(a, b, z):

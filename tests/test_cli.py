@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from chfdet import fredholm
+from chfdet import fredholm, painleve
 from chfdet.cli import main, parse_config, run, ConfigError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
@@ -336,6 +336,21 @@ class TestOutputs:
         document = json.loads(capsys.readouterr().out)
         assert document["schema_version"] == 1
         assert document["error"]["type"] == "FileNotFoundError"
+
+    def test_imaginary_flow_reports_structured_error(self, monkeypatch, capsys):
+        real_rhs = painleve.cpv_rhs
+
+        def complex_rhs(s, y, params, config):
+            dy = real_rhs(s, y, params, config)
+            dy[-1] += 1j
+            return dy
+
+        monkeypatch.setattr(painleve, "cpv_rhs", complex_rhs)
+        code = main(["painleve", *SINE_ARGS, "--t", "2"])
+        assert code == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["command"] == "painleve"
+        assert document["error"]["type"] == "RegimeError"
 
     def test_moments_order_reaches_the_grid(self, capsys):
         def numeric(extra):

@@ -26,7 +26,7 @@ class TestBuildGrid:
         assert len(g.panels) == 1
         lo, hi, xs, ws = g.panels[0]
         assert (lo, hi) == (0.0, 1.0)
-        assert g.total_order == 16
+        assert len(g.nodes) == 16
 
     def test_graded_panel_layout(self):
         # intervals of length 20, 20 and 30 get ceil(length / 12) equal panels
@@ -94,6 +94,13 @@ class TestLogDet:
 
     def test_zero_t_gives_zero(self):
         assert log_det(SINE, single_interval(0.7, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("t", [1e-250, 1e-300])
+    def test_tiny_t_with_negative_alpha_is_zero(self, t):
+        # lnF is of order t^{2 alpha + 1} = 1e-100 here, so 0 to rounding; the
+        # node values of A reach 1e112 and their density must not overflow
+        c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.2), t=t)
+        assert abs(log_det(KernelParams(-0.3, 0.0), c)) <= 1e-15
 
     def test_small_t_first_trace(self):
         c = single_interval(0.5, 0.01)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -238,6 +239,21 @@ class TestDiagonal:
             chf_kernel_diagonal(KernelParams(-0.25, 0.0), 0.0)
         with pytest.raises(DomainError):
             chf_kernel_diagonal(KernelParams(0.0, 0.3), 0.0)
+
+    @pytest.mark.parametrize("beta_im", [-0.7, 0.3])
+    @pytest.mark.parametrize("alpha", [-0.45, -0.3, 0.25])
+    def test_tiny_x_matches_leading_form(self, alpha, beta_im):
+        # K(x, x) -> G/pi chi(x) |2x|^{2 alpha} / (1 + 2 alpha) as x -> 0, with
+        # chi = e^{-+ beta_im pi} left/right of 0; the relative correction is
+        # O(x). G is the kernel's own prefactor, whose log_gamma rounding
+        # (about 1e-14 relative) would hide the density's.
+        p = KernelParams(alpha, beta_im)
+        g = kernel._gamma_prefactor(p)
+        for x in (1e-250, -1e-250, 1e-300):
+            with mp.workdps(30):
+                chi = mp.exp(mp.sign(x) * beta_im * mp.pi)
+                want = g / mp.pi * chi * abs(2 * mp.mpf(x)) ** (2 * alpha) / (1 + 2 * alpha)
+            assert abs(chf_kernel_diagonal(p, x) - want) <= 1e-14 * want
 
     def test_positive_off_origin(self):
         rng = np.random.default_rng(4)

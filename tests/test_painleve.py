@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chfdet import asymptotics, kernel, painleve
-from chfdet.errors import DomainError
+from chfdet.errors import DomainError, RegimeError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.painleve import (
@@ -295,6 +295,19 @@ class TestIntegration:
         assert len(spoiled) == 3
         assert all(np.all(np.isfinite(s.y)) for s in traj)
         assert abs(traj[-1].lnF.real - log_det(SINE, SINE_CFG)) <= 5e-8
+
+    def test_imaginary_lnF_raises_regime_error(self, monkeypatch):
+        # a field that gives lnF an imaginary rate breaks its realness budget
+        real_rhs = painleve.cpv_rhs
+
+        def complex_rhs(s, y, params, config):
+            dy = real_rhs(s, y, params, config)
+            dy[-1] += 1j
+            return dy
+
+        monkeypatch.setattr(painleve, "cpv_rhs", complex_rhs)
+        with pytest.raises(RegimeError, match="imaginary part"):
+            _integrate_to(SINE, SINE_CFG, 5.0)
 
     def test_states_do_not_share_the_stage_buffer(self):
         # the step reuses one stage buffer per flow; every accepted state
