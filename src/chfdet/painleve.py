@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import c_from_gamma, small_t_lnF
+from .asymptotics import c_from_gamma
 from .errors import DomainError, NonConvergenceError, RegimeError
 from .kernel import Configuration, KernelParams, _gamma_prefactor
 from .specialfn import log_gamma
@@ -92,14 +92,6 @@ class CPVState:
     @property
     def lnF(self) -> complex:
         return complex(self.y[-1])
-
-    def d_scalars(self, params: KernelParams) -> tuple:
-        """The pair (d1, d2) = (alpha + beta - S2, alpha - beta - S3)."""
-        n = len(self.indices)
-        e = self.t ** (1.0 + 2.0 * self.alpha)
-        _, s2, s3 = _moment_sums(self.y[:n].tolist(), self.y[n : 2 * n].tolist(), self.t, e)
-        a, b = params.alpha, params.beta
-        return (a + b - s2, a - b - s3)
 
 
 def _moment_sums(uu: list, vv: list, t: float, e: float) -> tuple:
@@ -176,28 +168,25 @@ def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
     (the fixed point of the leading V equation), log y and log d from their
     small-t closed forms, and lnF seeded with the integrated leading
     Hamiltonian term, 2 i t0^(1 + 2 alpha) sum_k r_k U_k / (1 + 2 alpha)^2
-    (the value of ``small_t_lnF`` there). Below e^S0 the seed is the answer:
-    U and V still sit at their t -> 0 limits to rounding, and lnF is
-    ``small_t_lnF`` itself."""
+    (the value of ``small_t_lnF`` there, to rounding). Below e^S0 the seed
+    is the answer: U and V still sit at their t -> 0 limits to rounding, and
+    lnF at its leading term."""
     a, b = params.alpha, params.beta
     cs = c_from_gamma(config, params)  # raises for any weight at 1
     lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - b, 1.0 + a + b, 1.0 + 2.0 * a]).tolist()
     g = _gamma_prefactor(params)
+    twoa1 = 1.0 + 2.0 * a
     indices = config.active_indices
     u = []
     v = []
     for k in indices:
         r_k = config.r[k]
         u.append(math.copysign(1.0, r_k) * cs[k] * g * (2.0 * abs(r_k)) ** (2.0 * a))
-        v.append(2.0j * r_k / (1.0 + 2.0 * a))
-    if 0.0 < config.t < math.exp(S0):
-        t0, log_2t0 = config.t, math.log(2.0 * config.t)
-        lnf = small_t_lnF(params, config, t0)
-    else:
-        t0, log_2t0 = math.exp(S0), math.log(2.0) + S0
-        twoa1 = 1.0 + 2.0 * a
-        ru = sum(config.r[k] * u_k for k, u_k in zip(indices, u))
-        lnf = 2.0j * t0**twoa1 / (twoa1 * twoa1) * ru
+        v.append(2.0j * r_k / twoa1)
+    t0 = config.t if 0.0 < config.t < math.exp(S0) else math.exp(S0)
+    log_2t0 = math.log(2.0 * t0)
+    ru = sum(config.r[k] * u_k for k, u_k in zip(indices, u))
+    lnf = 2.0j * t0**twoa1 / (twoa1 * twoa1) * ru
     log_y = lg_minus - lg_plus - b * math.pi * 1j + 2.0 * b * log_2t0
     log_d = lg_minus + lg_plus - 2.0 * lg_2a - a * math.pi * 1j + 2.0 * a * log_2t0
     return CPVState(t=t0, indices=indices, y=u + v + [log_y, log_d, lnf], alpha=a)

@@ -20,8 +20,9 @@ ray share them. A step is linear in its start (phi, h phi'), so every step
 of a call, each ray's march steps and each point's last one, is a lane of
 one vectorised pass of the coefficient recurrence run from the two unit
 starts, which gives each step's 2x2 matrix; a ray's march then only
-multiplies by its matrices, in complex scalars. The asymptotic expansions
-of phi and phi' share their powers of z and their gamma factors.
+multiplies by its matrices, in complex scalars. Every branch gets phi'
+from phi's own terms: the seed series and the steps carry it, and the
+asymptotic expansion differentiates its two series term by term.
 """
 
 from __future__ import annotations
@@ -407,7 +408,8 @@ def _phi_pair_taylor(a, b, z):
 
 def _optimal_sum(ratio_num1, ratio_num2, denom_z):
     """sum_k (r1)_k (r2)_k / (k! denom_z^k) over the points denom_z, cut
-    at its optimal truncation, and a bound on what the cut leaves out.
+    at its optimal truncation, the same sum with term k weighted by k, and
+    a bound on what the cut leaves out.
 
     Row k, column i of the arrays holds term k at point i and the partial
     sum through it. A point stops before its first growing term (bound:
@@ -422,43 +424,42 @@ def _optimal_sum(ratio_num1, ratio_num2, denom_z):
     terms[0] = 1.0
     np.cumprod(ratio, axis=0, out=terms[1:])
     sums = np.cumsum(terms, axis=0)
+    ksums = np.cumsum(np.arange(_ASYMPTOTIC_TERMS + 1.0)[:, None] * terms, axis=0)
     mag = np.abs(terms)
     growing = mag[1:] >= mag[:-1]
     stop = growing | (mag[1:] < 1e-20 * np.abs(sums[1:]))
     k = np.argmax(stop, axis=0)
     last = np.where(stop[k, cols], k + 1 - growing[k, cols], _ASYMPTOTIC_TERMS)
-    return sums[last, cols], mag[last, cols]
+    return sums[last, cols], ksums[last, cols], mag[last, cols]
 
 
 def _phi_asymptotic_pair(a, b, z):
-    """Large-|z| expansions of phi(a, b, z) and of its derivative
-    (a/b) phi(a+1, b+1, z), each the sum of a decaying and a growing
-    series cut at its optimal truncation.
+    """Large-|z| expansion of phi(a, b, z), a decaying series in
+    z^{-a} (-z)^{-k} plus a growing one in e^z z^{a-b-k}, each cut at its
+    optimal truncation, and phi' from the same terms differentiated one by
+    one: d/dz z^{-a} (-z)^{-k} = -(a + k)/z times the term, and
+    d/dz e^z z^{a-b-k} = 1 + (a - b - k)/z times it.
 
-    The two expansions share e^z, z^{-a} (z^{-(a+1)} = z^{-a}/z, with the
-    phase flipped), z^{a-b}, Gamma(b) (Gamma(b+1) = b Gamma(b)) and one
-    rgamma call over b - a, a and a + 1, so an a at a pole of gamma, where
-    phi is a polynomial, maps its factors to 0.
+    One rgamma call over b - a and a maps the factors of an a at a pole of
+    gamma, where phi is a polynomial, to 0. What the cut leaves out of phi'
+    is bounded by the cut terms times 1 + (|a| + |b - a| + 64)/|z|.
     """
     upper = np.angle(z) > -math.pi / 2.0
     phase = np.where(upper, np.exp(1j * math.pi * a), np.exp(-1j * math.pi * a))
-    rg_ba, rg_a, rg_a1 = rgamma([b - a, a, a + 1.0]).tolist()
+    rg_ba, rg_a = rgamma([b - a, a]).tolist()
     gam_b = complex(np.exp(log_gamma(b)))
     decay = phase * np.power(z, -a) * rg_ba
-    grow = np.exp(z) * np.power(z, a - b)
-    values = []
-    for scale, pre1, pre2, sum1, sum2 in (
-        (gam_b, decay, grow * rg_a, (a, 1.0 + a - b), (b - a, 1.0 - a)),
-        (a * gam_b, -decay / z, grow * rg_a1, (a + 1.0, 1.0 + a - b), (b - a, -a)),
-    ):
-        s1, b1 = _optimal_sum(*sum1, -z)
-        s2, b2 = _optimal_sum(*sum2, z)
-        val = scale * (pre1 * s1 + pre2 * s2)
-        err = abs(scale) * (np.abs(pre1) * b1 + np.abs(pre2) * b2)
-        if np.any(err > 3e-11 * np.maximum(np.abs(val), 1e-290)):
+    grow = np.exp(z) * np.power(z, a - b) * rg_a
+    s1, k1, b1 = _optimal_sum(a, 1.0 + a - b, -z)
+    s2, k2, b2 = _optimal_sum(b - a, 1.0 - a, z)
+    val = gam_b * (decay * s1 + grow * s2)
+    der = gam_b * (grow * s2 - (decay * (a * s1 + k1) - grow * ((a - b) * s2 - k2)) / z)
+    err = abs(gam_b) * (np.abs(decay) * b1 + np.abs(grow) * b2)
+    der_err = err * (1.0 + (abs(a) + abs(b - a) + _ASYMPTOTIC_TERMS) / np.abs(z))
+    for v, e in ((val, err), (der, der_err)):
+        if np.any(e > 3e-11 * np.maximum(np.abs(v), 1e-290)):
             raise RegimeError("kummer_phi: asymptotic branch cannot reach the accuracy target here")
-        values.append(val)
-    return tuple(values)
+    return val, der
 
 
 def _kummer_pair(a, b, z):
@@ -518,7 +519,7 @@ def kummer_phi(a, b, z):
 def kummer_phi_prime(a, b, z):
     """d/dz phi(a, b, z), from the same evaluation as kummer_phi: the ODE
     steps carry phi' along with phi for |z| <= 34, and beyond that it is
-    the asymptotic expansion of (a/b) phi(a+1, b+1, z)."""
+    phi's asymptotic expansion differentiated term by term."""
     return _kummer_pair(a, b, z)[1]
 
 

@@ -69,13 +69,6 @@ class TestStateAndRates:
             with pytest.raises(DomainError):
                 CPVState(t=bad_t, indices=(), y=np.zeros(3), alpha=0.0)
 
-    def test_d_scalars_of_zero_solution(self):
-        params = KernelParams(alpha=0.25, beta_im=0.4)
-        state = CPVState(t=2.0, indices=(1,), y=[0.0j, 0.0j, 0.0, 0.0, 0.0], alpha=params.alpha)
-        d1, d2 = state.d_scalars(params)
-        assert d1 == params.alpha + params.beta
-        assert d2 == params.alpha - params.beta
-
     def test_zero_solution_is_stationary_except_logs(self):
         params = KernelParams(alpha=0.3, beta_im=0.2)
         cfg = Configuration(t=2.0, r=(0.0, 1.0), gamma=(0.0,))

@@ -27,17 +27,19 @@ def rel(got, want):
 
 
 def loop_optimal_sum(r1, r2, dz):
-    """Term-by-term reference for specialfn._optimal_sum: (sum, bound)."""
-    total, term, last = 1.0 + 0.0j, 1.0 + 0.0j, 1.0
+    """Term-by-term reference for specialfn._optimal_sum: (sum, k-weighted
+    sum, bound)."""
+    total, ktotal, term, last = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j, 1.0
     for n in range(64):
         term = term * (r1 + n) * (r2 + n) / ((n + 1) * dz)
         if abs(term) >= last:
-            return total, last
+            return total, ktotal, last
         total += term
+        ktotal += (n + 1) * term
         last = abs(term)
         if last < 1e-20 * abs(total):
-            return total, last
-    return total, last
+            return total, ktotal, last
+    return total, ktotal, last
 
 
 class TestLogGamma:
@@ -142,11 +144,25 @@ class TestKummer:
         ],
     )
     def test_optimal_truncation_matches_term_by_term_loop(self, r1, r2, dz):
-        total, bound = sf._optimal_sum(r1, r2, dz)
-        for got_t, got_b, d in zip(total, bound, dz):
-            want_t, want_b = loop_optimal_sum(r1, r2, complex(d))
+        total, ktotal, bound = sf._optimal_sum(r1, r2, dz)
+        for got_t, got_k, got_b, d in zip(total, ktotal, bound, dz):
+            want_t, want_k, want_b = loop_optimal_sum(r1, r2, complex(d))
             assert abs(got_t - want_t) <= 1e-14 * abs(want_t)
+            assert abs(got_k - want_k) <= 1e-14 * abs(want_k)
             assert abs(got_b - want_b) <= 1e-12 * want_b
+
+    def test_asymptotic_branch_sums_two_series(self, monkeypatch):
+        # phi and phi' come from the same decaying and growing series
+        calls = []
+        exact = sf._optimal_sum
+
+        def counting(r1, r2, dz):
+            calls.append(dz.size)
+            return exact(r1, r2, dz)
+
+        monkeypatch.setattr(sf, "_optimal_sum", counting)
+        sf._kummer_pair(1.25 + 0.3j, 1.5, np.array([40.0j, -75.0j, 35.0 + 3.0j, 600.0j]))
+        assert calls == [4, 4]
 
     def test_kummer_transformation(self):
         # phi(a, b, z) = e^z phi(b - a, b, -z), across both branches
@@ -179,13 +195,16 @@ class TestKummer:
             fd = (sf.kummer_phi(a, b, z + h) - sf.kummer_phi(a, b, z - h)) / (2 * h)
             assert abs(fd - sf.kummer_phi_prime(a, b, z)) / abs(fd) < 1e-8
 
-    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.5])
-    @pytest.mark.parametrize("beta_im", [-0.7, 0.7])
+    @pytest.mark.parametrize("alpha", [-0.45, -0.2, 0.25, 1.5])
+    @pytest.mark.parametrize("beta_im", [-0.7, 0.3, 0.7])
     def test_derivative_matches_contiguous_relation(self, alpha, beta_im):
-        # phi' comes from the same ODE pass as phi; the reference is
-        # d/dz phi(a, b, z) = (a/b) phi(a+1, b+1, z), a separate evaluation
+        # phi' comes from phi's own terms (the ODE pass, or the asymptotic
+        # series differentiated term by term); the reference is
+        # d/dz phi(a, b, z) = (a/b) phi(a+1, b+1, z), a separate evaluation,
+        # on both branches and both kernel rays
         a, b = 1.0 + alpha + 1j * beta_im, 1.0 + 2.0 * alpha
-        zs = 2j * np.linspace(-15.0, 15.0, 121)
+        x = np.concatenate([np.linspace(0.0, 15.0, 61), np.linspace(17.25, 300.0, 80)])
+        zs = 2j * np.concatenate([-x[:0:-1], x])
         want = (a / b) * sf.kummer_phi(a + 1.0, b + 1.0, zs)
         got = sf.kummer_phi_prime(a, b, zs)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
