@@ -19,6 +19,7 @@ and 1 for a numeric failure (reported as a structured JSON error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -180,7 +181,9 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+@functools.lru_cache(maxsize=None)
 def _build_argparser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="chfdet",
         description=(

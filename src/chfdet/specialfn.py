@@ -1,32 +1,38 @@
-"""Complex special functions built from scratch on numpy doubles.
+"""Complex special functions built from scratch in double precision.
 
 Provided here: principal-branch log-gamma, digamma, trigamma, the Kummer
 confluent hypergeometric function phi(a, b, z) and its z-derivative, and
 the Barnes log-G function with its first two derivatives in closed form.
-Everything accepts scalars or numpy arrays elementwise and targets ~1e-13
-relative accuracy on the documented domains (|Im z| <= 50, |z| <= 50 for
-phi). The tests check each function against mpmath.
+The gamma family, and phi in z, take a complex scalar or a numpy array of
+points and return a value per point; the Barnes functions take a scalar.
+All target ~1e-13 relative accuracy on the documented domains
+(|Im z| <= 50, |z| <= 50 for phi). The tests check each function against
+mpmath.
 
-The evaluation strategies follow the classical playbook: one vectorised
-argument shift into the Stirling zone for the gamma family; for phi, Taylor
-steps of Kummer's equation along the ray from 0 to z up to |z| = 34, each
-carrying phi and phi' together, and the asymptotic expansion beyond, its
-optimal truncation taken over all 64 terms at once; and a gamma-integral
-representation for Barnes G. The Taylor steps stay in plain double: the
-Kummer series summed at once on the imaginary axis cancels terms of size
-e^{|z|} down to an O(1) sum, while a step of length at most 2 sums terms of
-size at most 2. The steps run through fixed radii, so all points on one
-ray share them. A step is linear in its start (phi, h phi'), so every step
-of a call, each ray's march steps and each point's last one, is a lane of
-one vectorised pass of the coefficient recurrence run from the two unit
-starts, which gives each step's 2x2 matrix; a ray's march then only
-multiplies by its matrices, in complex scalars. Every branch gets phi'
-from phi's own terms: the seed series and the steps carry it, and the
-asymptotic expansion differentiates its two series term by term.
+The evaluation strategies follow the classical playbook: for the gamma
+family, each point on its own in complex scalars (callers pass one to a
+hundred points, too few for numpy to pay its per-call cost), shifted by
+the fewest unit steps into the Stirling zone |w| >= 10 or reflected from
+Re z < 0.5; for phi, Taylor steps of Kummer's equation along the ray from
+0 to z up to |z| = 34, each carrying phi and phi' together, and the
+asymptotic expansion beyond, its optimal truncation taken over all 64
+terms at once; and a gamma-integral representation for Barnes G. The
+Taylor steps stay in plain double: the Kummer series summed at once on the
+imaginary axis cancels terms of size e^{|z|} down to an O(1) sum, while a
+step of length at most 2 sums terms of size at most 2. The steps run
+through fixed radii, so all points on one ray share them. A step is linear
+in its start (phi, h phi'), so every step of a call, each ray's march
+steps and each point's last one, is a lane of one vectorised pass of the
+coefficient recurrence run from the two unit starts, which gives each
+step's 2x2 matrix; a ray's march then only multiplies by its matrices, in
+complex scalars. Every branch gets phi' from phi's own terms: the seed
+series and the steps carry it, and the asymptotic expansion differentiates
+its two series term by term.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -48,6 +54,7 @@ __all__ = [
 
 _LN_2PI = math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
+_LN_2 = math.log(2.0)
 
 # B_{2n} for n = 1..10
 _BERNOULLI = (
@@ -68,7 +75,10 @@ _POLE_TOL = 1e-14
 # The Stirling sums of the gamma family are used at |w| >= 10; on
 # Re z >= 0.5 the shift into that zone takes at most 10 unit steps.
 _STIRLING_RADIUS = 10.0
-_GAMMA_OFFSETS = np.arange(_STIRLING_RADIUS)
+# their coefficients of (1/w^2)^{n-1}, n = 1..10: B_{2n}/((2n)(2n-1)) for
+# log_gamma and B_{2n}/(2n) for digamma; trigamma's are the B_{2n}
+_LOG_GAMMA_COEFFS = tuple(b / ((2 * n) * (2 * n - 1)) for n, b in enumerate(_BERNOULLI, 1))
+_DIGAMMA_COEFFS = tuple(b / (2 * n) for n, b in enumerate(_BERNOULLI, 1))
 
 # crossover radius of the Kummer Taylor/asymptotic switch: the asymptotic
 # expansion's optimal truncation leaves about 0.6 e^{-|z|}, under 1e-14 of
@@ -126,76 +136,63 @@ def _restore(arr, scalar):
     return arr
 
 
-def _check_poles(z, name):
-    """Raise when z sits within the pole tolerance of a non-positive integer."""
-    k = np.round(np.real(z))
-    bad = (k <= 0.0) & (np.abs(z - k) < _POLE_TOL)
-    if np.any(bad):
+def _each_point(point, z):
+    """point(w) at every point w of a complex scalar or array z, each in
+    complex scalars: a complex for a scalar, else an array of z's shape. So
+    no value depends on the rest of its batch."""
+    arr = np.asarray(z, dtype=complex)
+    vals = [point(w) for w in arr.ravel().tolist()]
+    return vals[0] if arr.ndim == 0 else np.array(vals, dtype=complex).reshape(arr.shape)
+
+
+def _check_pole(w, name):
+    """Raise when w sits within the pole tolerance of a non-positive integer
+    (each point with Re w < 0.5 is checked before its reflection)."""
+    k = round(w.real)
+    if k <= 0 and abs(w - k) < _POLE_TOL:
         raise DomainError(f"{name}: argument within {_POLE_TOL:g} of a non-positive integer pole")
 
 
-def _stirling_log_gamma(w):
-    # valid for |w| >= 10 with Re w > 0
-    res = (w - 0.5) * np.log(w) - w + 0.5 * _LN_2PI
-    w2 = w * w
-    p = w
-    for n, b2n in enumerate(_BERNOULLI, start=1):
-        res = res + b2n / ((2 * n) * (2 * n - 1) * p)
-        p = p * w2
-    return res
-
-
-def _gamma_shift(z):
-    """One shift of the points z (Re z >= 0.5) into the Stirling zone.
-
-    Returns, per point, the smallest n >= 0 with |z + n| >= 10, the table
-    z + k for k = 0..9, and the mask of its columns k < n, so that
+def _shift(z):
+    """The smallest n >= 0 with |z + n| >= 10, for Re z >= 0.5: then
     log_gamma(z) = log_gamma(z + n) - sum_{k < n} log(z + k). The smallest
-    shift keeps |w| and with it the rounding of the Stirling sum least.
-    """
-    y2 = np.minimum(z.imag * z.imag, _STIRLING_RADIUS**2)
-    count = np.maximum(np.ceil(np.sqrt(_STIRLING_RADIUS**2 - y2) - z.real), 0.0)
-    return count, z[:, None] + _GAMMA_OFFSETS, _GAMMA_OFFSETS < count[:, None]
+    shift keeps |w| and with it the rounding of the Stirling sum least."""
+    y2 = min(z.imag * z.imag, _STIRLING_RADIUS**2)
+    return max(math.ceil(math.sqrt(_STIRLING_RADIUS**2 - y2) - z.real), 0)
+
+
+def _horner(coeffs, u):
+    # sum_j coeffs[j] u^j
+    s = 0.0
+    for c in reversed(coeffs):
+        s = s * u + c
+    return s
 
 
 def _log_gamma_right(z):
     # principal branch for Re z >= 0.5
-    count, shifted, used = _gamma_shift(z)
-    return _stirling_log_gamma(z + count) - np.where(used, np.log(shifted), 0.0).sum(axis=1)
+    n = _shift(z)
+    w = z + n
+    shift = 0j
+    for k in range(n):
+        shift += cmath.log(z + k)
+    tail = _horner(_LOG_GAMMA_COEFFS, 1.0 / (w * w)) / w
+    return (w - 0.5) * cmath.log(w) - w + 0.5 * _LN_2PI + tail - shift
 
 
-def _log_sin_upper(z):
-    """An analytic branch of log sin(pi z) for Im z >= 0, continuous there,
-    agreeing with the upper-side limit on the real axis."""
-    return -1j * math.pi * z + 1j * math.pi / 2.0 - math.log(2.0) + np.log1p(-np.exp(2j * math.pi * z))
-
-
-def _log_gamma_left(z):
-    # the reflection, taken at the upper half-plane point of each conjugate
-    # pair, so conjugate arguments give bitwise conjugate values
+def _log_gamma_point(z):
+    if z.real >= 0.5:
+        return _log_gamma_right(z)
+    _check_pole(z, "log_gamma")
+    # the reflection, taken at the Im >= 0 point u of each conjugate pair, so
+    # conjugate arguments give bitwise conjugate values. There
+    # log sin(pi u) = i pi (1/2 - u) - log 2 + log(1 - e^{2 i pi u}) is
+    # analytic and continuous, and on the real axis the upper-side limit.
     flip = z.imag < 0.0
-    zu = np.where(flip, np.conj(z), z)
-    val = _LN_PI - _log_sin_upper(zu) - _log_gamma_right(1.0 - zu)
-    return np.where(flip, np.conj(val), val)
-
-
-def _gamma_family(z, name, right, left):
-    """Shared driver of log_gamma, digamma and trigamma over a complex scalar
-    or array z: the pole check, then right(z) on Re z >= 0.5 and the
-    reflection left(z) on the rest."""
-    arr, scalar = _as_c_array(z)
-    arr = np.atleast_1d(arr)
-    _check_poles(arr, name)
-    out = np.empty_like(arr)
-    on_right = arr.real >= 0.5
-    if on_right.any():
-        out[on_right] = right(arr[on_right])
-    on_left = ~on_right
-    if on_left.any():
-        out[on_left] = left(arr[on_left])
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    u = z.conjugate() if flip else z
+    log_sin = 1j * math.pi * (0.5 - u) - _LN_2 + cmath.log(1.0 - cmath.exp(2j * math.pi * u))
+    val = _LN_PI - log_sin - _log_gamma_right(1.0 - u)
+    return val.conjugate() if flip else val
 
 
 def log_gamma(z):
@@ -205,62 +202,68 @@ def log_gamma(z):
     Satisfies log_gamma(z + 1) = log_gamma(z) + log(z) with the principal
     logarithm everywhere off the cut.
     """
-    return _gamma_family(z, "log_gamma", _log_gamma_right, _log_gamma_left)
+    return _each_point(_log_gamma_point, z)
+
+
+def _rgamma_point(z):
+    try:
+        return cmath.exp(-_log_gamma_point(z))
+    except DomainError:
+        return 0j
+    except OverflowError:
+        return complex(math.inf)
 
 
 def rgamma(z):
-    """Reciprocal gamma 1/Gamma(z); entire, so poles of gamma map to 0."""
-    arr, scalar = _as_c_array(z)
-    arr = np.atleast_1d(arr)
-    k = np.round(arr.real)
-    ok = ~((k <= 0.0) & (np.abs(arr - k) < _POLE_TOL))
-    out = np.zeros_like(arr)
-    if ok.any():
-        out[ok] = np.exp(-log_gamma(arr[ok]))
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
+    """Reciprocal gamma 1/Gamma(z); entire, so poles of gamma map to 0.
+    Where 1/Gamma(z) overflows double the value is inf + 0j, whatever its
+    true phase, for the caller's finiteness check."""
+    return _each_point(_rgamma_point, z)
 
 
 def _digamma_right(z):
-    count, shifted, used = _gamma_shift(z)
-    w = z + count
-    res = np.log(w) - 0.5 / w
-    w2 = w * w
-    p = w2
-    for n, b2n in enumerate(_BERNOULLI, start=1):
-        res = res - b2n / ((2 * n) * p)
-        p = p * w2
-    return res - np.where(used, 1.0 / shifted, 0.0).sum(axis=1)
+    n = _shift(z)
+    w = z + n
+    u = 1.0 / (w * w)
+    shift = 0j
+    for k in range(n):
+        shift += 1.0 / (z + k)
+    return cmath.log(w) - 0.5 / w - u * _horner(_DIGAMMA_COEFFS, u) - shift
+
+
+def _digamma_point(z):
+    if z.real >= 0.5:
+        return _digamma_right(z)
+    _check_pole(z, "digamma")
+    return _digamma_right(1.0 - z) - math.pi / cmath.tan(math.pi * z)
 
 
 def digamma(z):
     """Digamma psi(z) = d/dz log_gamma(z)."""
-    return _gamma_family(
-        z, "digamma", _digamma_right, lambda w: _digamma_right(1.0 - w) - math.pi / np.tan(math.pi * w)
-    )
+    return _each_point(_digamma_point, z)
 
 
 def _trigamma_right(z):
-    count, shifted, used = _gamma_shift(z)
-    w = z + count
-    w2 = w * w
-    res = 1.0 / w + 0.5 / w2
-    p = w * w2
-    for b2n in _BERNOULLI:
-        res = res + b2n / p
-        p = p * w2
-    return res + np.where(used, 1.0 / (shifted * shifted), 0.0).sum(axis=1)
+    n = _shift(z)
+    w = z + n
+    u = 1.0 / (w * w)
+    shift = 0j
+    for k in range(n):
+        shift += 1.0 / ((z + k) * (z + k))
+    return 1.0 / w + 0.5 * u + u * _horner(_BERNOULLI, u) / w + shift
 
 
-def _trigamma_left(z):
-    s = np.sin(math.pi * z)
-    return -_trigamma_right(1.0 - z) + (math.pi * math.pi) / (s * s)
+def _trigamma_point(z):
+    if z.real >= 0.5:
+        return _trigamma_right(z)
+    _check_pole(z, "trigamma")
+    s = cmath.sin(math.pi * z)
+    return (math.pi * math.pi) / (s * s) - _trigamma_right(1.0 - z)
 
 
 def trigamma(z):
     """Trigamma psi'(z) = d/dz digamma(z)."""
-    return _gamma_family(z, "trigamma", _trigamma_right, _trigamma_left)
+    return _each_point(_trigamma_point, z)
 
 
 def _phi_series_pair(a, b, z):

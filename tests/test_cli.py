@@ -1,12 +1,13 @@
 """Command line behavior: parsing, validation, outputs, and determinism."""
 
+import argparse
 import json
 import math
 
 import pytest
 
-from chfdet import fredholm, painleve
-from chfdet.cli import main, parse_config, run, ConfigError
+from chfdet import cli, fredholm, painleve
+from chfdet.cli import main, parse_config, run, ConfigError, RunConfig
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.painleve import S0
@@ -155,6 +156,39 @@ class TestParsing:
         assert main(["--help"]) == 0
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_rejected_argv_leaves_the_parser_unchanged(self, capsys):
+        # one parser serves every call; flags of a rejected argv must not
+        # reach the next call
+        argv = ["moments", "--r", "0=0,1=1", "--t", "2"]
+        want = RunConfig(
+            command="moments",
+            params=KernelParams(alpha=0.0, beta_im=0.0),
+            config=Configuration(r=(0.0, 1.0), gamma=(0.0,), t=2.0),
+        )
+        with pytest.raises(SystemExit):
+            parse_config(["moments", "--alpha", "0.3", "--order", "32", "--bogus", "1"])
+        capsys.readouterr()
+        assert parse_config(argv) == want
+        with pytest.raises(ConfigError, match="'gamma'"):
+            parse_config(["det", "--beta-im", "0.5", "--r", "0=0,1=1", "--gamma", "0=1.5", "--t", "3"])
+        assert parse_config(argv) == want
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_argparser.cache_clear()
+        try:
+            for t in ("1", "2", "3"):
+                assert parse_config(["det", *SINE_ARGS, "--t", t]).config.t == float(t)
+        finally:
+            cli._build_argparser.cache_clear()
+        assert len(built) == 1
 
 
 class TestOutputs:

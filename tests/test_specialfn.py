@@ -80,17 +80,26 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             sf.log_gamma(0.0 + 0j)
 
-    def test_array_input_matches_scalar(self):
-        # one shift for every point: a value must not depend on its batch
+    @pytest.mark.parametrize("name", ["log_gamma", "digamma", "trigamma", "rgamma"])
+    def test_array_input_matches_scalar(self, name):
+        # one path for every point: a value must not depend on its batch
+        fn = getattr(sf, name)
         zs = np.array([0.5, 0.7 - 0.2j, 1.3 + 0.2j, 9.6 + 0j, 12.0 - 3.0j, 1.25 - 40.0j,
                        -3.2 + 0.7j, -0.5 - 2.0j, 0.1 + 4.0j, 0.55 + 0.7j, 0.1])
-        batch = sf.log_gamma(zs)
-        one = np.array([sf.log_gamma(z) for z in zs])
-        assert np.max(np.abs(batch - one)) == 0.0
+        batch = fn(zs)
+        one = np.array([fn(z) for z in zs])
+        assert np.array_equal(batch, one)
+        grid = fn(zs[:10].reshape(2, 5))
+        assert grid.shape == (2, 5) and np.array_equal(grid.ravel(), one[:10])
 
     def test_rgamma_zero_at_poles(self):
         assert sf.rgamma(-2.0) == 0.0
         assert rel(sf.rgamma(0.5 + 0.5j), np.exp(-sf.log_gamma(0.5 + 0.5j))) < 1e-13
+
+    def test_rgamma_overflow_is_inf_without_warning(self):
+        # 1/Gamma(-180.5) is about -8.6e329; callers check finiteness
+        assert not np.isfinite(sf.rgamma(-180.5))
+        assert np.isfinite(sf.rgamma([2.0, -180.5])).tolist() == [True, False]
 
 
 class TestDigammaTrigamma:
