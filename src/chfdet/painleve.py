@@ -13,8 +13,11 @@ meets ``log_det`` to 1e-9 at t = 5 and 8.3e-8 at t = 60 for alpha in
 the Hamiltonian, small-t initialization, the DOP853 Dormand-Prince 8(5)
 integrator with PI step control, and identity monitors that differentiate
 samples of the trajectory taken on a fixed grid at t >= 0.1/max|r_k|. One
-flow, or one identity check, owns one (13, n) stage buffer that each of
-its steps refills; every accepted state keeps its own read-only y.
+flow, or one identity check, owns one complex (14, n) buffer: y, then the
+fields of the 12 stages and the field at the result, which becomes the
+next step's first field. Each stage's input is one real matrix-vector
+product over the buffer's float view; every accepted state keeps its own
+read-only y.
 
 ``log_d`` stores the alpha-regularized logarithm ln(d / (2 alpha)): the
 scalar d carries an overall factor 2 alpha and vanishes identically at
@@ -94,19 +97,6 @@ class CPVState:
         return complex(self.y[-1])
 
 
-def _moment_sums(uu: list, vv: list, t: float, e: float) -> tuple:
-    """(S1, S2, S3) = sum_k u_k (v_k - 1) * ((v_k - 1), 1, v_k) from the
-    rescaled U, V at time t with e = t^(1 + 2 alpha): S2 = e sum U V,
-    S1 = e t sum U V^2 and S3 = S1 + S2."""
-    p = q = 0j
-    for u_k, v_k in zip(uu, vv):
-        w = u_k * v_k
-        p += w
-        q += w * v_k
-    s1, s2 = e * t * q, e * p
-    return s1, s2, s1 + s2
-
-
 def cpv_rhs(s: float, y: np.ndarray, params: KernelParams, config: Configuration) -> np.ndarray:
     """dy/ds at s = ln t for the packed state y (layout of ``CPVState.y``):
     the coupled Painleve V field, the auxiliary logarithms, and
@@ -130,14 +120,21 @@ def cpv_rhs(s: float, y: np.ndarray, params: KernelParams, config: Configuration
     indices, r = config.active_indices, config.r
     n = len(indices)
     dy = y.tolist()
-    uu, vv = dy[:n], dy[n : 2 * n]
-    s1, s2, s3 = _moment_sums(uu, vv, t, e)
+    # (S1, S2, S3) = sum_k u_k (v_k - 1) ((v_k - 1), 1, v_k): in U and V,
+    # S2 = E sum U V, S1 = E t sum U V^2 and S3 = S1 + S2
+    p = q = 0j
+    for j in range(n):
+        w = dy[j] * dy[n + j]
+        p += w
+        q += w * dy[n + j]
+    s1, s2 = e * t * q, e * p
+    s3 = s1 + s2
     c_u = 2.0 * (a + b - s2)
     c_v = s1 + 2.0 * s2 - 2.0 * a - 1.0
     c_vv = t * (s2 - a - b)
     ruv = 0j
     for j, k in enumerate(indices):
-        r_k, u_k, v_k = r[k], uu[j], vv[j]
+        r_k, u_k, v_k = r[k], dy[j], dy[n + j]
         phase = 2.0j * t * r_k
         v_phys = 1.0 + t * v_k
         dy[j] = u_k * (v_phys * c_u - phase - s1 - 2.0 * b - 2.0 * a)
@@ -145,7 +142,7 @@ def cpv_rhs(s: float, y: np.ndarray, params: KernelParams, config: Configuration
         ruv += r_k * u_k * v_phys
     th = 2.0j * e * ruv + s2 * s3 - a * (s2 + s3) - b * s1
     dy[-3:] = (2.0 * b + s1, 2.0 * a - s2 - s3, th)
-    return np.array(dy)
+    return np.array(dy, dtype=complex)
 
 
 def _rates(state: CPVState, params: KernelParams, config: Configuration, caller: str) -> np.ndarray:
@@ -268,23 +265,33 @@ _DOP_E5 = (
     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
 )
-_DOP_ROWS = tuple(np.array(row, dtype=complex) for row in _DOP_A)
+# The stage rows as one real array: row i holds the weights of stage i's
+# input behind a leading zero, which the step sets to 1 for the column of y.
+_DOP_TABLEAU = np.array([(0.0, *row) + (0.0,) * (12 - len(row)) for row in _DOP_A])
+_DOP_TABLEAU.flags.writeable = False
+# The error weights stay a complex row. Early in a flow, log y and log d
+# change at rates constant to the last bit, so the estimate is the rounding
+# residue of these weights' zero sum, and that residue paces the steps. A
+# real product over the float view leaves a larger residue there, and it
+# doubled the flow's median error at alpha < 0.
 _DOP_E5_ROW = np.array(_DOP_E5, dtype=complex)
 
 
 def _dop853_step(
-    s: float, y: np.ndarray, h: float, stages: np.ndarray, params: KernelParams,
-    config: Configuration,
+    s: float, h: float, z: np.ndarray, params: KernelParams, config: Configuration
 ) -> np.ndarray:
-    """One DOP853 step of length h in s from (s, y). ``stages`` is the
-    caller's (13, len(y)) buffer, whose row 0 holds the field at (s, y); the
-    step fills rows 1-12 with its other eleven fields and the field at the
-    result, and returns the 8th-order result as a new array."""
+    """One DOP853 step of length h in s from (s, y). ``z`` is the caller's
+    complex (14, len(y)) buffer: row 0 holds y and row 1 the field at (s, y).
+    Stage i's input is one real product of its coefficients with the float
+    view of rows 0..i; the step fills rows 2-13 with the fields of stages
+    1-12, the last one at the result, and returns the 8th-order result (stage
+    12's input) as a new array."""
+    coef = h * _DOP_TABLEAU
+    coef[:, 0] = 1.0
+    zf = z.view(float)
     for i in range(1, 13):
-        y_i = np.dot(_DOP_ROWS[i], stages[:i])
-        y_i *= h
-        y_i += y
-        stages[i] = cpv_rhs(s + _DOP_C[i] * h, y_i, params, config)
+        y_i = np.dot(coef[i, : i + 1], zf[: i + 1]).view(complex)
+        z[i + 1] = cpv_rhs(s + _DOP_C[i] * h, y_i, params, config)
     return y_i
 
 
@@ -296,21 +303,24 @@ def cpv_integrate(
     t1: float,
     tol: float = 1e-9,
 ) -> list:
-    """Integrate the augmented system in s = ln t from state0.t to t1 with the
-    DOP853 pair (8th-order steps, max-norm of the 5th-order embedded error
-    against tol (1 + |y|)) under PI step control; returns the accepted states
-    (state0 first, a state exactly at t1 last). A stage with a non-finite
-    entry fails the error test, so its step is rejected and retried at a
-    fifth of the size."""
+    """Integrate the augmented system in s = ln t from state0.t to a finite
+    t1 with the DOP853 pair (8th-order steps, max-norm of the 5th-order
+    embedded error against tol (1 + |y|)) under PI step control; returns the
+    accepted states (state0 first, a state exactly at t1 last). A stage with
+    a non-finite entry fails the error test, so its step is rejected and
+    retried at a fifth of the size."""
     t1 = float(t1)
     tol = float(tol)
     if not (1e-12 <= tol <= 1e-4):
         raise DomainError("cpv_integrate: tol must lie in [1e-12, 1e-4]")
     if not t1 > state0.t:
         raise DomainError("cpv_integrate: requires t1 > state0.t")
-    stages = np.empty((13, len(state0.y)), dtype=complex)
-    stages[0] = _rates(state0, params, config, "cpv_integrate")
-    s, s1, y = math.log(state0.t), math.log(t1), state0.y
+    if not math.isfinite(t1):
+        raise DomainError("cpv_integrate: requires a finite t1")
+    z = np.empty((14, len(state0.y)), dtype=complex)
+    z[0] = state0.y
+    z[1] = _rates(state0, params, config, "cpv_integrate")
+    s, s1, abs_y = math.log(state0.t), math.log(t1), np.abs(state0.y)
     h = min(0.05, 0.5 * (s1 - s))
     trajectory = [state0]
     err_prev = 1.0
@@ -323,16 +333,18 @@ def cpv_integrate(
             )
         last = s1 - s <= h
         h_step = s1 - s if last else h
-        y_new = _dop853_step(s, y, h_step, stages, params, config)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = h_step * float(np.abs(np.dot(_DOP_E5_ROW, stages[:12]) / scale).max())
+        y_new = _dop853_step(s, h_step, z, params, config)
+        abs_new = np.abs(y_new)
+        scale = tol + tol * np.maximum(abs_y, abs_new)
+        err = h_step * float(np.abs(np.dot(_DOP_E5_ROW, z[1:13]) / scale).max())
         if err <= 1.0:
             s = s1 if last else s + h_step
             state = CPVState(
                 t=t1 if last else math.exp(s), indices=state0.indices, y=y_new, alpha=params.alpha
             )
-            y = state.y
-            stages[0] = stages[12]
+            z[0] = y_new
+            z[1] = z[13]
+            abs_y = abs_new
             if abs(state.lnF.imag) > 1e-6 * (1.0 + abs(state.lnF.real)):
                 raise RegimeError(
                     "cpv_integrate: ln F developed an imaginary part beyond the realness budget"
@@ -388,18 +400,19 @@ def verify_identities(
     if j1 - j0 + 1 < 9:
         raise DomainError("verify_identities: needs 9 samples at t >= 0.1/max|r_k|")
     t = t_first + dt * np.arange(j0, j1 + 1)
-    stages = np.empty((13, len(trajectory[0].y)), dtype=complex)
-    y = np.empty((len(t), stages.shape[1]), dtype=complex)
+    z = np.empty((14, len(trajectory[0].y)), dtype=complex)
+    y = np.empty((len(t), z.shape[1]), dtype=complex)
     dy = np.empty_like(y)
     prev = None
     for j, t_j in enumerate(t.tolist()):
         i = max(bisect.bisect_right(times, t_j) - 1, 0)
         if i != prev:
             prev = i
-            stages[0] = _rates(trajectory[i], params, config, "verify_identities")
+            z[0] = trajectory[i].y
+            z[1] = _rates(trajectory[i], params, config, "verify_identities")
         s_i = math.log(times[i])
-        y[j] = _dop853_step(s_i, trajectory[i].y, math.log(t_j) - s_i, stages, params, config)
-        dy[j] = stages[12]
+        y[j] = _dop853_step(s_i, math.log(t_j) - s_i, z, params, config)
+        dy[j] = z[13]
 
     a, b = params.alpha, params.beta
     n = len(config.active_indices)

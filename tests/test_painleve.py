@@ -246,6 +246,12 @@ class TestIntegration:
         with pytest.raises(DomainError):
             cpv_integrate(state0, SINE, SINE_CFG, state0.t)
 
+    def test_rejects_infinite_end_time(self):
+        # an unbounded flow would spend the whole step budget before failing
+        state0 = cpv_init(SINE, SINE_CFG)
+        with pytest.raises(DomainError, match="finite"):
+            cpv_integrate(state0, SINE, SINE_CFG, math.inf)
+
     def test_rejects_mismatched_index_set(self):
         state0 = cpv_init(SINE, SINE_CFG)
         with pytest.raises(DomainError):
@@ -315,12 +321,55 @@ class TestIntegration:
 
     def test_dop853_tableau_is_consistent(self):
         # each stage row sums to its node; the last row holds the weights of
-        # the 8th-order result (node 1); the error weights sum to zero
+        # the 8th-order result (node 1); the error weights sum to zero; the
+        # step's real coefficient array holds the same rows behind the
+        # column of y, and the complex error row the same weights, entry by
+        # entry
         assert len(painleve._DOP_A) == len(painleve._DOP_C) == 13
         for c_i, row in zip(painleve._DOP_C[1:], painleve._DOP_A[1:]):
             assert abs(math.fsum(row) - c_i) <= 1e-14
         assert painleve._DOP_C[-1] == 1.0
         assert abs(math.fsum(painleve._DOP_E5)) <= 1e-14
+        tableau = painleve._DOP_TABLEAU
+        assert tableau.shape == (13, 13)
+        for i, row in enumerate(painleve._DOP_A):
+            assert tableau[i].tolist() == [0.0, *row] + [0.0] * (12 - i)
+        assert painleve._DOP_E5_ROW.tolist() == [complex(w) for w in painleve._DOP_E5]
+
+    def test_step_is_eighth_order_on_a_linear_field(self, monkeypatch):
+        # on y' = lam y one step's error against exp(h lam) is O(h^9): halving
+        # h cuts it by 2^9 = 512 in theory, and by at least 256 here
+        lam = -1.0 + 2.0j
+        monkeypatch.setattr(painleve, "cpv_rhs", lambda s, y, p, c: lam * y)
+        z = np.empty((14, 1), dtype=complex)
+        errors = []
+        for h in (0.4, 0.2):
+            z[0], z[1] = 1.0, lam
+            y = painleve._dop853_step(0.0, h, z, SINE, SINE_CFG)
+            errors.append(abs(y[0] - np.exp(h * lam)))
+            assert z[13, 0] == lam * y[0]
+        assert errors[0] >= 256.0 * errors[1] > 0.0
+
+    def test_field_calls_are_fsal(self, monkeypatch):
+        # one initial field call, then 12 per attempted step (the last field
+        # of an accepted step is the next one's first), all looked up in the
+        # module
+        real_rhs, real_step = painleve.cpv_rhs, painleve._dop853_step
+        calls, attempts = [], []
+
+        def counting_rhs(s, y, params, config):
+            calls.append(s)
+            return real_rhs(s, y, params, config)
+
+        def counting_step(*args):
+            attempts.append(args[0])
+            return real_step(*args)
+
+        monkeypatch.setattr(painleve, "cpv_rhs", counting_rhs)
+        monkeypatch.setattr(painleve, "_dop853_step", counting_step)
+        traj = _integrate_to(TWO_INT, TWO_INT_CFG, 5.0)
+        assert len(calls) == 1 + 12 * len(attempts)
+        assert len(attempts) >= len(traj) - 1
 
     def test_long_sine_flow_takes_few_steps(self):
         # the capped 5(4) pair took 3849 steps here; DOP853 takes 660
