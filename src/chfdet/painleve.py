@@ -13,11 +13,13 @@ meets ``log_det`` to 1e-9 at t = 5 and 8.3e-8 at t = 60 for alpha in
 the Hamiltonian, small-t initialization, the DOP853 Dormand-Prince 8(5)
 integrator with PI step control, and identity monitors that differentiate
 samples of the trajectory taken on a fixed grid at t >= 0.1/max|r_k|. One
-flow, or one identity check, owns one complex (14, n) buffer: y, then the
-fields of the 12 stages and the field at the result, which becomes the
-next step's first field. Each stage's input is one real matrix-vector
-product over the buffer's float view; every accepted state keeps its own
-read-only y.
+flow, or one identity check, owns one workspace: the field with the flow's
+constants bound once, one complex (14, n) buffer (y, then the fields of the
+12 stages and the field at the result, which becomes the next step's first
+field), and views of it built once per stage. Each stage's input is one
+real matrix-vector product over the buffer's float view, written into a
+preallocated row, and its field goes straight into the buffer; every
+accepted state keeps its own read-only copy of y.
 
 ``log_d`` stores the alpha-regularized logarithm ln(d / (2 alpha)): the
 scalar d carries an overall factor 2 alpha and vanishes identically at
@@ -113,36 +115,53 @@ def cpv_rhs(s: float, y: np.ndarray, params: KernelParams, config: Configuration
     dU/ds = U (2 v d1 - 2 i t r - S1 - 2 beta - 2 alpha) and
     dV/ds = 2 i r + V (2 i t r + S1 + 2 S2 - 2 alpha - 1)
     + t V^2 (S2 - alpha - beta), where the O(1) part of t dv/dt cancels
-    algebraically."""
+    algebraically. Returns a new complex array."""
+    return np.array(_field(params, config)(s, y), dtype=complex)
+
+
+def _field(params: KernelParams, config: Configuration):
+    """``field(s, y)``, the rates of ``cpv_rhs`` as a list, with the flow's
+    constants bound once: alpha, beta, their doubles, 1 + 2 alpha, and one
+    (j, r_k, 2 i r_k) lane per active endpoint. A flow's stages call it
+    directly; ``cpv_rhs`` puts one call's list into a new array."""
     a, b = params.alpha, 1j * params.beta_im
-    t = math.exp(s)
-    e = t ** (1.0 + 2.0 * a)
-    indices, r = config.active_indices, config.r
-    n = len(indices)
-    dy = y.tolist()
-    # (S1, S2, S3) = sum_k u_k (v_k - 1) ((v_k - 1), 1, v_k): in U and V,
-    # S2 = E sum U V, S1 = E t sum U V^2 and S3 = S1 + S2
-    p = q = 0j
-    for j in range(n):
-        w = dy[j] * dy[n + j]
-        p += w
-        q += w * dy[n + j]
-    s1, s2 = e * t * q, e * p
-    s3 = s1 + s2
-    c_u = 2.0 * (a + b - s2)
-    c_v = s1 + 2.0 * s2 - 2.0 * a - 1.0
-    c_vv = t * (s2 - a - b)
-    ruv = 0j
-    for j, k in enumerate(indices):
-        r_k, u_k, v_k = r[k], dy[j], dy[n + j]
-        phase = 2.0j * t * r_k
-        v_phys = 1.0 + t * v_k
-        dy[j] = u_k * (v_phys * c_u - phase - s1 - 2.0 * b - 2.0 * a)
-        dy[n + j] = 2.0j * r_k + v_k * (phase + c_v + v_k * c_vv)
-        ruv += r_k * u_k * v_phys
-    th = 2.0j * e * ruv + s2 * s3 - a * (s2 + s3) - b * s1
-    dy[-3:] = (2.0 * b + s1, 2.0 * a - s2 - s3, th)
-    return np.array(dy, dtype=complex)
+    two_a, two_b, twoa1 = 2.0 * a, 2.0 * b, 1.0 + 2.0 * a
+    lanes = tuple(
+        (j, config.r[k], 2.0j * config.r[k]) for j, k in enumerate(config.active_indices)
+    )
+    n = len(lanes)
+
+    def field(s: float, y: np.ndarray) -> list:
+        t = math.exp(s)
+        e = t**twoa1
+        dy = y.tolist()
+        # (S1, S2, S3) = sum_k u_k (v_k - 1) ((v_k - 1), 1, v_k): in U and V,
+        # S2 = E sum U V, S1 = E t sum U V^2 and S3 = S1 + S2
+        p = q = 0j
+        for j in range(n):
+            w = dy[j] * dy[n + j]
+            p += w
+            q += w * dy[n + j]
+        s1, s2 = e * t * q, e * p
+        s3 = s1 + s2
+        c_u = 2.0 * (a + b - s2)
+        c_v = s1 + 2.0 * s2 - two_a - 1.0
+        c_vv = t * (s2 - a - b)
+        ruv = 0j
+        for j, r_k, two_ir in lanes:
+            u_k, v_k = dy[j], dy[n + j]
+            # (2 i r_k) t equals the 2 i t r_k of the derivation exactly: the
+            # factor 2 only moves the exponent
+            phase = two_ir * t
+            v_phys = 1.0 + t * v_k
+            dy[j] = u_k * (v_phys * c_u - phase - s1 - two_b - two_a)
+            dy[n + j] = two_ir + v_k * (phase + c_v + v_k * c_vv)
+            ruv += r_k * u_k * v_phys
+        th = 2.0j * e * ruv + s2 * s3 - a * (s2 + s3) - b * s1
+        dy[-3:] = (two_b + s1, two_a - s2 - s3, th)
+        return dy
+
+    return field
 
 
 def _rates(state: CPVState, params: KernelParams, config: Configuration, caller: str) -> np.ndarray:
@@ -277,21 +296,46 @@ _DOP_TABLEAU.flags.writeable = False
 _DOP_E5_ROW = np.array(_DOP_E5, dtype=complex)
 
 
-def _dop853_step(
-    s: float, h: float, z: np.ndarray, params: KernelParams, config: Configuration
-) -> np.ndarray:
-    """One DOP853 step of length h in s from (s, y). ``z`` is the caller's
-    complex (14, len(y)) buffer: row 0 holds y and row 1 the field at (s, y).
-    Stage i's input is one real product of its coefficients with the float
-    view of rows 0..i; the step fills rows 2-13 with the fields of stages
-    1-12, the last one at the result, and returns the 8th-order result (stage
-    12's input) as a new array."""
-    coef = h * _DOP_TABLEAU
+class _Workspace:
+    """The buffers and the field of one flow, or of one identity check.
+    ``z`` is the complex (14, n) buffer: row 0 holds y, row 1 the field at
+    (s, y), and a step fills rows 2-13 with the fields of stages 1-12, the
+    last one at the result, which becomes the next step's first field.
+    ``stages`` holds, per stage i = 1..12, the views its step reads and
+    writes: row i of the real coefficient buffer up to column i, the float
+    view of z's rows 0..i, the float row where its input lands, that row as
+    complex, z's row i + 1 and the node. ``field`` is ``_field``, looked up
+    in the module once."""
+
+    __slots__ = ("field", "z", "coef", "stages")
+
+    def __init__(self, params: KernelParams, config: Configuration, size: int):
+        self.field = _field(params, config)
+        self.z = np.empty((14, size), dtype=complex)
+        self.coef = np.empty((13, 13))
+        zf = self.z.view(float)
+        inputs = np.empty((13, 2 * size))
+        self.stages = tuple(
+            (self.coef[i, : i + 1], zf[: i + 1], inputs[i], inputs[i].view(complex),
+             self.z[i + 1], _DOP_C[i])
+            for i in range(1, 13)
+        )
+
+
+def _dop853_step(s: float, h: float, work: _Workspace) -> np.ndarray:
+    """One DOP853 step of length h in s from (s, y), with y and the field at
+    (s, y) in rows 0 and 1 of ``work.z``. Stage i's input is one real product
+    of h times its tableau row (1 for the column of y) with the float view
+    of rows 0..i; its field goes straight into row i + 1. Returns the
+    8th-order result, stage 12's input, as a view into the workspace that
+    the next step overwrites."""
+    coef = work.coef
+    np.multiply(h, _DOP_TABLEAU, out=coef)
     coef[:, 0] = 1.0
-    zf = z.view(float)
-    for i in range(1, 13):
-        y_i = np.dot(coef[i, : i + 1], zf[: i + 1]).view(complex)
-        z[i + 1] = cpv_rhs(s + _DOP_C[i] * h, y_i, params, config)
+    field = work.field
+    for row, prefix, out, y_i, z_next, c in work.stages:
+        np.dot(row, prefix, out=out)
+        z_next[:] = field(s + c * h, y_i)
     return y_i
 
 
@@ -308,7 +352,9 @@ def cpv_integrate(
     embedded error against tol (1 + |y|)) under PI step control; returns the
     accepted states (state0 first, a state exactly at t1 last). A stage with
     a non-finite entry fails the error test, so its step is rejected and
-    retried at a fifth of the size."""
+    retried at a fifth of the size. Steps below 1e-13 in s raise
+    ``NonConvergenceError``, except that a whole span at or below that
+    floor is one last step."""
     t1 = float(t1)
     tol = float(tol)
     if not (1e-12 <= tol <= 1e-4):
@@ -317,11 +363,17 @@ def cpv_integrate(
         raise DomainError("cpv_integrate: requires t1 > state0.t")
     if not math.isfinite(t1):
         raise DomainError("cpv_integrate: requires a finite t1")
-    z = np.empty((14, len(state0.y)), dtype=complex)
+    work = _Workspace(params, config, len(state0.y))
+    z = work.z
     z[0] = state0.y
     z[1] = _rates(state0, params, config, "cpv_integrate")
-    s, s1, abs_y = math.log(state0.t), math.log(t1), np.abs(state0.y)
-    h = min(0.05, 0.5 * (s1 - s))
+    s = math.log(state0.t)
+    # a span below the resolution of s still ends in a state at t1
+    s1 = max(math.log(t1), math.nextafter(s, math.inf))
+    abs_y = np.abs(state0.y)
+    # the first step tries half the span, and at least the floor: a span at
+    # or below the floor is then one last step
+    h = min(0.05, max(0.5 * (s1 - s), 1e-13))
     trajectory = [state0]
     err_prev = 1.0
     for _ in range(200_000):
@@ -333,7 +385,7 @@ def cpv_integrate(
             )
         last = s1 - s <= h
         h_step = s1 - s if last else h
-        y_new = _dop853_step(s, h_step, z, params, config)
+        y_new = _dop853_step(s, h_step, work)
         abs_new = np.abs(y_new)
         scale = tol + tol * np.maximum(abs_y, abs_new)
         err = h_step * float(np.abs(np.dot(_DOP_E5_ROW, z[1:13]) / scale).max())
@@ -342,10 +394,11 @@ def cpv_integrate(
             state = CPVState(
                 t=t1 if last else math.exp(s), indices=state0.indices, y=y_new, alpha=params.alpha
             )
-            z[0] = y_new
+            z[0] = state.y
             z[1] = z[13]
             abs_y = abs_new
-            if abs(state.lnF.imag) > 1e-6 * (1.0 + abs(state.lnF.real)):
+            lnf = state.lnF
+            if abs(lnf.imag) > 1e-6 * (1.0 + abs(lnf.real)):
                 raise RegimeError(
                     "cpv_integrate: ln F developed an imaginary part beyond the realness budget"
                 )
@@ -400,7 +453,8 @@ def verify_identities(
     if j1 - j0 + 1 < 9:
         raise DomainError("verify_identities: needs 9 samples at t >= 0.1/max|r_k|")
     t = t_first + dt * np.arange(j0, j1 + 1)
-    z = np.empty((14, len(trajectory[0].y)), dtype=complex)
+    work = _Workspace(params, config, len(trajectory[0].y))
+    z = work.z
     y = np.empty((len(t), z.shape[1]), dtype=complex)
     dy = np.empty_like(y)
     prev = None
@@ -411,7 +465,7 @@ def verify_identities(
             z[0] = trajectory[i].y
             z[1] = _rates(trajectory[i], params, config, "verify_identities")
         s_i = math.log(times[i])
-        y[j] = _dop853_step(s_i, math.log(t_j) - s_i, z, params, config)
+        y[j] = _dop853_step(s_i, math.log(t_j) - s_i, work)
         dy[j] = z[13]
 
     a, b = params.alpha, params.beta

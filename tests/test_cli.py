@@ -294,6 +294,16 @@ class TestOutputs:
         assert [float(row[0]) for row in rows][::2] == [1e-12, 1e-3]
         assert max(float(row[4]) for row in rows) < 1e-9
 
+    def test_verify_over_a_span_below_the_step_floor(self, tmp_path):
+        # the second point lies 1e-13 past the first in ln t, the smallest
+        # step the integrator's controller may ask for
+        out = tmp_path / "verify.csv"
+        argv = ["verify", *SINE_ARGS, "--t-range", "1:1.0000000000001:2", "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert float(rows[0][2]) == pytest.approx(float(rows[1][2]), abs=1e-13)
+        assert max(float(row[4]) for row in rows) < 1e-7
+
     def test_painleve_runs_below_the_old_flow_seed_time(self, capsys):
         assert main(["painleve", *SINE_ARGS, "--t", "1e-12"]) == 0
         document = json.loads(capsys.readouterr().out)
@@ -372,14 +382,19 @@ class TestOutputs:
         assert document["error"]["type"] == "FileNotFoundError"
 
     def test_imaginary_flow_reports_structured_error(self, monkeypatch, capsys):
-        real_rhs = painleve.cpv_rhs
+        real_field = painleve._field
 
-        def complex_rhs(s, y, params, config):
-            dy = real_rhs(s, y, params, config)
-            dy[-1] += 1j
-            return dy
+        def complex_field(params, config):
+            field = real_field(params, config)
 
-        monkeypatch.setattr(painleve, "cpv_rhs", complex_rhs)
+            def complex_rates(s, y):
+                dy = field(s, y)
+                dy[-1] += 1j
+                return dy
+
+            return complex_rates
+
+        monkeypatch.setattr(painleve, "_field", complex_field)
         code = main(["painleve", *SINE_ARGS, "--t", "2"])
         assert code == 1
         document = json.loads(capsys.readouterr().out)

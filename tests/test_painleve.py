@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chfdet import asymptotics, kernel, painleve
-from chfdet.errors import DomainError, RegimeError
+from chfdet.errors import DomainError, NonConvergenceError, RegimeError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.painleve import (
@@ -279,17 +279,22 @@ class TestIntegration:
     def test_non_finite_stage_is_rejected_and_retried(self, monkeypatch):
         # the first three stages evaluated past t = 1 come back infinite; each
         # fails the error test, and the flow still lands on the determinant
-        real_rhs = painleve.cpv_rhs
+        real_field = painleve._field
         spoiled = []
 
-        def spoiling_rhs(s, y, params, config):
-            dy = real_rhs(s, y, params, config)
-            if s > 0.0 and len(spoiled) < 3:
-                spoiled.append(s)
-                dy[0] = complex(math.inf, -math.inf)
-            return dy
+        def spoiling_field(params, config):
+            field = real_field(params, config)
 
-        monkeypatch.setattr(painleve, "cpv_rhs", spoiling_rhs)
+            def spoiling(s, y):
+                dy = field(s, y)
+                if s > 0.0 and len(spoiled) < 3:
+                    spoiled.append(s)
+                    dy[0] = complex(math.inf, -math.inf)
+                return dy
+
+            return spoiling
+
+        monkeypatch.setattr(painleve, "_field", spoiling_field)
         traj = _integrate_to(SINE, SINE_CFG, 5.0, tol=1e-9)
         assert len(spoiled) == 3
         assert all(np.all(np.isfinite(s.y)) for s in traj)
@@ -297,14 +302,19 @@ class TestIntegration:
 
     def test_imaginary_lnF_raises_regime_error(self, monkeypatch):
         # a field that gives lnF an imaginary rate breaks its realness budget
-        real_rhs = painleve.cpv_rhs
+        real_field = painleve._field
 
-        def complex_rhs(s, y, params, config):
-            dy = real_rhs(s, y, params, config)
-            dy[-1] += 1j
-            return dy
+        def complex_field(params, config):
+            field = real_field(params, config)
 
-        monkeypatch.setattr(painleve, "cpv_rhs", complex_rhs)
+            def complex_rates(s, y):
+                dy = field(s, y)
+                dy[-1] += 1j
+                return dy
+
+            return complex_rates
+
+        monkeypatch.setattr(painleve, "_field", complex_field)
         with pytest.raises(RegimeError, match="imaginary part"):
             _integrate_to(SINE, SINE_CFG, 5.0)
 
@@ -340,12 +350,13 @@ class TestIntegration:
         # on y' = lam y one step's error against exp(h lam) is O(h^9): halving
         # h cuts it by 2^9 = 512 in theory, and by at least 256 here
         lam = -1.0 + 2.0j
-        monkeypatch.setattr(painleve, "cpv_rhs", lambda s, y, p, c: lam * y)
-        z = np.empty((14, 1), dtype=complex)
+        monkeypatch.setattr(painleve, "_field", lambda params, config: lambda s, y: lam * y)
+        work = painleve._Workspace(SINE, SINE_CFG, 1)
+        z = work.z
         errors = []
         for h in (0.4, 0.2):
             z[0], z[1] = 1.0, lam
-            y = painleve._dop853_step(0.0, h, z, SINE, SINE_CFG)
+            y = painleve._dop853_step(0.0, h, work)
             errors.append(abs(y[0] - np.exp(h * lam)))
             assert z[13, 0] == lam * y[0]
         assert errors[0] >= 256.0 * errors[1] > 0.0
@@ -354,22 +365,53 @@ class TestIntegration:
         # one initial field call, then 12 per attempted step (the last field
         # of an accepted step is the next one's first), all looked up in the
         # module
-        real_rhs, real_step = painleve.cpv_rhs, painleve._dop853_step
+        real_field, real_step = painleve._field, painleve._dop853_step
         calls, attempts = [], []
 
-        def counting_rhs(s, y, params, config):
-            calls.append(s)
-            return real_rhs(s, y, params, config)
+        def counting_field(params, config):
+            field = real_field(params, config)
+
+            def counting(s, y):
+                calls.append(s)
+                return field(s, y)
+
+            return counting
 
         def counting_step(*args):
             attempts.append(args[0])
             return real_step(*args)
 
-        monkeypatch.setattr(painleve, "cpv_rhs", counting_rhs)
+        monkeypatch.setattr(painleve, "_field", counting_field)
         monkeypatch.setattr(painleve, "_dop853_step", counting_step)
         traj = _integrate_to(TWO_INT, TWO_INT_CFG, 5.0)
         assert len(calls) == 1 + 12 * len(attempts)
         assert len(attempts) >= len(traj) - 1
+
+    def test_span_below_the_step_floor_is_one_last_step(self):
+        # spans of 1e-14 in ln t: at t = 1 the first step would be half of
+        # it, below the 1e-13 floor; at the seed time e^S0 ln t1 rounds to
+        # ln t0. Each flow is one step to a state exactly at t1, and lnF
+        # moves by rounding only
+        state1 = _integrate_to(TWO_INT, TWO_INT_CFG, 1.0)[-1]
+        for state in (state1, cpv_init(TWO_INT, TWO_INT_CFG)):
+            t1 = state.t * (1.0 + 1e-14)
+            traj = cpv_integrate(state, TWO_INT, TWO_INT_CFG, t1)
+            assert len(traj) == 2
+            assert traj[0] is state and traj[-1].t == t1
+            assert abs(traj[-1].lnF - state.lnF) <= 1e-14 * (1.0 + abs(state.lnF))
+        assert len(cpv_integrate(state1, TWO_INT, TWO_INT_CFG, state1.t * (1.0 + 1e-13))) == 2
+
+    def test_step_that_never_passes_raises_underflow(self, monkeypatch):
+        # a field that is never finite fails every error test: the step
+        # shrinks to the floor and the flow raises, on a long span and on a
+        # span below the floor alike
+        state1 = _integrate_to(SINE, SINE_CFG, 1.0)[-1]
+        monkeypatch.setattr(
+            painleve, "_field", lambda params, config: lambda s, y: [complex(math.nan)] * len(y)
+        )
+        for t1 in (5.0, 1.0 + 1e-14):
+            with pytest.raises(NonConvergenceError, match="step size underflow"):
+                cpv_integrate(state1, SINE, SINE_CFG, t1)
 
     def test_long_sine_flow_takes_few_steps(self):
         # the capped 5(4) pair took 3849 steps here; DOP853 takes 660
