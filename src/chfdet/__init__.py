@@ -10,11 +10,8 @@ counting-statistics layer built on top of them.
 from .asymptotics import (
     AsymptoticReport,
     MomentAsymptotics,
-    b_from_gamma,
-    c_from_gamma,
     large_gap_lnF,
     moment_asymptotics,
-    small_t_lnF,
 )
 from .errors import DomainError, NonConvergenceError, RegimeError
 from .fredholm import QuadratureGrid, build_grid, log_det
@@ -27,12 +24,10 @@ from .kernel import (
 )
 from .painleve import (
     CPVState,
-    IdentityReport,
     cpv_init,
     cpv_integrate,
     cpv_rhs,
     hamiltonian,
-    verify_identities,
 )
 from .stats import (
     CountingStatistics,
@@ -56,18 +51,13 @@ __all__ = [
     "log_det",
     "AsymptoticReport",
     "MomentAsymptotics",
-    "b_from_gamma",
-    "c_from_gamma",
     "large_gap_lnF",
-    "small_t_lnF",
     "moment_asymptotics",
     "CPVState",
-    "IdentityReport",
     "cpv_rhs",
     "hamiltonian",
     "cpv_init",
     "cpv_integrate",
-    "verify_identities",
     "CountingStatistics",
     "counting_statistics",
     "numeric_mean",

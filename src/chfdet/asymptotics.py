@@ -2,39 +2,37 @@
 
 The weight vector gamma enters through two exponent families: the jump
 exponents b_k (telescoping logs of 1 - gamma) and the connection
-coefficients c_k driving the small-t behavior. On top of these sit the
-large-t expansion of ln det(I - K_sigma) (linear, logarithmic, and constant
-terms, the constant built from Barnes G values), its small-t counterpart,
-and the closed-form mean/variance/covariance asymptotics of the counting
-function.
+coefficients c_k, which fix the small-t data that seed the Painleve V
+flow. On top of these sit the large-t expansion of ln det(I - K_sigma)
+(linear, logarithmic, and constant terms, the constant built from Barnes G
+values) and the closed-form mean/variance/covariance asymptotics of the
+counting function.
 
 For weights below 1 and an imaginary beta = i s, every b_k = -i nu_k is
 purely imaginary, and every c_k off the origin is -i w_k with w_k real.
-The expansions are written in nu_k, w_k and s, so they are real by
-construction: each pair of Barnes G values (and of their derivatives) at
-conjugate arguments is one evaluation, log G(1+z) + log G(1+conj z) =
-2 Re log G(1+z). ``b_from_gamma`` and ``c_from_gamma`` keep the complex
-values of the expansion as published.
+The module computes nu_k (``_jump_nus``) and w_k (``_side_weights``, from
+which ``painleve.cpv_init`` seeds the flow) in real arithmetic, and its
+expansions are written in nu_k and s, so they are real by construction:
+each pair of Barnes G values (and of their derivatives) at conjugate
+arguments is one evaluation, log G(1+z) + log G(1+conj z) = 2 Re log G(1+z).
+The tests check them against the complex exponents and expansions as
+published.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .kernel import Configuration, KernelParams, _gamma_prefactor
+from .kernel import Configuration, KernelParams
 from .specialfn import log_barnes_g, log_barnes_g_d1, log_barnes_g_d2
 from .specialfn import log_gamma  # noqa: F401  (perfbench/tracing.py wraps asymptotics.log_gamma by name)
 
 __all__ = [
     "AsymptoticReport",
     "MomentAsymptotics",
-    "b_from_gamma",
-    "c_from_gamma",
     "large_gap_lnF",
-    "small_t_lnF",
     "moment_asymptotics",
 ]
 
@@ -74,30 +72,6 @@ def _side_weights(config: Configuration, beta_im: float) -> dict:
         else (ge[k + 1] - ge[k]) / (2.0 * math.pi) * right
         for k in config.active_indices
     }
-
-
-def b_from_gamma(config: Configuration) -> list:
-    """Jump exponents b_k = ln((1-gamma_{k-1})/(1-gamma_k)) / (2 pi i) for
-    k = 0..n, purely imaginary for real weights below 1; they telescope to
-    sum exactly zero."""
-    return [-1j * nu for nu in _jump_nus(config)]
-
-
-def c_from_gamma(config: Configuration, params: KernelParams) -> list:
-    """Connection coefficients c_k for k = 0..n.
-
-    For k on either side of m these are scaled weight differences with a
-    phase e^{+-beta pi i}; the k = m entry couples the two weights adjacent
-    to the origin with the combined phase e^{+-(alpha+beta) pi i}.
-    """
-    ws = _side_weights(config, params.beta_im)
-    ge = _gamma_extended(config)
-    m = config.m
-    ab = params.alpha + params.beta
-    c_m = (1.0 - ge[m]) * cmath.exp(ab * math.pi * 1j) - (1.0 - ge[m + 1]) * cmath.exp(
-        -ab * math.pi * 1j
-    )
-    return [-1j * ws[k] if k != m else c_m for k in range(len(config.r))]
 
 
 @dataclass(frozen=True)
@@ -188,39 +162,18 @@ def large_gap_lnF(params: KernelParams, config: Configuration) -> AsymptoticRepo
     )
 
 
-def small_t_lnF(params: KernelParams, config: Configuration, t: float) -> float:
-    """Leading small-t value of ln F, of order t^{2 alpha + 1}:
-    G sum_k w_k (2 |r_k| t)^{2 alpha + 1} / (2 alpha + 1)^2 with the kernel's
-    gamma prefactor G and the real weights w_k = i c_k.
-
-    The k = m term carries |r_m| = 0 and vanishes identically, so the sum
-    runs over the active indices only.
-    """
-    ws = _side_weights(config, params.beta_im)
-    t = float(t)
-    if t < 0.0 or not math.isfinite(t):
-        raise DomainError("small_t_lnF: requires t >= 0")
-    if t == 0.0:
-        return 0.0
-    g = _gamma_prefactor(params)
-    twoa1 = 2.0 * params.alpha + 1.0
-    total = 0.0
-    for k, w in ws.items():
-        total += w * g * (2.0 * abs(config.r[k])) ** twoa1 * t**twoa1 / (twoa1 * twoa1)
-    return total
-
-
 @dataclass(frozen=True)
 class MomentAsymptotics:
     """Large-t counting-statistics asymptotics at scaled positions r1 < r2:
     means of N(+-t r1), the common variance, and the covariances of N(t r1)
-    with N(t r2) (same side) and with N(-t r2) (opposite sides)."""
+    with N(t r2) (same side) and with N(-t r2) (opposite sides). The
+    covariances are None when no r2 was given."""
 
     mean_right: float
     mean_left: float
     var: float
-    cov_same: float
-    cov_opposite: float
+    cov_same: float | None = None
+    cov_opposite: float | None = None
 
 
 def _theta_pair(params: KernelParams):
@@ -233,16 +186,21 @@ def _theta_pair(params: KernelParams):
 
 
 def moment_asymptotics(
-    params: KernelParams, t: float, r1: float, r2: float
+    params: KernelParams, t: float, r1: float, r2: float | None = None
 ) -> MomentAsymptotics:
-    """Closed-form large-t mean/variance/covariance of the counting function."""
+    """Closed-form large-t mean/variance/covariance of the counting function
+    at radii 0 < r1 < r2, or of the means and the variance alone without
+    r2."""
     t = float(t)
     r1 = float(r1)
-    r2 = float(r2)
-    if not t > 0.0:
-        raise DomainError("moment_asymptotics: requires t > 0")
-    if not (r1 > 0.0 and r2 > r1):
-        raise DomainError("moment_asymptotics: requires r2 > r1 > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError("moment_asymptotics: requires finite t > 0")
+    if not (math.isfinite(r1) and r1 > 0.0):
+        raise DomainError("moment_asymptotics: requires finite r1 > 0")
+    if r2 is not None:
+        r2 = float(r2)
+        if not (math.isfinite(r2) and r2 > r1):
+            raise DomainError("moment_asymptotics: requires finite r2 > r1")
     a = params.alpha
     theta1, theta2 = _theta_pair(params)
     mu = t * r1 / math.pi - 0.5 * a
@@ -253,15 +211,17 @@ def moment_asymptotics(
     # unit-shift Barnes factors differentiate to 2 (ln G)''(1) and pick up the
     # 1/(4 pi^2) prefactor of the second exponent derivative
     var = (delta - 0.5 * d2_at_one) / math.pi**2 + theta2
-    x, y = t * r1, t * r2
-    sigma_same = math.log(2.0 * x * y / (y - x)) / (2.0 * math.pi**2)
-    # intervals on opposite sides of the origin are separated by the SUM of
-    # the radii, so the pair distance in the logarithm is x + y
-    sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
+    covariances = {}
+    if r2 is not None:
+        x, y = t * r1, t * r2
+        sigma_same = math.log(2.0 * x * y / (y - x)) / (2.0 * math.pi**2)
+        # intervals on opposite sides of the origin are separated by the SUM
+        # of the radii, so the pair distance in the logarithm is x + y
+        sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
+        covariances = {"cov_same": sigma_same + theta2, "cov_opposite": -sigma_opposite - theta2}
     return MomentAsymptotics(
         mean_right=mu + beta_drift + theta1,
         mean_left=mu - beta_drift - theta1,
         var=var,
-        cov_same=sigma_same + theta2,
-        cov_opposite=-sigma_opposite - theta2,
+        **covariances,
     )

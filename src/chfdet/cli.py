@@ -432,7 +432,7 @@ def _run_moments(rc: RunConfig):
     positives = sorted(v for v in rc.config.r if v > 0.0)
     r1 = positives[0]
     r2 = positives[1] if len(positives) > 1 else None
-    asym = moment_asymptotics(rc.params, t, r1, r2 if r2 is not None else 2.0 * r1)
+    asym = moment_asymptotics(rc.params, t, r1, r2)
     counts = counting_statistics(rc.params, t, r1, r2, order=_panel_order(rc))
     entries = [
         ("mean_right", counts.mean_right, asym.mean_right),

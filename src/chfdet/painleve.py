@@ -10,16 +10,14 @@ t = e^S0 (seeding error O(t^{1 + 2 alpha}), 4e-18 at alpha = -0.45), and
 below that time the seed itself is the state. At tol 1e-9 the flow then
 meets ``log_det`` to 1e-9 at t = 5 and 8.3e-8 at t = 60 for alpha in
 [-0.45, 1.5] over 1-3 intervals. The module provides the vector field,
-the Hamiltonian, small-t initialization, the DOP853 Dormand-Prince 8(5)
-integrator with PI step control, and identity monitors that differentiate
-samples of the trajectory taken on a fixed grid at t >= 0.1/max|r_k|. One
-flow, or one identity check, owns one workspace: the field with the flow's
-constants bound once, one complex (14, n) buffer (y, then the fields of the
-12 stages and the field at the result, which becomes the next step's first
-field), and views of it built once per stage. Each stage's input is one
-real matrix-vector product over the buffer's float view, written into a
-preallocated row, and its field goes straight into the buffer; every
-accepted state keeps its own read-only copy of y.
+the Hamiltonian, small-t initialization and the DOP853 Dormand-Prince 8(5)
+integrator with PI step control. One flow owns one workspace: the field
+with the flow's constants bound once, one complex (14, n) buffer (y, then
+the fields of the 12 stages and the field at the result, which becomes the
+next step's first field), and views of it built once per stage. Each
+stage's input is one real matrix-vector product over the buffer's float
+view, written into a preallocated row, and its field goes straight into
+the buffer; every accepted state keeps its own read-only copy of y.
 
 ``log_d`` stores the alpha-regularized logarithm ln(d / (2 alpha)): the
 scalar d carries an overall factor 2 alpha and vanishes identically at
@@ -30,25 +28,22 @@ admissible alpha.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import c_from_gamma
+from .asymptotics import _side_weights
 from .errors import DomainError, NonConvergenceError, RegimeError
 from .kernel import Configuration, KernelParams, _gamma_prefactor
 from .specialfn import log_gamma
 
 __all__ = [
     "CPVState",
-    "IdentityReport",
     "cpv_rhs",
     "hamiltonian",
     "cpv_init",
     "cpv_integrate",
-    "verify_identities",
 ]
 
 S0 = -400.0  # seed time ln t of every flow
@@ -180,15 +175,16 @@ def hamiltonian(state: CPVState, params: KernelParams, config: Configuration) ->
 def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
     """Small-t state at t0 = min(config.t, e^S0), for every alpha (a
     configuration at t = 0 seeds at e^S0): U_k from the connection
-    coefficients and the kernel's gamma prefactor, V_k = 2 i r_k / (1 + 2 alpha)
-    (the fixed point of the leading V equation), log y and log d from their
-    small-t closed forms, and lnF seeded with the integrated leading
-    Hamiltonian term, 2 i t0^(1 + 2 alpha) sum_k r_k U_k / (1 + 2 alpha)^2
-    (the value of ``small_t_lnF`` there, to rounding). Below e^S0 the seed
-    is the answer: U and V still sit at their t -> 0 limits to rounding, and
-    lnF at its leading term."""
+    coefficients c_k = -i w_k of the real side weights w_k and the kernel's
+    gamma prefactor G, V_k = 2 i r_k / (1 + 2 alpha) (the fixed point of the
+    leading V equation), log y and log d from their small-t closed forms,
+    and lnF seeded with the integrated leading Hamiltonian term,
+    2 i t0^(1 + 2 alpha) sum_k r_k U_k / (1 + 2 alpha)^2, which is the
+    small-t value G sum_k w_k (2 |r_k| t0)^(1 + 2 alpha) / (1 + 2 alpha)^2
+    of ln F. Below e^S0 the seed is the answer: U and V still sit at their
+    t -> 0 limits to rounding, and lnF at its leading term."""
     a, b = params.alpha, params.beta
-    cs = c_from_gamma(config, params)  # raises for any weight at 1
+    ws = _side_weights(config, params.beta_im)  # raises for any weight at 1
     lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - b, 1.0 + a + b, 1.0 + 2.0 * a]).tolist()
     g = _gamma_prefactor(params)
     twoa1 = 1.0 + 2.0 * a
@@ -197,7 +193,7 @@ def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
     v = []
     for k in indices:
         r_k = config.r[k]
-        u.append(math.copysign(1.0, r_k) * cs[k] * g * (2.0 * abs(r_k)) ** (2.0 * a))
+        u.append(math.copysign(1.0, r_k) * (-1j * ws[k]) * g * (2.0 * abs(r_k)) ** (2.0 * a))
         v.append(2.0j * r_k / twoa1)
     t0 = config.t if 0.0 < config.t < math.exp(S0) else math.exp(S0)
     log_2t0 = math.log(2.0 * t0)
@@ -297,10 +293,10 @@ _DOP_E5_ROW = np.array(_DOP_E5, dtype=complex)
 
 
 class _Workspace:
-    """The buffers and the field of one flow, or of one identity check.
-    ``z`` is the complex (14, n) buffer: row 0 holds y, row 1 the field at
-    (s, y), and a step fills rows 2-13 with the fields of stages 1-12, the
-    last one at the result, which becomes the next step's first field.
+    """The buffers and the field of one flow. ``z`` is the complex (14, n)
+    buffer: row 0 holds y, row 1 the field at (s, y), and a step fills rows
+    2-13 with the fields of stages 1-12, the last one at the result, which
+    becomes the next step's first field.
     ``stages`` holds, per stage i = 1..12, the views its step reads and
     writes: row i of the real coefficient buffer up to column i, the float
     view of z's rows 0..i, the float row where its input lands, that row as
@@ -412,76 +408,3 @@ def cpv_integrate(
             h = h_step * min(1.0, max(0.2, fac))
     raise NonConvergenceError("cpv_integrate: step budget exhausted")
 
-
-# The identity monitors sample every _SAMPLE_SPACING / max|r_k| in t: the
-# 7-point central stencil's O(dt^6) truncation error is then of order 1e-11,
-# so the residuals keep falling with tol down to about tol = 1e-11.
-_SAMPLE_SPACING = 0.5 * 1e-11 ** (1.0 / 6.0)
-_CENTRAL_7 = (-1.0 / 60.0, 9.0 / 60.0, -45.0 / 60.0, 0.0, 45.0 / 60.0, -9.0 / 60.0, 1.0 / 60.0)
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Max-norm residuals of the two differential identities monitored along
-    a trajectory: (a) the time derivative of t H against 2i sum r_k u_k v_k,
-    and (b) the Hamiltonian relation whose auxiliary-logarithm derivatives
-    are expanded through their own differential equations. Only samples at
-    t >= 0.1/max|r_k| take part (``points_used`` counts the stencil centres);
-    below that every flow quantity still follows the seed's power law."""
-
-    residual_a: float
-    residual_b: float
-    points_used: int
-
-
-def verify_identities(
-    trajectory: list, params: KernelParams, config: Configuration
-) -> IdentityReport:
-    """Sample the trajectory on the fixed grid
-    t_j = (0.1 + j * 0.5 * 1e-11^(1/6)) / max|r_k| inside its time span, each
-    sample by one partial DOP853 step from the preceding accepted state,
-    differentiate in t with 7-point central stencils and report identity
-    residuals in max-norm. The grid does
-    not depend on the trajectory's steps, so trajectories of one flow at any
-    tolerance are sampled at the same points. Physical rates come from
-    ``cpv_rhs`` by the chain rule: dv/dt = dV/ds + V and H = (t H)/t."""
-    r_max = max(abs(v) for v in config.r)
-    t_first, dt = 0.1 / r_max, _SAMPLE_SPACING / r_max
-    times = [state.t for state in trajectory]
-    j0 = max(0, math.ceil((times[0] - t_first) / dt))
-    j1 = math.floor((times[-1] - t_first) / dt)
-    if j1 - j0 + 1 < 9:
-        raise DomainError("verify_identities: needs 9 samples at t >= 0.1/max|r_k|")
-    t = t_first + dt * np.arange(j0, j1 + 1)
-    work = _Workspace(params, config, len(trajectory[0].y))
-    z = work.z
-    y = np.empty((len(t), z.shape[1]), dtype=complex)
-    dy = np.empty_like(y)
-    prev = None
-    for j, t_j in enumerate(t.tolist()):
-        i = max(bisect.bisect_right(times, t_j) - 1, 0)
-        if i != prev:
-            prev = i
-            z[0] = trajectory[i].y
-            z[1] = _rates(trajectory[i], params, config, "verify_identities")
-        s_i = math.log(times[i])
-        y[j] = _dop853_step(s_i, math.log(t_j) - s_i, work)
-        dy[j] = z[13]
-
-    a, b = params.alpha, params.beta
-    n = len(config.active_indices)
-    r = np.array([config.r[k] for k in config.active_indices])
-    m = len(t) - 6
-    th = dy[:, -1]
-    dth = sum(w * th[k : k + m] for k, w in enumerate(_CENTRAL_7)) / dt
-    y, dy, t = y[3:-3], dy[3:-3], t[3:-3]
-    u = y[:, :n] * t[:, None] ** (2.0 * a)
-    v = 1.0 + t[:, None] * y[:, n : 2 * n]
-    res_a = np.abs(dth - 2.0j * np.sum(r * u * v, axis=1))
-    u_dv = np.sum(u * (dy[:, n : 2 * n] + y[:, n : 2 * n]), axis=1)
-    # d1 + d2 and d1 - d2 are t d(log d)/dt and t d(log y)/dt
-    logs = a * dy[:, -2] - b * dy[:, -3] - 2.0 * (a * a - b * b)
-    res_b = np.abs(u_dv - 2.0 * th[3:-3] / t + dth + logs / t)
-    return IdentityReport(
-        residual_a=float(np.max(res_a)), residual_b=float(np.max(res_b)), points_used=m
-    )

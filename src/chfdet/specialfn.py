@@ -14,8 +14,9 @@ family, each point on its own in complex scalars (callers pass one to a
 hundred points, too few for numpy to pay its per-call cost), shifted by
 the fewest unit steps into the Stirling zone |w| >= 10 or reflected from
 Re z < 0.5; for phi, Taylor steps of Kummer's equation along the ray from
-0 to z up to |z| = 34, each carrying phi and phi' together, and the
-asymptotic expansion beyond, its optimal truncation taken over all 64
+0 to z up to |z| = 34 (to -z, through Kummer's transformation, where
+Re z < 0), each carrying phi and phi' together, and the asymptotic
+expansion beyond, its optimal truncation taken over all 64
 terms at once; and a gamma-integral representation for Barnes G. The
 Taylor steps stay in plain double: the Kummer series summed at once on the
 imaginary axis cancels terms of size e^{|z|} down to an O(1) sum, while a
@@ -27,7 +28,9 @@ coefficient recurrence run from the two unit starts, which gives each
 step's 2x2 matrix; a ray's march then only multiplies by its matrices, in
 complex scalars. Every branch gets phi' from phi's own terms: the seed
 series and the steps carry it, and the asymptotic expansion differentiates
-its two series term by term.
+its two series term by term. Left of the imaginary axis, phi' is
+(a/b) e^z phi(b - a, b + 1, -z) from a second march: e^z (phi~ - phi~')
+from the transformed pair would cancel up to |z/a|-fold.
 """
 
 from __future__ import annotations
@@ -477,10 +480,19 @@ def _kummer_pair(a, b, z):
     phi = np.empty_like(flat)
     dphi = np.empty_like(flat)
     small = np.abs(flat) <= _PHI_TAYLOR_RADIUS
+    # left of the imaginary axis phi can be recessive, ~e^z, below a march's
+    # rounding; Kummer's transformation (DLMF 13.2.39) marches to -z instead.
+    # Kernel nodes, with real part +-0.0, stay on the direct march.
+    left = small & (flat.real < 0.0)
+    right = small & ~left
     # e^z overflows past Re z = 709.8; the result is then checked instead
     with np.errstate(over="ignore", invalid="ignore"):
-        if small.any():
-            phi[small], dphi[small] = _phi_pair_taylor(a, b, flat[small])
+        if right.any():
+            phi[right], dphi[right] = _phi_pair_taylor(a, b, flat[right])
+        if left.any():
+            ez = np.exp(flat[left])
+            phi[left] = ez * _phi_pair_taylor(b - a, b, -flat[left])[0]
+            dphi[left] = a / b * ez * _phi_pair_taylor(b - a, b + 1.0, -flat[left])[0]
         large = ~small
         if large.any():
             phi[large], dphi[large] = _phi_asymptotic_pair(a, b, flat[large])
@@ -501,28 +513,30 @@ def kummer_phi(a, b, z):
     pass, which gives each step's 2x2 matrix, so a ray's march is a few
     complex-scalar multiplies per radius: the 72 kernel nodes of a typical
     call (z = 2ix, two rays) take about 0.5 ms, and 2000 random directions
-    in |z| <= 34 about 0.05 s. The local series converge in their fixed
-    term count for |a|, |b| up to about 5 (the tests draw |Re a|, |Im a|
-    <= 5 and Re b in [0.3, 5], |Im b| <= 1). Beyond |z| = 34 the value
-    comes from the asymptotic expansion, whose optimal truncation leaves
-    about 0.6 e^{-|z|}. For the kernel's parameters
+    in |z| <= 34 about 0.07 s. A point with Re z < 0 marches to -z instead
+    (twice, for phi and for phi') and takes phi = e^z phi(b - a, b, -z),
+    which keeps a recessive phi (~e^z) accurate. The local series converge
+    in their fixed term count for |a|, |b| up to about 5 (the tests draw
+    |Re a|, |Im a| <= 5 and Re b in [0.3, 5], |Im b| <= 1). Beyond |z| = 34
+    the value comes from the asymptotic expansion, whose optimal truncation
+    leaves about 0.6 e^{-|z|}. For the kernel's parameters
     (a = 1 + alpha + i beta_im, b = 1 + 2 alpha with alpha in
     [-0.45, 1.5], |beta_im| <= 0.7, and z = 2ix) phi and phi' measured
     within 6.2e-15 relative of 40-digit mpmath values for |z| <= 34 and
-    within 1.01e-14 for 34 < |z| <= 600. Raises
-    DomainError when b sits at a non-positive integer pole,
-    NonConvergenceError / RegimeError when a branch cannot meet its
-    accuracy contract (outside ~|z| <= 50 this may happen for extreme
-    parameter values), and RegimeError when phi or phi' is not finite in
-    double (e^z overflows for Re z > 709.8).
+    within 1.01e-14 for 34 < |z| <= 600. Raises DomainError when b sits at
+    a non-positive integer pole, NonConvergenceError / RegimeError when a
+    branch cannot meet its accuracy contract (outside ~|z| <= 50 this may
+    happen for extreme parameter values), and RegimeError when phi or phi'
+    is not finite in double (e^z overflows for Re z > 709.8).
     """
     return _kummer_pair(a, b, z)[0]
 
 
 def kummer_phi_prime(a, b, z):
     """d/dz phi(a, b, z), from the same evaluation as kummer_phi: the ODE
-    steps carry phi' along with phi for |z| <= 34, and beyond that it is
-    phi's asymptotic expansion differentiated term by term."""
+    steps carry phi' along with phi for |z| <= 34 (with Re z < 0 it is
+    (a/b) e^z phi(b - a, b + 1, -z), from a second march), and beyond that
+    it is phi's asymptotic expansion differentiated term by term."""
     return _kummer_pair(a, b, z)[1]
 
 

@@ -8,19 +8,25 @@ by methods the package does not use.
   series on a midpoint grid, with a remainder bound (small t only).
 - ``cpv_large_t_prediction``: the closed-form large-t tail of the flow
   variables u, v, H, y and d.
+- ``verify_identities``: residuals of two differential identities along a
+  flow trajectory, from samples taken by partial DOP853 steps of the
+  package's own integrator.
 - ``symmetric_counting_asymptotics``: the large-t mean and variance of the
   symmetric count N(t) + N(-t).
 - ``kummer_taylor_march``: phi and phi' for |z| <= 34 by stepping Kummer's
   equation point by point in complex scalars, each step's series summed
   from its own start, against which the package's one-pass matrices are
   checked.
+- ``b_from_gamma`` and ``c_from_gamma``: the jump exponents b_k and the
+  connection coefficients c_k as published, complex.
 - ``complex_large_gap_lnF``, ``complex_small_t_lnF``, ``complex_theta_pair``
   and ``complex_moment_asymptotics``: the expansions in the complex
   exponents b_k, c_k and beta as published, with both members of every
   conjugate pair evaluated and an asserted imaginary residue, against which
-  the package's real-arithmetic forms are checked.
+  the package's real-arithmetic forms (and the flow's seed) are checked.
 """
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -32,11 +38,12 @@ from chfdet.asymptotics import (
     AsymptoticReport,
     MomentAsymptotics,
     _gamma_extended,
-    b_from_gamma,
-    c_from_gamma,
+    _jump_nus,
+    _side_weights,
 )
 from chfdet.errors import DomainError, RegimeError
 from chfdet.kernel import chf_kernel_matrix, sigma_step
+from chfdet.painleve import _dop853_step, _rates, _Workspace
 from chfdet.specialfn import log_barnes_g, log_barnes_g_d1, log_barnes_g_d2, log_gamma
 
 
@@ -327,6 +334,78 @@ def cpv_large_t_prediction(params, config, t, t_match=_DEFAULT_T_MATCH):
     return LargeTPrediction(u=np.array(u), v=np.array(v), H=h_pred, y=y_pred, d=d_pred)
 
 
+# The identity monitors sample every _SAMPLE_SPACING / max|r_k| in t: the
+# 7-point central stencil's O(dt^6) truncation error is then of order 1e-11,
+# so the residuals keep falling with tol down to about tol = 1e-11.
+_SAMPLE_SPACING = 0.5 * 1e-11 ** (1.0 / 6.0)
+_CENTRAL_7 = (-1.0 / 60.0, 9.0 / 60.0, -45.0 / 60.0, 0.0, 45.0 / 60.0, -9.0 / 60.0, 1.0 / 60.0)
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Max-norm residuals of the two differential identities monitored along
+    a trajectory: (a) the time derivative of t H against 2i sum r_k u_k v_k,
+    and (b) the Hamiltonian relation whose auxiliary-logarithm derivatives
+    are expanded through their own differential equations. Only samples at
+    t >= 0.1/max|r_k| take part (``points_used`` counts the stencil centres);
+    below that every flow quantity still follows the seed's power law."""
+
+    residual_a: float
+    residual_b: float
+    points_used: int
+
+
+def verify_identities(trajectory, params, config):
+    """Sample the trajectory on the fixed grid
+    t_j = (0.1 + j * 0.5 * 1e-11^(1/6)) / max|r_k| inside its time span, each
+    sample by one partial DOP853 step from the preceding accepted state,
+    differentiate in t with 7-point central stencils and report identity
+    residuals in max-norm. The grid does not depend on the trajectory's
+    steps, so trajectories of one flow at any tolerance are sampled at the
+    same points. Physical rates come from the flow's field by the chain
+    rule: dv/dt = dV/ds + V and H = (t H)/t."""
+    r_max = max(abs(v) for v in config.r)
+    t_first, dt = 0.1 / r_max, _SAMPLE_SPACING / r_max
+    times = [state.t for state in trajectory]
+    j0 = max(0, math.ceil((times[0] - t_first) / dt))
+    j1 = math.floor((times[-1] - t_first) / dt)
+    if j1 - j0 + 1 < 9:
+        raise DomainError("verify_identities: needs 9 samples at t >= 0.1/max|r_k|")
+    t = t_first + dt * np.arange(j0, j1 + 1)
+    work = _Workspace(params, config, len(trajectory[0].y))
+    z = work.z
+    y = np.empty((len(t), z.shape[1]), dtype=complex)
+    dy = np.empty_like(y)
+    prev = None
+    for j, t_j in enumerate(t.tolist()):
+        i = max(bisect.bisect_right(times, t_j) - 1, 0)
+        if i != prev:
+            prev = i
+            z[0] = trajectory[i].y
+            z[1] = _rates(trajectory[i], params, config, "verify_identities")
+        s_i = math.log(times[i])
+        y[j] = _dop853_step(s_i, math.log(t_j) - s_i, work)
+        dy[j] = z[13]
+
+    a, b = params.alpha, params.beta
+    n = len(config.active_indices)
+    r = np.array([config.r[k] for k in config.active_indices])
+    m = len(t) - 6
+    th = dy[:, -1]
+    dth = sum(w * th[k : k + m] for k, w in enumerate(_CENTRAL_7)) / dt
+    y, dy, t = y[3:-3], dy[3:-3], t[3:-3]
+    u = y[:, :n] * t[:, None] ** (2.0 * a)
+    v = 1.0 + t[:, None] * y[:, n : 2 * n]
+    res_a = np.abs(dth - 2.0j * np.sum(r * u * v, axis=1))
+    u_dv = np.sum(u * (dy[:, n : 2 * n] + y[:, n : 2 * n]), axis=1)
+    # d1 + d2 and d1 - d2 are t d(log d)/dt and t d(log y)/dt
+    logs = a * dy[:, -2] - b * dy[:, -3] - 2.0 * (a * a - b * b)
+    res_b = np.abs(u_dv - 2.0 * th[3:-3] / t + dth + logs / t)
+    return IdentityReport(
+        residual_a=float(np.max(res_a)), residual_b=float(np.max(res_b)), points_used=m
+    )
+
+
 def symmetric_counting_asymptotics(params, t):
     """Large-t mean and variance of the symmetric count N(t) + N(-t):
     mean 2t/pi - alpha, variance (ln 4t + 1 + gamma_E)/pi^2."""
@@ -375,6 +454,30 @@ def _collapse(z: complex, what: str) -> float:
     if abs(z.imag) > 1e-12:
         raise AssertionError(f"{what}: imaginary residue {abs(z.imag):.3e} exceeds 1e-12")
     return float(z.real)
+
+
+def b_from_gamma(config):
+    """Jump exponents b_k = ln((1-gamma_{k-1})/(1-gamma_k)) / (2 pi i) for
+    k = 0..n, purely imaginary for real weights below 1; they telescope to
+    sum exactly zero."""
+    return [-1j * nu for nu in _jump_nus(config)]
+
+
+def c_from_gamma(config, params):
+    """Connection coefficients c_k for k = 0..n.
+
+    For k on either side of m these are scaled weight differences with a
+    phase e^{+-beta pi i}; the k = m entry couples the two weights adjacent
+    to the origin with the combined phase e^{+-(alpha+beta) pi i}.
+    """
+    ws = _side_weights(config, params.beta_im)
+    ge = _gamma_extended(config)
+    m = config.m
+    ab = params.alpha + params.beta
+    c_m = (1.0 - ge[m]) * cmath.exp(ab * math.pi * 1j) - (1.0 - ge[m + 1]) * cmath.exp(
+        -ab * math.pi * 1j
+    )
+    return [-1j * ws[k] if k != m else c_m for k in range(len(config.r))]
 
 
 def complex_large_gap_lnF(params, config):
@@ -481,9 +584,9 @@ def complex_theta_pair(params):
     return theta1, theta2
 
 
-def complex_moment_asymptotics(params, t, r1, r2):
+def complex_moment_asymptotics(params, t, r1, r2=None):
     """The large-t counting statistics with the complex theta pair and
-    beta drift."""
+    beta drift; without r2 the covariances are None."""
     a, beta = params.alpha, params.beta
     theta1, theta2 = complex_theta_pair(params)
     mu = t * r1 / math.pi - 0.5 * a
@@ -491,13 +594,15 @@ def complex_moment_asymptotics(params, t, r1, r2):
     beta_drift = _collapse(beta / (1j * math.pi), "jump drift coefficient") * delta
     d2_at_one = log_barnes_g_d2(0.0).real
     var = (delta - 0.5 * d2_at_one) / math.pi**2 + theta2
-    x, y = t * r1, t * r2
-    sigma_same = math.log(2.0 * x * y / (y - x)) / (2.0 * math.pi**2)
-    sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
+    covariances = {}
+    if r2 is not None:
+        x, y = t * r1, t * r2
+        sigma_same = math.log(2.0 * x * y / (y - x)) / (2.0 * math.pi**2)
+        sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
+        covariances = {"cov_same": sigma_same + theta2, "cov_opposite": -sigma_opposite - theta2}
     return MomentAsymptotics(
         mean_right=mu + beta_drift + theta1,
         mean_left=mu - beta_drift - theta1,
         var=var,
-        cov_same=sigma_same + theta2,
-        cov_opposite=-sigma_opposite - theta2,
+        **covariances,
     )

@@ -123,6 +123,19 @@ def main() -> None:
     lines.append("]")
     lines.append("")
 
+    # --- Kummer phi and phi' left of the imaginary axis, |z| <= 34 ---
+    # where phi is recessive, ~e^z (b - a at or near 0), and two points
+    # where it is not; phi' is (a/b) phi(a+1, b+1, z)
+    lines.append("KUMMER_LEFT = [")
+    for a, b, z in [(1.0, 1.0, -30.0), (2.0, 2.0, -25.0), (1.2, 1.2, -15.0 - 15.0j),
+                    (1.0, 1.001, -30.0), (0.75, 1.5, -24.0), (0.1, 1.5, -33.0)]:
+        am, bm, zm = mp.mpc(a), mp.mpc(b), mp.mpc(z)
+        lines.append("    (%s, %s, %s, %s, %s)," % (
+            c(am), c(bm), c(zm), c(mp.hyp1f1(am, bm, zm)),
+            c(am / bm * mp.hyp1f1(am + 1, bm + 1, zm))))
+    lines.append("]")
+    lines.append("")
+
     # --- Kummer anchors on the asymptotic branch at kernel parameters ---
     # a = 1+alpha+i beta_im, b = 1+2 alpha formed in double as the kernel
     # forms them, at the alpha edges, z = +-2ix out to |z| = 400

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from chfdet.asymptotics import b_from_gamma, large_gap_lnF, moment_asymptotics
+from chfdet.asymptotics import large_gap_lnF, moment_asymptotics
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams, chf_kernel
 from chfdet.painleve import (
@@ -19,7 +19,6 @@ from chfdet.painleve import (
     cpv_integrate,
     cpv_rhs,
     hamiltonian,
-    verify_identities,
 )
 from chfdet.specialfn import (
     digamma,
@@ -33,10 +32,12 @@ from chfdet.specialfn import (
 from chfdet.stats import numeric_covariance, numeric_mean, numeric_variance
 
 from _references import (
+    b_from_gamma,
     bessel_kernel,
     cpv_large_t_prediction,
     log_det_series_oracle,
     symmetric_counting_asymptotics,
+    verify_identities,
 )
 
 SINE = KernelParams(alpha=0.0, beta_im=0.0)

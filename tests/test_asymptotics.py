@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from chfdet import asymptotics
-from chfdet.asymptotics import (
-    b_from_gamma,
-    c_from_gamma,
-    large_gap_lnF,
-    moment_asymptotics,
-    small_t_lnF,
-)
+from chfdet.asymptotics import large_gap_lnF, moment_asymptotics
 from chfdet.errors import DomainError
 from chfdet.fredholm import build_grid, log_det
 from chfdet.kernel import Configuration, KernelParams
@@ -21,6 +15,8 @@ from chfdet.specialfn import log_barnes_g, log_barnes_g_d2
 
 import _oracle_values as ov
 from _references import (
+    b_from_gamma,
+    c_from_gamma,
     complex_large_gap_lnF,
     complex_moment_asymptotics,
     complex_small_t_lnF,
@@ -188,29 +184,22 @@ class TestLargeGap:
 
 
 class TestSmallT:
-    def test_zero_weights_and_zero_t(self):
-        params = KernelParams(alpha=0.25, beta_im=0.3)
-        assert small_t_lnF(params, _cfg((-1.0, 0.0, 1.0), (0.0, 0.0), 1.0), 0.01) == 0.0
-        assert small_t_lnF(params, _cfg((-1.0, 0.0, 1.0), (0.3, 0.6), 1.0), 0.0) == 0.0
+    """The small-t closed form, which seeds every flow (``cpv_init``; see
+    test_painleve), in its complex form as published."""
 
     def test_sine_single_interval_value(self):
         params = KernelParams(alpha=0.0, beta_im=0.0)
         cfg = _cfg((0.0, 1.0), (0.5,), 1.0)
         t = 0.01
-        assert small_t_lnF(params, cfg, t) == pytest.approx(-0.5 * t / math.pi, rel=1e-14)
+        assert complex_small_t_lnF(params, cfg, t) == pytest.approx(-0.5 * t / math.pi, rel=1e-14)
 
     def test_matches_determinant_at_small_t(self):
         params = KernelParams(alpha=0.25, beta_im=0.3)
         t = 1e-3
         cfg = _cfg((-1.0, 0.0, 1.0), (0.3, 0.6), t)
-        predicted = small_t_lnF(params, cfg, t)
+        predicted = complex_small_t_lnF(params, cfg, t)
         exact = log_det(params, cfg)
         assert predicted == pytest.approx(exact, rel=0.05)
-
-    def test_negative_t_rejected(self):
-        params = KernelParams(alpha=0.0, beta_im=0.0)
-        with pytest.raises(DomainError):
-            small_t_lnF(params, _cfg((0.0, 1.0), (0.5,), 1.0), -1.0)
 
 
 class TestMoments:
@@ -281,6 +270,16 @@ class TestMoments:
         )
         assert log_barnes_g_d2(0.0).real == pytest.approx(-1.0 - ov.EULER_GAMMA, abs=1e-14)
 
+    def test_without_r2_the_covariances_are_none(self):
+        # the means and the variance do not depend on r2
+        params = KernelParams(alpha=0.25, beta_im=0.3)
+        alone = moment_asymptotics(params, 10.0, 1.0)
+        paired = moment_asymptotics(params, 10.0, 1.0, 2.0)
+        assert alone.cov_same is None and alone.cov_opposite is None
+        for name in ("mean_right", "mean_left", "var"):
+            assert getattr(alone, name) == getattr(paired, name)
+        assert complex_moment_asymptotics(params, 10.0, 1.0).cov_same is None
+
     def test_invalid_positions_rejected(self):
         params = KernelParams(alpha=0.0, beta_im=0.0)
         with pytest.raises(DomainError):
@@ -289,6 +288,12 @@ class TestMoments:
             moment_asymptotics(params, 5.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             moment_asymptotics(params, 0.0, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            moment_asymptotics(params, 5.0, 0.0)
+        # non-finite positions and times would give NaN means and covariances
+        for args in ((5.0, math.inf), (5.0, 1.0, math.inf), (math.inf, 1.0, 2.0), (5.0, math.nan)):
+            with pytest.raises(DomainError):
+                moment_asymptotics(params, *args)
         with pytest.raises(DomainError):
             symmetric_counting_asymptotics(params, 0.0)
 
@@ -327,9 +332,6 @@ class TestRealForms:
                 assert close(value, expected), (name, params, cfg)
             assert close(rep.log_term, ref.log_term)
             assert close(rep.constant_term, ref.constant_term)
-            t_small = cfg.t * 1e-3
-            assert close(small_t_lnF(params, cfg, t_small), complex_small_t_lnF(params, cfg, t_small))
-            assert close(small_t_lnF(params, cfg, cfg.t), complex_small_t_lnF(params, cfg, cfg.t))
             r1 = float(rng.uniform(0.1, 2.0))
             r2 = r1 + float(rng.uniform(0.01, 2.0))
             mom = moment_asymptotics(params, cfg.t, r1, r2)

@@ -187,9 +187,21 @@ class TestKummer:
             rhs = np.exp(zs) * sf.kummer_phi(b - a, b, -zs)
             assert np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))) < 1e-11
 
-    def test_exponential_special_case(self):
-        z = 17.0j
-        assert rel(sf.kummer_phi(1.0, 1.0, z), np.exp(z)) < 1e-13
+    @pytest.mark.parametrize("b,z", [(1.0, 17.0j), (1.0, -30.0), (2.0, -25.0), (1.2, -15.0 - 15.0j)])
+    def test_exponential_special_case(self, b, z):
+        # phi(b, b, z) = phi'(b, b, z) = e^z, recessive left of the imaginary
+        # axis, where it must keep its relative accuracy
+        phi, dphi = sf._kummer_pair(b, b, z)
+        want = np.exp(z)
+        assert abs(phi - want) < 1e-13 * abs(want)
+        assert abs(dphi - want) < 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("a,b,z,want,dwant", ov.KUMMER_LEFT)
+    def test_oracle_left_of_the_imaginary_axis(self, a, b, z, want, dwant):
+        # recessive (b - a at or near 0) and dominant phi at Re z < 0, |z| <= 34
+        phi, dphi = sf._kummer_pair(a, b, z)
+        assert abs(phi - complex(want)) <= 1e-14 * abs(complex(want))
+        assert abs(dphi - complex(dwant)) <= 1e-14 * abs(complex(dwant))
 
     def test_polynomial_termination(self):
         # a a non-positive integer truncates the series exactly
