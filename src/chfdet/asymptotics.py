@@ -1,22 +1,18 @@
 """Closed-form expansions of the log-determinant and counting statistics.
 
-The weight vector gamma enters through two exponent families: the jump
-exponents b_k (telescoping logs of 1 - gamma) and the connection
-coefficients c_k, which fix the small-t data that seed the Painleve V
-flow. On top of these sit the large-t expansion of ln det(I - K_sigma)
-(linear, logarithmic, and constant terms, the constant built from Barnes G
-values) and the closed-form mean/variance/covariance asymptotics of the
-counting function.
+The weight vector gamma enters through the jump exponents b_k (telescoping
+logs of 1 - gamma). On top of these sit the large-t expansion of
+ln det(I - K_sigma) (linear, logarithmic, and constant terms, the constant
+built from Barnes G values) and the closed-form mean/variance/covariance
+asymptotics of the counting function.
 
 For weights below 1 and an imaginary beta = i s, every b_k = -i nu_k is
-purely imaginary, and every c_k off the origin is -i w_k with w_k real.
-The module computes nu_k (``_jump_nus``) and w_k (``_side_weights``, from
-which ``painleve.cpv_init`` seeds the flow) in real arithmetic, and its
-expansions are written in nu_k and s, so they are real by construction:
-each pair of Barnes G values (and of their derivatives) at conjugate
-arguments is one evaluation, log G(1+z) + log G(1+conj z) = 2 Re log G(1+z).
-The tests check them against the complex exponents and expansions as
-published.
+purely imaginary. The module computes nu_k (``_jump_nus``) in real
+arithmetic, and its expansions are written in nu_k and s, so they are real
+by construction: each pair of Barnes G values (and of their derivatives) at
+conjugate arguments is one evaluation,
+log G(1+z) + log G(1+conj z) = 2 Re log G(1+z). The tests check them
+against the complex exponents and expansions as published.
 """
 
 from __future__ import annotations
@@ -57,21 +53,6 @@ def _jump_nus(config: Configuration) -> list:
         math.log((1.0 - ge[k]) / (1.0 - ge[k + 1])) / (2.0 * math.pi)
         for k in range(len(config.r))
     ]
-
-
-def _side_weights(config: Configuration, beta_im: float) -> dict:
-    """w_k = i c_k for every k != m, real: (gamma_{k-1} - gamma_k) / (2 pi)
-    e^{-pi s} left of the origin and (gamma_k - gamma_{k-1}) / (2 pi) e^{pi s}
-    right of it, with s = beta_im."""
-    ge = _gamma_extended(config)
-    m = config.m
-    left, right = math.exp(-math.pi * beta_im), math.exp(math.pi * beta_im)
-    return {
-        k: (ge[k] - ge[k + 1]) / (2.0 * math.pi) * left
-        if k < m
-        else (ge[k + 1] - ge[k]) / (2.0 * math.pi) * right
-        for k in config.active_indices
-    }
 
 
 @dataclass(frozen=True)
@@ -172,8 +153,8 @@ class MomentAsymptotics:
     mean_right: float
     mean_left: float
     var: float
-    cov_same: float | None = None
-    cov_opposite: float | None = None
+    cov_same: float | None
+    cov_opposite: float | None
 
 
 def _theta_pair(params: KernelParams):
@@ -211,17 +192,18 @@ def moment_asymptotics(
     # unit-shift Barnes factors differentiate to 2 (ln G)''(1) and pick up the
     # 1/(4 pi^2) prefactor of the second exponent derivative
     var = (delta - 0.5 * d2_at_one) / math.pi**2 + theta2
-    covariances = {}
+    cov_same = cov_opposite = None
     if r2 is not None:
         x, y = t * r1, t * r2
         sigma_same = math.log(2.0 * x * y / (y - x)) / (2.0 * math.pi**2)
         # intervals on opposite sides of the origin are separated by the SUM
         # of the radii, so the pair distance in the logarithm is x + y
         sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
-        covariances = {"cov_same": sigma_same + theta2, "cov_opposite": -sigma_opposite - theta2}
+        cov_same, cov_opposite = sigma_same + theta2, -sigma_opposite - theta2
     return MomentAsymptotics(
         mean_right=mu + beta_drift + theta1,
         mean_left=mu - beta_drift - theta1,
         var=var,
-        **covariances,
+        cov_same=cov_same,
+        cov_opposite=cov_opposite,
     )

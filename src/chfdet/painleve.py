@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _side_weights
+from .asymptotics import _gamma_extended
 from .errors import DomainError, NonConvergenceError, RegimeError
 from .kernel import Configuration, KernelParams, _gamma_prefactor
 from .specialfn import log_gamma
@@ -170,6 +170,21 @@ def _rates(state: CPVState, params: KernelParams, config: Configuration, caller:
 def hamiltonian(state: CPVState, params: KernelParams, config: Configuration) -> complex:
     """H(t) = d(lnF)/dt at the state (the last entry of ``cpv_rhs`` over t)."""
     return complex(_rates(state, params, config, "hamiltonian")[-1]) / state.t
+
+
+def _side_weights(config: Configuration, beta_im: float) -> dict:
+    """w_k = i c_k for every k != m, real: (gamma_{k-1} - gamma_k) / (2 pi)
+    e^{-pi s} left of the origin and (gamma_k - gamma_{k-1}) / (2 pi) e^{pi s}
+    right of it, with s = beta_im."""
+    ge = _gamma_extended(config)
+    m = config.m
+    left, right = math.exp(-math.pi * beta_im), math.exp(math.pi * beta_im)
+    return {
+        k: (ge[k] - ge[k + 1]) / (2.0 * math.pi) * left
+        if k < m
+        else (ge[k + 1] - ge[k]) / (2.0 * math.pi) * right
+        for k in config.active_indices
+    }
 
 
 def cpv_init(params: KernelParams, config: Configuration) -> CPVState:

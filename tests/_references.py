@@ -39,11 +39,10 @@ from chfdet.asymptotics import (
     MomentAsymptotics,
     _gamma_extended,
     _jump_nus,
-    _side_weights,
 )
 from chfdet.errors import DomainError, RegimeError
 from chfdet.kernel import chf_kernel_matrix, sigma_step
-from chfdet.painleve import _dop853_step, _rates, _Workspace
+from chfdet.painleve import _dop853_step, _rates, _side_weights, _Workspace
 from chfdet.specialfn import log_barnes_g, log_barnes_g_d1, log_barnes_g_d2, log_gamma
 
 
@@ -594,15 +593,16 @@ def complex_moment_asymptotics(params, t, r1, r2=None):
     beta_drift = _collapse(beta / (1j * math.pi), "jump drift coefficient") * delta
     d2_at_one = log_barnes_g_d2(0.0).real
     var = (delta - 0.5 * d2_at_one) / math.pi**2 + theta2
-    covariances = {}
+    cov_same = cov_opposite = None
     if r2 is not None:
         x, y = t * r1, t * r2
         sigma_same = math.log(2.0 * x * y / (y - x)) / (2.0 * math.pi**2)
         sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
-        covariances = {"cov_same": sigma_same + theta2, "cov_opposite": -sigma_opposite - theta2}
+        cov_same, cov_opposite = sigma_same + theta2, -sigma_opposite - theta2
     return MomentAsymptotics(
         mean_right=mu + beta_drift + theta1,
         mean_left=mu - beta_drift - theta1,
         var=var,
-        **covariances,
+        cov_same=cov_same,
+        cov_opposite=cov_opposite,
     )

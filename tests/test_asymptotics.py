@@ -11,6 +11,7 @@ from chfdet.asymptotics import large_gap_lnF, moment_asymptotics
 from chfdet.errors import DomainError
 from chfdet.fredholm import build_grid, log_det
 from chfdet.kernel import Configuration, KernelParams
+from chfdet.painleve import cpv_init
 from chfdet.specialfn import log_barnes_g, log_barnes_g_d2
 
 import _oracle_values as ov
@@ -324,6 +325,7 @@ class TestRealForms:
         def close(value, reference):
             return abs(value - reference) <= 1e-15 * max(1.0, abs(reference))
 
+        seeded = 0
         for _ in range(500):
             params, cfg = _random_case(rng)
             rep, ref = large_gap_lnF(params, cfg), complex_large_gap_lnF(params, cfg)
@@ -332,12 +334,25 @@ class TestRealForms:
                 assert close(value, expected), (name, params, cfg)
             assert close(rep.log_term, ref.log_term)
             assert close(rep.constant_term, ref.constant_term)
+            # the real seed of every flow: lnF = 2i t0^(1 + 2 alpha) sum_k r_k U_k
+            # / (1 + 2 alpha)^2, whose t-free coefficient is the closed form at t = 1
+            state = cpv_init(params, cfg.replace_t(1e-200))
+            twoa1 = 1.0 + 2.0 * params.alpha
+            ru = sum(cfg.r[k] * u_k for k, u_k in zip(state.indices, state.y))
+            coefficient = 2j * ru / (twoa1 * twoa1)
+            assert coefficient.imag == 0.0 and state.lnF.imag == 0.0
+            assert close(coefficient.real, complex_small_t_lnF(params, cfg, 1.0))
+            expected = complex_small_t_lnF(params, cfg, 1e-200)
+            if abs(expected) > 1e-290:  # 1e-200^(1 + 2 alpha) underflows for alpha above ~0.27
+                seeded += 1
+                assert abs(state.lnF - expected) <= 1e-14 * abs(expected), (params, cfg)
             r1 = float(rng.uniform(0.1, 2.0))
             r2 = r1 + float(rng.uniform(0.01, 2.0))
             mom = moment_asymptotics(params, cfg.t, r1, r2)
             mom_ref = complex_moment_asymptotics(params, cfg.t, r1, r2)
             for name in ("mean_right", "mean_left", "var", "cov_same", "cov_opposite"):
                 assert close(getattr(mom, name), getattr(mom_ref, name)), name
+        assert seeded >= 100
 
     def test_one_barnes_g_per_conjugate_pair(self, monkeypatch):
         # two at the origin block and one per active endpoint
