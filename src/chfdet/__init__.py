@@ -7,12 +7,7 @@ Hamiltonian flow, and closed-form large-gap asymptotics), plus the
 counting-statistics layer built on top of them.
 """
 
-from .asymptotics import (
-    AsymptoticReport,
-    MomentAsymptotics,
-    large_gap_lnF,
-    moment_asymptotics,
-)
+from .asymptotics import AsymptoticReport, large_gap_lnF, moment_asymptotics
 from .errors import DomainError, NonConvergenceError, RegimeError
 from .fredholm import QuadratureGrid, build_grid, log_det
 from .kernel import (
@@ -50,7 +45,6 @@ __all__ = [
     "build_grid",
     "log_det",
     "AsymptoticReport",
-    "MomentAsymptotics",
     "large_gap_lnF",
     "moment_asymptotics",
     "CPVState",

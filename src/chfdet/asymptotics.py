@@ -4,15 +4,16 @@ The weight vector gamma enters through the jump exponents b_k (telescoping
 logs of 1 - gamma). On top of these sit the large-t expansion of
 ln det(I - K_sigma) (linear, logarithmic, and constant terms, the constant
 built from Barnes G values) and the closed-form mean/variance/covariance
-asymptotics of the counting function.
+asymptotics of the counting function, returned in the record
+``stats.CountingStatistics`` that also carries their numeric values.
 
 For weights below 1 and an imaginary beta = i s, every b_k = -i nu_k is
 purely imaginary. The module computes nu_k (``_jump_nus``) in real
 arithmetic, and its expansions are written in nu_k and s, so they are real
-by construction: each pair of Barnes G values (and of their derivatives) at
-conjugate arguments is one evaluation,
-log G(1+z) + log G(1+conj z) = 2 Re log G(1+z). The tests check them
-against the complex exponents and expansions as published.
+by construction: each pair of Barnes G values at conjugate arguments is one
+evaluation, log G(1+z) + log G(1+conj z) = 2 Re log G(1+z), and each pair
+of their derivatives is one digamma and one trigamma value at 1+z. The tests
+check them against the complex exponents and expansions as published.
 """
 
 from __future__ import annotations
@@ -22,17 +23,19 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .kernel import Configuration, KernelParams
-from .specialfn import log_barnes_g, log_barnes_g_d1, log_barnes_g_d2
+from .specialfn import _LN_2PI, digamma, log_barnes_g, trigamma
 from .specialfn import log_gamma  # noqa: F401  (perfbench/tracing.py wraps asymptotics.log_gamma by name)
+from .stats import CountingStatistics
 
 __all__ = [
     "AsymptoticReport",
-    "MomentAsymptotics",
     "large_gap_lnF",
     "moment_asymptotics",
 ]
 
 _MIN_GAP_WARN = 0.05
+# (ln G)''(1) = -1 - gamma_E, the curvature of ln G(1+z) at z = 0
+_LOG_BARNES_G_D2_AT_ONE = -1.0 - 0.57721566490153286
 
 
 def _gamma_extended(config: Configuration) -> tuple:
@@ -143,32 +146,22 @@ def large_gap_lnF(params: KernelParams, config: Configuration) -> AsymptoticRepo
     )
 
 
-@dataclass(frozen=True)
-class MomentAsymptotics:
-    """Large-t counting-statistics asymptotics at scaled positions r1 < r2:
-    means of N(+-t r1), the common variance, and the covariances of N(t r1)
-    with N(t r2) (same side) and with N(-t r2) (opposite sides). The
-    covariances are None when no r2 was given."""
-
-    mean_right: float
-    mean_left: float
-    var: float
-    cov_same: float | None
-    cov_opposite: float | None
-
-
 def _theta_pair(params: KernelParams):
-    """The Barnes G derivative offsets theta1 = -Im (ln G)'(1+alpha+is) / pi
-    and theta2 = -Re (ln G)''(1+alpha+is) / (2 pi^2)."""
+    """The Barnes G derivative offsets theta1 = -Im (ln G)'(1+z) / pi and
+    theta2 = -Re (ln G)''(1+z) / (2 pi^2) at z = alpha + is, from
+    (ln G)'(1+z) = ln(2 pi)/2 - 1/2 - z + z psi(1+z) and
+    (ln G)''(1+z) = -1 + psi(1+z) + z psi'(1+z)."""
     z = complex(params.alpha, params.beta_im)
-    theta1 = -log_barnes_g_d1(z).imag / math.pi
-    theta2 = -log_barnes_g_d2(z).real / (2.0 * math.pi**2)
+    psi = digamma(1.0 + z)
+    tri = trigamma(1.0 + z)
+    theta1 = -(0.5 * _LN_2PI - 0.5 - z + z * psi).imag / math.pi
+    theta2 = -(-1.0 + psi + z * tri).real / (2.0 * math.pi**2)
     return theta1, theta2
 
 
 def moment_asymptotics(
     params: KernelParams, t: float, r1: float, r2: float | None = None
-) -> MomentAsymptotics:
+) -> CountingStatistics:
     """Closed-form large-t mean/variance/covariance of the counting function
     at radii 0 < r1 < r2, or of the means and the variance alone without
     r2."""
@@ -187,11 +180,10 @@ def moment_asymptotics(
     mu = t * r1 / math.pi - 0.5 * a
     delta = math.log(2.0 * t * r1)
     beta_drift = params.beta_im / math.pi * delta
-    d2_at_one = log_barnes_g_d2(0.0).real
     # the variance constant carries half the unit-argument curvature: the two
     # unit-shift Barnes factors differentiate to 2 (ln G)''(1) and pick up the
     # 1/(4 pi^2) prefactor of the second exponent derivative
-    var = (delta - 0.5 * d2_at_one) / math.pi**2 + theta2
+    var = (delta - 0.5 * _LOG_BARNES_G_D2_AT_ONE) / math.pi**2 + theta2
     cov_same = cov_opposite = None
     if r2 is not None:
         x, y = t * r1, t * r2
@@ -200,7 +192,7 @@ def moment_asymptotics(
         # of the radii, so the pair distance in the logarithm is x + y
         sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
         cov_same, cov_opposite = sigma_same + theta2, -sigma_opposite - theta2
-    return MomentAsymptotics(
+    return CountingStatistics(
         mean_right=mu + beta_drift + theta1,
         mean_left=mu - beta_drift - theta1,
         var=var,

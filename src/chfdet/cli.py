@@ -253,8 +253,9 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
 
-    if command == "moments" and not any(v > 0.0 for v in endpoints):
-        raise ConfigError("command 'moments' requires a positive endpoint in 'r'")
+    # the statistics read r1 and r2 alone; any other endpoint would be dropped
+    if command == "moments" and not (config.r[0] == 0.0 and len(config.r) in (2, 3)):
+        raise ConfigError("command 'moments' requires 'r' to be 0,r1 or 0,r1,r2")
 
     order = None
     if "order" in raw:
@@ -429,9 +430,8 @@ def _run_verify(rc: RunConfig):
 
 def _run_moments(rc: RunConfig):
     t = rc.config.t
-    positives = sorted(v for v in rc.config.r if v > 0.0)
-    r1 = positives[0]
-    r2 = positives[1] if len(positives) > 1 else None
+    r1 = rc.config.r[1]
+    r2 = rc.config.r[2] if len(rc.config.r) == 3 else None
     asym = moment_asymptotics(rc.params, t, r1, r2)
     counts = counting_statistics(rc.params, t, r1, r2, order=_panel_order(rc))
     entries = [

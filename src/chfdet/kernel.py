@@ -128,8 +128,8 @@ class Configuration:
 
     @cached_property
     def active_indices(self) -> tuple:
-        """Endpoint indices k != m (the indices carrying flow variables);
-        computed once, since the flow's vector field reads it on every call."""
+        """Endpoint indices k != m (the indices carrying flow variables), in
+        increasing order."""
         return tuple(k for k in range(len(self.r)) if k != self.m)
 
     def scaled_endpoints(self) -> tuple:
@@ -195,7 +195,8 @@ def chf_kernel(params: KernelParams, x, y):
     K(y, x) take the identical arithmetic path. Pairs closer than the
     near-diagonal threshold are evaluated by the analytic diagonal form at
     the midpoint (the divided difference would lose one digit per digit of
-    separation).
+    separation). One evaluation of phi and phi' covers both ends of every
+    far pair and the midpoint of every near pair.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -205,15 +206,18 @@ def chf_kernel(params: KernelParams, x, y):
     hi = np.maximum(xb, yb).ravel()
     if params.alpha < 0.0 and (np.any(lo == 0.0) or np.any(hi == 0.0)):
         raise DomainError("chf_kernel: x = 0 diverges for alpha < 0")
-    out = np.empty(lo.shape, dtype=float)
     near = np.abs(hi - lo) < _DIAG_THRESHOLD * (1.0 + np.abs(lo))
-    if near.any():
-        out[near] = chf_kernel_diagonal(params, 0.5 * (lo[near] + hi[near]))
     far = ~near
-    if far.any():
-        scale = _gamma_prefactor(params) / math.pi
-        num = _im_cross(cap_A(params, lo[far]), cap_A(params, hi[far]))
-        out[far] = scale * num / (lo[far] - hi[far])
+    mid = 0.5 * (lo[near] + hi[near])
+    if params.alpha <= 0.0 and np.any(mid == 0.0):
+        raise DomainError("chf_kernel_diagonal: x = 0 requires alpha > 0")
+    lo_far, hi_far = lo[far], hi[far]
+    nfar = lo_far.size
+    val, density = _cap_A_and_density(params, np.concatenate([lo_far, hi_far, mid]))
+    scale = _gamma_prefactor(params) / math.pi
+    out = np.empty(lo.shape, dtype=float)
+    out[near] = scale * density[2 * nfar :]
+    out[far] = scale * _im_cross(val[:nfar], val[nfar : 2 * nfar]) / (lo_far - hi_far)
     out = out.reshape(xb.shape)
     if scalar:
         return float(out[()])

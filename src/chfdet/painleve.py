@@ -35,7 +35,7 @@ import numpy as np
 
 from .asymptotics import _gamma_extended
 from .errors import DomainError, NonConvergenceError, RegimeError
-from .kernel import Configuration, KernelParams, _gamma_prefactor
+from .kernel import Configuration, KernelParams
 from .specialfn import log_gamma
 
 __all__ = [
@@ -191,8 +191,9 @@ def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
     """Small-t state at t0 = min(config.t, e^S0), for every alpha (a
     configuration at t = 0 seeds at e^S0): U_k from the connection
     coefficients c_k = -i w_k of the real side weights w_k and the kernel's
-    gamma prefactor G, V_k = 2 i r_k / (1 + 2 alpha) (the fixed point of the
-    leading V equation), log y and log d from their small-t closed forms,
+    gamma prefactor G (from the gamma batch of log y and log d),
+    V_k = 2 i r_k / (1 + 2 alpha) (the fixed point of the leading V
+    equation), log y and log d from their small-t closed forms,
     and lnF seeded with the integrated leading Hamiltonian term,
     2 i t0^(1 + 2 alpha) sum_k r_k U_k / (1 + 2 alpha)^2, which is the
     small-t value G sum_k w_k (2 |r_k| t0)^(1 + 2 alpha) / (1 + 2 alpha)^2
@@ -201,7 +202,7 @@ def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
     a, b = params.alpha, params.beta
     ws = _side_weights(config, params.beta_im)  # raises for any weight at 1
     lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - b, 1.0 + a + b, 1.0 + 2.0 * a]).tolist()
-    g = _gamma_prefactor(params)
+    g = math.exp(2.0 * (lg_plus.real - lg_2a.real))
     twoa1 = 1.0 + 2.0 * a
     indices = config.active_indices
     u = []

@@ -2,9 +2,9 @@
 
 Provided here: principal-branch log-gamma, digamma, trigamma, the Kummer
 confluent hypergeometric function phi(a, b, z) and its z-derivative, and
-the Barnes log-G function with its first two derivatives in closed form.
-The gamma family, and phi in z, take a complex scalar or a numpy array of
-points and return a value per point; the Barnes functions take a scalar.
+the Barnes log-G function. The gamma family, and phi in z, take a complex
+scalar or a numpy array of points and return a value per point; Barnes G
+takes a scalar.
 All target ~1e-13 relative accuracy on the documented domains
 (|Im z| <= 50, |z| <= 50 for phi). The tests check each function against
 mpmath.
@@ -51,8 +51,6 @@ __all__ = [
     "kummer_phi",
     "kummer_phi_prime",
     "log_barnes_g",
-    "log_barnes_g_d1",
-    "log_barnes_g_d2",
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -568,14 +566,3 @@ def log_barnes_g(z):
     integral = z * complex(width @ (vals[:-1].reshape(s.shape) @ wg))
     return 0.5 * z * _LN_2PI - 0.5 * z * (z + 1.0) + z * complex(vals[-1]) - integral
 
-
-def log_barnes_g_d1(z):
-    """First derivative of log G(1+z):  (1/2)log(2 pi) - 1/2 - z + z psi(1+z)."""
-    z = complex(z)
-    return 0.5 * _LN_2PI - 0.5 - z + z * digamma(1.0 + z)
-
-
-def log_barnes_g_d2(z):
-    """Second derivative of log G(1+z):  -1 + psi(1+z) + z psi'(1+z)."""
-    z = complex(z)
-    return -1.0 + digamma(1.0 + z) + z * trigamma(1.0 + z)

@@ -131,11 +131,12 @@ def numeric_covariance(
 
 @dataclass(frozen=True)
 class CountingStatistics:
-    """Numeric counting statistics at scaled positions r1 < r2, field for
-    field the quantities of ``MomentAsymptotics``: means of the counts on
-    (0, t r1) and (-t r1, 0), the variance of the first, and its covariances
-    with the counts on (0, t r2) and (-t r2, 0). The covariances are None
-    when no r2 was given."""
+    """Counting statistics at scaled positions r1 < r2: means of the counts
+    on (0, t r1) and (-t r1, 0), the variance of the first, and its
+    covariances with the counts on (0, t r2) and (-t r2, 0). The covariances
+    are None when no r2 was given. One record for both routes:
+    ``counting_statistics`` fills it with the numeric values and
+    ``asymptotics.moment_asymptotics`` with their large-t predictions."""
 
     mean_right: float
     mean_left: float

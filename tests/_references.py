@@ -11,6 +11,8 @@ by methods the package does not use.
 - ``verify_identities``: residuals of two differential identities along a
   flow trajectory, from samples taken by partial DOP853 steps of the
   package's own integrator.
+- ``log_barnes_g_d1`` and ``log_barnes_g_d2``: the first two derivatives
+  of log G(1+z) in closed form, from digamma and trigamma.
 - ``symmetric_counting_asymptotics``: the large-t mean and variance of the
   symmetric count N(t) + N(-t).
 - ``kummer_taylor_march``: phi and phi' for |z| <= 34 by stepping Kummer's
@@ -34,16 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from chfdet.asymptotics import (
-    AsymptoticReport,
-    MomentAsymptotics,
-    _gamma_extended,
-    _jump_nus,
-)
+from chfdet.asymptotics import AsymptoticReport, _gamma_extended, _jump_nus
 from chfdet.errors import DomainError, RegimeError
 from chfdet.kernel import chf_kernel_matrix, sigma_step
 from chfdet.painleve import _dop853_step, _rates, _side_weights, _Workspace
-from chfdet.specialfn import log_barnes_g, log_barnes_g_d1, log_barnes_g_d2, log_gamma
+from chfdet.specialfn import _LN_2PI, digamma, log_barnes_g, log_gamma, trigamma
+from chfdet.stats import CountingStatistics
 
 
 def bessel_kernel(alpha, x, y):
@@ -405,6 +403,18 @@ def verify_identities(trajectory, params, config):
     )
 
 
+def log_barnes_g_d1(z):
+    """First derivative of log G(1+z):  (1/2)log(2 pi) - 1/2 - z + z psi(1+z)."""
+    z = complex(z)
+    return 0.5 * _LN_2PI - 0.5 - z + z * digamma(1.0 + z)
+
+
+def log_barnes_g_d2(z):
+    """Second derivative of log G(1+z):  -1 + psi(1+z) + z psi'(1+z)."""
+    z = complex(z)
+    return -1.0 + digamma(1.0 + z) + z * trigamma(1.0 + z)
+
+
 def symmetric_counting_asymptotics(params, t):
     """Large-t mean and variance of the symmetric count N(t) + N(-t):
     mean 2t/pi - alpha, variance (ln 4t + 1 + gamma_E)/pi^2."""
@@ -599,7 +609,7 @@ def complex_moment_asymptotics(params, t, r1, r2=None):
         sigma_same = math.log(2.0 * x * y / (y - x)) / (2.0 * math.pi**2)
         sigma_opposite = math.log(2.0 * x * y / (x + y)) / (2.0 * math.pi**2)
         cov_same, cov_opposite = sigma_same + theta2, -sigma_opposite - theta2
-    return MomentAsymptotics(
+    return CountingStatistics(
         mean_right=mu + beta_drift + theta1,
         mean_left=mu - beta_drift - theta1,
         var=var,

@@ -24,8 +24,6 @@ from chfdet.specialfn import (
     digamma,
     kummer_phi,
     log_barnes_g,
-    log_barnes_g_d1,
-    log_barnes_g_d2,
     log_gamma,
     trigamma,
 )
@@ -35,6 +33,8 @@ from _references import (
     b_from_gamma,
     bessel_kernel,
     cpv_large_t_prediction,
+    log_barnes_g_d1,
+    log_barnes_g_d2,
     log_det_series_oracle,
     symmetric_counting_asymptotics,
     verify_identities,

@@ -12,7 +12,8 @@ from chfdet.errors import DomainError
 from chfdet.fredholm import build_grid, log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.painleve import cpv_init
-from chfdet.specialfn import log_barnes_g, log_barnes_g_d2
+from chfdet.specialfn import log_barnes_g
+from chfdet.stats import CountingStatistics
 
 import _oracle_values as ov
 from _references import (
@@ -21,6 +22,8 @@ from _references import (
     complex_large_gap_lnF,
     complex_moment_asymptotics,
     complex_small_t_lnF,
+    log_barnes_g_d1,
+    log_barnes_g_d2,
     symmetric_counting_asymptotics,
 )
 
@@ -270,6 +273,35 @@ class TestMoments:
             (math.log(4.0 * t) + 1.0 + ov.EULER_GAMMA) / math.pi**2, rel=1e-14
         )
         assert log_barnes_g_d2(0.0).real == pytest.approx(-1.0 - ov.EULER_GAMMA, abs=1e-14)
+
+    def test_theta_pair_is_the_barnes_derivatives(self):
+        # psi and psi' at 1+z, each once, in the closed forms of (ln G)' and
+        # (ln G)''; the unit-argument curvature is the constant -1 - gamma_E
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            params = KernelParams(
+                alpha=float(rng.uniform(-0.45, 1.5)), beta_im=float(rng.uniform(-0.7, 0.7))
+            )
+            z = complex(params.alpha, params.beta_im)
+            assert asymptotics._theta_pair(params) == (
+                -log_barnes_g_d1(z).imag / math.pi,
+                -log_barnes_g_d2(z).real / (2.0 * math.pi**2),
+            )
+        assert asymptotics._LOG_BARNES_G_D2_AT_ONE == -1.0 - ov.EULER_GAMMA
+
+    def test_one_digamma_and_one_trigamma_call(self, monkeypatch):
+        calls = []
+        for name in ("digamma", "trigamma"):
+            exact = getattr(asymptotics, name)
+
+            def counting(z, name=name, exact=exact):
+                calls.append(name)
+                return exact(z)
+
+            monkeypatch.setattr(asymptotics, name, counting)
+        mom = moment_asymptotics(KernelParams(alpha=0.25, beta_im=0.3), 10.0, 1.0, 2.0)
+        assert sorted(calls) == ["digamma", "trigamma"]
+        assert isinstance(mom, CountingStatistics)
 
     def test_without_r2_the_covariances_are_none(self):
         # the means and the variance do not depend on r2

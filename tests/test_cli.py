@@ -130,6 +130,15 @@ class TestParsing:
         rc = parse_config(["moments", "--r", "0=0,1=1", "--t", "2"])
         assert rc.config.gamma == (0.0,)
 
+    @pytest.mark.parametrize("r", ["0=0,1=1,2=2,3=3", "0=-3,1=0,2=1", "0=-1,1=0"])
+    def test_moments_rejects_endpoints_it_does_not_read(self, r, capsys):
+        # moments reads r1 and r2 of r = 0,r1,r2; a third radius or a
+        # negative endpoint would be dropped without a word
+        assert main(["moments", "--r", r, "--t", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "requires 'r' to be 0,r1 or 0,r1,r2" in captured.err
+
     def test_inputs_block_reparses_to_the_same_run_config(self, tmp_path):
         argv = [
             "sweep",

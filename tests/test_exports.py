@@ -26,11 +26,13 @@ def test_top_level_reexports_the_statistics():
     assert set(stats.__all__) <= set(chfdet.__all__)
 
 
-# The test-only tools that left the package for tests/_references.py, and
-# the small-t closed form, which cpv_init owns
+# The test-only tools that left the package for tests/_references.py, the
+# small-t closed form, which cpv_init owns, and the moment predictions'
+# record, which is stats.CountingStatistics
 MOVED = {
     "chfdet.painleve": ("verify_identities", "IdentityReport"),
-    "chfdet.asymptotics": ("small_t_lnF", "b_from_gamma", "c_from_gamma"),
+    "chfdet.asymptotics": ("small_t_lnF", "b_from_gamma", "c_from_gamma", "MomentAsymptotics"),
+    "chfdet.specialfn": ("log_barnes_g_d1", "log_barnes_g_d2"),
 }
 
 

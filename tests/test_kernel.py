@@ -182,8 +182,29 @@ class TestChfKernel:
         assert abs(far - diag) < 1e-5
 
     def test_zero_raises_for_negative_alpha(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="chf_kernel: x = 0 diverges for alpha < 0"):
             chf_kernel(KernelParams(-0.25, 0.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0])
+    def test_near_pair_at_zero_raises_for_nonpositive_alpha(self, alpha):
+        # the midpoint of (-1e-9, 1e-9) is the origin, where the diagonal
+        # form needs alpha > 0
+        with pytest.raises(DomainError, match="chf_kernel_diagonal: x = 0 requires alpha > 0"):
+            chf_kernel(KernelParams(alpha, 0.3), np.array([2.0, -1e-9]), np.array([1.0, 1e-9]))
+
+    def test_one_cap_A_and_density_call(self, monkeypatch):
+        # far pairs' ends and near pairs' midpoints share one phi evaluation
+        calls = []
+        exact = kernel._cap_A_and_density
+
+        def counting(params, x):
+            calls.append(np.size(x))
+            return exact(params, x)
+
+        monkeypatch.setattr(kernel, "_cap_A_and_density", counting)
+        x = np.array([1.0, 2.0, 3.0])
+        chf_kernel(KernelParams(0.25, 0.3), x, np.array([1.5, 2.0 + 1e-9, -4.0]))
+        assert calls == [2 + 2 + 1]
 
     @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.5])
     def test_log_gamma_conjugation_is_exact(self, alpha):
@@ -209,9 +230,8 @@ class TestKernelMatrix:
         m = chf_kernel_matrix(p, x)
         off = ~np.eye(x.size, dtype=bool)
         k = chf_kernel(p, x[:, None], x[None, :])
-        assert np.all(np.abs(m - k)[off] <= 1e-14 * np.abs(k)[off])
-        d = chf_kernel_diagonal(p, x)
-        assert np.all(np.abs(np.diag(m) - d) <= 1e-14 * d)
+        assert np.array_equal(m[off], k[off])
+        assert np.array_equal(np.diag(m), chf_kernel_diagonal(p, x))
 
 
 class TestDiagonal:

@@ -216,10 +216,9 @@ class TestInitialization:
         assert state.t == math.exp(S0)
         assert np.array_equal(state.y, cpv_init(TWO_INT, TWO_INT_CFG).y)
 
-    def test_two_log_gamma_calls(self, monkeypatch):
-        # one batch per site: the gamma triple (1+a-b, 1+a+b, 1+2a) of log y
-        # and log d in cpv_init, and the pair (1+a+b, 1+2a) of the kernel's
-        # gamma prefactor G
+    def test_one_log_gamma_call(self, monkeypatch):
+        # one batch: the gamma triple (1+a-b, 1+a+b, 1+2a) of log y and
+        # log d, whose last two also give the kernel's gamma prefactor G
         calls = []
         for module in (painleve, asymptotics, kernel):
             exact = module.log_gamma
@@ -230,7 +229,7 @@ class TestInitialization:
 
             monkeypatch.setattr(module, "log_gamma", counting)
         cpv_init(TWO_INT, TWO_INT_CFG)
-        assert calls == [3, 2]
+        assert calls == [3]
 
 
 class TestIntegration:
