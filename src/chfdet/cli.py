@@ -68,6 +68,8 @@ _INNER_COLUMNS = {
 }
 
 _NEEDS_T = ("det", "asymp", "painleve", "moments")
+# moments evaluates one t with weights of its own and runs no flow
+_MOMENTS_UNUSED = ("gamma", "tol", "inner", "t_range")
 _NEEDS_T_RANGE = ("verify", "sweep")
 
 
@@ -224,11 +226,14 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
         raise ConfigError(f"command '{command}' requires key 'r'")
     endpoints = _as_indexed("r", raw["r"])
 
-    if "gamma" in raw:
-        gamma = _as_indexed("gamma", raw["gamma"])
-    elif command == "moments":
+    if command == "moments":
+        for key in _MOMENTS_UNUSED:
+            if key in raw:
+                raise ConfigError(f"command 'moments' does not take key '{key}'")
         # the statistics set their own weight 1 on the intervals they count
         gamma = (0.0,) * (len(endpoints) - 1)
+    elif "gamma" in raw:
+        gamma = _as_indexed("gamma", raw["gamma"])
     else:
         raise ConfigError(f"command '{command}' requires key 'gamma'")
     inner = _as_choice("inner", raw["inner"], tuple(_INNER_COLUMNS)) if "inner" in raw else "det"
@@ -318,6 +323,9 @@ def _inputs_dict(rc: RunConfig) -> dict:
         "inner": rc.inner,
         "format": rc.format,
     }
+    if rc.command == "moments":
+        for key in _MOMENTS_UNUSED:
+            inputs.pop(key, None)
     if rc.t_range is not None:
         start, stop, count = rc.t_range
         inputs["t_range"] = f"{start!r}:{stop!r}:{count}"

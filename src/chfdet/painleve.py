@@ -17,7 +17,9 @@ the fields of the 12 stages and the field at the result, which becomes the
 next step's first field), and views of it built once per stage. Each
 stage's input is one real matrix-vector product over the buffer's float
 view, written into a preallocated row, and its field goes straight into
-the buffer; every accepted state keeps its own read-only copy of y.
+the buffer. Each attempt's error norm and realness check run on Python
+scalars of the 2n + 3 entries, and every accepted state keeps its own
+read-only copy of y.
 
 ``log_d`` stores the alpha-regularized logarithm ln(d / (2 alpha)): the
 scalar d carries an overall factor 2 alpha and vanishes identically at
@@ -92,6 +94,15 @@ class CPVState:
     @property
     def lnF(self) -> complex:
         return complex(self.y[-1])
+
+
+def _flow_state(t: float, indices: tuple, y: np.ndarray, alpha: float) -> CPVState:
+    """The ``CPVState`` that the constructor would build from values already
+    in its form (a finite t > 0, the flow's indices tuple, a read-only
+    complex y of their length), without its conversion and checks."""
+    state = object.__new__(CPVState)
+    state.__dict__.update(t=t, indices=indices, y=y, alpha=alpha)
+    return state
 
 
 def cpv_rhs(s: float, y: np.ndarray, params: KernelParams, config: Configuration) -> np.ndarray:
@@ -377,12 +388,14 @@ def cpv_integrate(
         raise DomainError("cpv_integrate: requires a finite t1")
     work = _Workspace(params, config, len(state0.y))
     z = work.z
+    fields = z[1:13]  # the stage fields the error estimate weighs
     z[0] = state0.y
     z[1] = _rates(state0, params, config, "cpv_integrate")
     s = math.log(state0.t)
     # a span below the resolution of s still ends in a state at t1
     s1 = max(math.log(t1), math.nextafter(s, math.inf))
-    abs_y = np.abs(state0.y)
+    abs_y = list(map(abs, state0.y.tolist()))
+    indices, alpha = state0.indices, params.alpha
     # the first step tries half the span, and at least the floor: a span at
     # or below the floor is then one last step
     h = min(0.05, max(0.5 * (s1 - s), 1e-13))
@@ -398,23 +411,30 @@ def cpv_integrate(
         last = s1 - s <= h
         h_step = s1 - s if last else h
         y_new = _dop853_step(s, h_step, work)
-        abs_new = np.abs(y_new)
-        scale = tol + tol * np.maximum(abs_y, abs_new)
-        err = h_step * float(np.abs(np.dot(_DOP_E5_ROW, z[1:13]) / scale).max())
+        # the bookkeeping runs on Python scalars: 2n + 3 entries are too few
+        # for numpy to pay its per-call cost
+        ys = y_new.tolist()
+        abs_new = list(map(abs, ys))
+        ratios = [
+            abs(e) / (tol + tol * (a0 if a0 > a else a))
+            for e, a, a0 in zip(np.dot(_DOP_E5_ROW, fields).tolist(), abs_new, abs_y)
+        ]
+        # max() can skip a NaN ratio; the sum cannot
+        total = sum(ratios)
+        err = h_step * (max(ratios) if total == total else total)
         if err <= 1.0:
             s = s1 if last else s + h_step
-            state = CPVState(
-                t=t1 if last else math.exp(s), indices=state0.indices, y=y_new, alpha=params.alpha
-            )
-            z[0] = state.y
+            y = y_new.copy()
+            y.flags.writeable = False
+            z[0] = y
             z[1] = z[13]
             abs_y = abs_new
-            lnf = state.lnF
+            lnf = ys[-1]
             if abs(lnf.imag) > 1e-6 * (1.0 + abs(lnf.real)):
                 raise RegimeError(
                     "cpv_integrate: ln F developed an imaginary part beyond the realness budget"
                 )
-            trajectory.append(state)
+            trajectory.append(_flow_state(t1 if last else math.exp(s), indices, y, alpha))
             fac = 0.9 * (err + 1e-300) ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0)
             err_prev = max(err, 1e-4)
             h = h_step * min(6.0, max(0.2, fac))

@@ -236,6 +236,30 @@ def main() -> None:
     lines.append("]")
     lines.append("")
 
+    # --- ln G(1+z) on the large-gap expansion's arguments ---
+    # z = alpha + i (s - nu), alpha + i s and -i nu for alpha in [-0.45, 1.5],
+    # s = beta_im in [-0.7, 0.7] and jump exponents nu in [0, 0.48]: the box
+    # Re z in [-0.45, 1.5], |Im z| <= 1.18 on a grid through its corners and
+    # edges, 30 seeded points inside it, and jump points -i nu
+    box_points = [complex(a, y) for a in (-0.45, 0.0, 0.5, 1.5)
+                  for y in (-1.18, -0.7, 0.0, 0.7, 1.18) if (a, y) != (0.0, 0.0)]
+    rng = np.random.default_rng(23)
+    box_points += list(rng.uniform(-0.45, 1.5, 30) + 1j * rng.uniform(-1.18, 1.18, 30))
+    box_points += [complex(0.0, -nu) for nu in (0.05, 0.2, 0.48)]
+    lines.append("LOG_BARNES_G_EXPANSION = [")
+    for z in box_points:
+        zc = mp.mpc(complex(z))
+        lines.append("    (%s, %s)," % (c(zc), c(log_barnes_g_continued(zc))))
+    lines.append("]")
+    lines.append("")
+    # --- ln G(1+z) as z nears -1, where log Gamma(1+t) has its branch point ---
+    lines.append("LOG_BARNES_G_NEAR_POLE = [")
+    for z in (-0.9, -0.99, -0.999, complex(-0.99, 0.5), complex(-0.97, 2.0)):
+        zc = mp.mpc(z)
+        lines.append("    (%s, %s)," % (c(zc), c(log_barnes_g_continued(zc))))
+    lines.append("]")
+    lines.append("")
+
     # --- Euler-Mascheroni anchor used by the moment formulas ---
     lines.append("EULER_GAMMA = %s" % r(mp.euler))
     lines.append("")

@@ -139,6 +139,28 @@ class TestParsing:
         assert captured.out == ""
         assert "requires 'r' to be 0,r1 or 0,r1,r2" in captured.err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--gamma", "0=0.5"], ["--gamma", "0=1"], ["--tol", "1e-12"], ["--inner", "asymp"],
+         ["--t-range", "1:2:2"]],
+    )
+    def test_moments_rejects_keys_it_does_not_use(self, extra, capsys):
+        # moments puts its own weights on the intervals it counts, runs no
+        # flow and evaluates one t: a key it would ignore exits 2, named
+        assert main(["moments", "--r", "0=0,1=1", "--t", "2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not take key '{extra[0][2:].replace('-', '_')}'" in captured.err
+
+    def test_moments_inputs_block_reparses_without_unused_keys(self, tmp_path):
+        argv = ["moments", "--alpha", "0.2", "--r", "0=0,1=1,2=2", "--t", "3", "--order", "32"]
+        rc = parse_config(argv)
+        document, _, _ = run(rc)
+        assert not {"gamma", "tol", "inner", "t_range"} & document["inputs"].keys()
+        path = tmp_path / "echo.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in document["inputs"].items()))
+        assert parse_config(["moments", "--config", str(path)]) == rc
+
     def test_inputs_block_reparses_to_the_same_run_config(self, tmp_path):
         argv = [
             "sweep",

@@ -327,6 +327,71 @@ class TestIntegration:
             traj, TWO_INT, TWO_INT_CFG
         )
 
+    def test_accepted_states_are_what_the_constructor_builds(self, monkeypatch):
+        # the integrator builds its states without the constructor's checks;
+        # each must still hold the constructor's fields, a read-only y, and
+        # no memory of the flow's workspace
+        real_workspace, works = painleve._Workspace, []
+
+        def recording(*args):
+            works.append(real_workspace(*args))
+            return works[-1]
+
+        monkeypatch.setattr(painleve, "_Workspace", recording)
+        traj = _integrate_to(TWO_INT, TWO_INT_CFG, 5.0)
+        (work,) = works
+        buffers = [work.z, work.coef] + [a for stage in work.stages for a in stage[:5]]
+        for state in traj[1:]:
+            built = CPVState(state.t, state.indices, state.y, state.alpha)
+            assert vars(state).keys() == vars(built).keys()
+            for name in ("t", "indices", "alpha"):
+                assert getattr(state, name) == getattr(built, name)
+                assert type(getattr(state, name)) is type(getattr(built, name))
+            assert state.y.dtype == built.y.dtype and state.y.shape == built.y.shape
+            assert np.array_equal(state.y, built.y)
+            assert not state.y.flags.writeable
+            assert not any(np.shares_memory(state.y, buf) for buf in buffers)
+
+    def test_nan_in_a_middle_entry_fails_the_error_test(self, monkeypatch):
+        # one NaN in the middle entry of stage 11's field, the last one the
+        # error estimate weighs, reaches only that entry of the result and
+        # of the estimate, with finite entries after it; the step must be
+        # rejected and retried from the same s at a fifth of the size
+        real_field, real_step = painleve._field, painleve._dop853_step
+
+        def run(bad_call):
+            calls, attempts = [], []
+
+            def spoiling_field(params, config):
+                field = real_field(params, config)
+
+                def spoiling(s, y):
+                    dy = field(s, y)
+                    calls.append(s)
+                    if len(calls) == bad_call:
+                        dy[len(dy) // 2] = complex(math.nan)
+                    return dy
+
+                return spoiling
+
+            def counting_step(s, h, work):
+                attempts.append((s, h))
+                return real_step(s, h, work)
+
+            monkeypatch.setattr(painleve, "_field", spoiling_field)
+            monkeypatch.setattr(painleve, "_dop853_step", counting_step)
+            return _integrate_to(TWO_INT, TWO_INT_CFG, 5.0), attempts
+
+        # poison an attempt that the clean flow accepts; the flow's first
+        # field is call 1, then each attempt makes 12
+        _, clean = run(bad_call=None)
+        bad = next(k for k in range(20, len(clean) - 1) if clean[k + 1][0] > clean[k][0])
+        traj, attempts = run(bad_call=1 + 12 * bad + 11)
+        (s_bad, h_bad), (s_next, h_next) = attempts[bad : bad + 2]
+        assert (s_bad, h_bad) == clean[bad]
+        assert s_next == s_bad and h_next == 0.2 * h_bad
+        assert all(np.all(np.isfinite(state.y)) for state in traj)
+
     def test_dop853_tableau_is_consistent(self):
         # each stage row sums to its node; the last row holds the weights of
         # the 8th-order result (node 1); the error weights sum to zero; the

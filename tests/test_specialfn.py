@@ -369,17 +369,48 @@ class TestBarnesG:
         want = -1.0 - ov.EULER_GAMMA
         assert abs(log_barnes_g_d2(0.0) - want) < 1e-14
 
-    def test_one_log_gamma_call(self, monkeypatch):
-        # every panel node and 1 + z go to log_gamma as one batch
+    @pytest.mark.parametrize("z,want", ov.LOG_BARNES_G_EXPANSION)
+    def test_expansion_arguments(self, z, want):
+        # the large-gap expansion's arguments: Re z in [-0.45, 1.5] and
+        # |Im z| <= 1.18, against 50-digit mpmath continued along 0 -> z
+        assert abs(sf.log_barnes_g(z) - want) < 1e-14
+
+    @pytest.mark.parametrize("z,want", ov.LOG_BARNES_G_NEAR_POLE)
+    def test_near_the_branch_point(self, z, want):
+        # as z nears -1 the panels take more nodes and stay at rounding
+        # level; a fixed 32 nodes erred by 5.6e-5 at z = -0.999
+        assert abs(sf.log_barnes_g(z) - want) < 5e-14
+
+    def test_node_rule(self, monkeypatch):
+        # every panel node and 1 + z go to log_gamma as one batch; a panel's
+        # order comes from the Bernstein ellipse through t = -1, so the
+        # expansion's arguments (one or two panels) take at most 16 nodes a
+        # panel, and the count grows as z nears -1
         exact, calls = sf.log_gamma, []
 
         def counting(z):
-            calls.append(np.size(z))
+            calls.append(np.size(z) - 1)
             return exact(z)
 
         monkeypatch.setattr(sf, "log_gamma", counting)
-        sf.log_barnes_g(2.4 + 3.2j)  # |z| = 4: three panels of 32 nodes
-        assert calls == [3 * 32 + 1]
+        box = (-0.45 + 1.18j, -0.45 - 1.18j, 1.5 + 1.18j, 1.5 - 0.7j, 0.25 + 0.3j, -0.48j, 0.01j)
+        for z in box:
+            sf.log_barnes_g(z)
+        panels = [math.ceil(abs(z) / 1.5) for z in box]
+        assert all(n <= 16 * p for n, p in zip(calls, panels))
+        assert calls[-1] <= 4
+        calls.clear()
+        for z in (-0.5, -0.9, -0.99, -0.999):
+            sf.log_barnes_g(z)
+        assert calls[0] <= 16
+        assert all(a < b for a, b in zip(calls, calls[1:]))
+        assert calls[-1] > 256
+
+    def test_tiny_arguments(self):
+        # log G(1+z) = z (ln 2 pi - 1) / 2 + O(z^2), down to subnormal z
+        for z in (1e-300, 1e-170j, 1e-320j, 5e-324):
+            want = z * (math.log(2.0 * math.pi) - 1.0) / 2.0
+            assert abs(sf.log_barnes_g(z) - want) <= 1e-15 * abs(want) + 1e-323
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
