@@ -9,7 +9,7 @@ counting-statistics layer built on top of them.
 
 from .asymptotics import AsymptoticReport, large_gap_lnF, moment_asymptotics
 from .errors import DomainError, NonConvergenceError, RegimeError
-from .fredholm import QuadratureGrid, build_grid, log_det
+from .fredholm import build_grid, log_det
 from .kernel import (
     Configuration,
     KernelParams,
@@ -41,7 +41,6 @@ __all__ = [
     "chf_kernel",
     "chf_kernel_diagonal",
     "sigma_step",
-    "QuadratureGrid",
     "build_grid",
     "log_det",
     "AsymptoticReport",

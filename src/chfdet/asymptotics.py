@@ -25,7 +25,7 @@ from .errors import DomainError
 from .kernel import Configuration, KernelParams
 from .specialfn import _LN_2PI, digamma, log_barnes_g, trigamma
 from .specialfn import log_gamma  # noqa: F401  (perfbench/tracing.py wraps asymptotics.log_gamma by name)
-from .stats import CountingStatistics
+from .stats import CountingStatistics, _radii
 
 __all__ = [
     "AsymptoticReport",
@@ -165,16 +165,7 @@ def moment_asymptotics(
     """Closed-form large-t mean/variance/covariance of the counting function
     at radii 0 < r1 < r2, or of the means and the variance alone without
     r2."""
-    t = float(t)
-    r1 = float(r1)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError("moment_asymptotics: requires finite t > 0")
-    if not (math.isfinite(r1) and r1 > 0.0):
-        raise DomainError("moment_asymptotics: requires finite r1 > 0")
-    if r2 is not None:
-        r2 = float(r2)
-        if not (math.isfinite(r2) and r2 > r1):
-            raise DomainError("moment_asymptotics: requires finite r2 > r1")
+    t, r1, r2 = _radii(t, r1, r2, "moment_asymptotics")
     a = params.alpha
     theta1, theta2 = _theta_pair(params)
     mu = t * r1 / math.pi - 0.5 * a

@@ -352,21 +352,13 @@ def _panel_order(rc: RunConfig) -> int:
     return rc.order if rc.order is not None else PANEL_ORDER
 
 
-def _quadrature_lnf(rc: RunConfig, config: Configuration):
-    """log det with the order knob applied; returns (lnf, grid)."""
-    grid = build_grid(config, rc.params.alpha, order_per_panel=_panel_order(rc))
-    return log_det(rc.params, config, grid=grid), grid
-
-
 def _run_det(rc: RunConfig):
-    lnf, grid = _quadrature_lnf(rc, rc.config)
+    order = _panel_order(rc)
+    nodes, _ = build_grid(rc.config, rc.params.alpha, order)
+    lnf = log_det(rc.params, rc.config, order)
     columns = _INNER_COLUMNS["det"]
     row = [rc.config.t, lnf]
-    diagnostics = {
-        "nodes": int(len(grid.nodes)),
-        "panels": len(grid.panels),
-        "order_per_panel": _panel_order(rc),
-    }
+    diagnostics = {"nodes": nodes.size, "panels": len(nodes), "order_per_panel": order}
     return dict(zip(columns, row)), columns, [row], diagnostics
 
 
@@ -422,7 +414,7 @@ def _run_verify(rc: RunConfig):
             state = seed
         state = _flow_to(rc, state, point)[-1]
         lnf_flow = state.lnF.real
-        lnf_nystrom, _ = _quadrature_lnf(rc, config_t)
+        lnf_nystrom = log_det(rc.params, config_t, _panel_order(rc))
         lnf_asymptotic = large_gap_lnF(rc.params, config_t).total
         residuals = [abs(lnf_flow - lnf_nystrom), abs(lnf_asymptotic - lnf_nystrom)]
         rows.append([point, lnf_nystrom, lnf_flow, lnf_asymptotic, *residuals])
@@ -501,8 +493,6 @@ def run(rc: RunConfig):
 def _csv_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
     return "%.17g" % value
 
 

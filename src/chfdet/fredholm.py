@@ -15,7 +15,6 @@ Comp. 79, 2010).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .kernel import Configuration, KernelParams, chf_kernel_matrix, sigma_step
 from .quadrules import gauss_jacobi
 
 __all__ = [
-    "QuadratureGrid",
     "build_grid",
     "log_det",
 ]
@@ -44,37 +42,20 @@ PANEL_ORDER = 24
 PANEL_WIDTH = 12.0
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Panelized quadrature over the union of scaled intervals.
-
-    ``panels`` is a tuple of (a, b, nodes, weights) with nodes strictly
-    inside (a, b); panels tile the domain exactly and never straddle an
-    interval endpoint or the origin. ``nodes``/``weights`` expose the
-    concatenation used to index the discretized operator.
-    """
-
-    panels: tuple
-
-    @property
-    def nodes(self):
-        return np.concatenate([p[2] for p in self.panels])
-
-    @property
-    def weights(self):
-        return np.concatenate([p[3] for p in self.panels])
-
-
-def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL_ORDER) -> QuadratureGrid:
-    """Nystrom grid over the scaled intervals of a configuration.
+def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL_ORDER):
+    """Nystrom nodes and weights over the scaled intervals of a configuration.
 
     Each interval is cut into ceil(length / PANEL_WIDTH) equal panels of
-    ``order_per_panel`` nodes. The two panels touching the origin carry the
-    kernel's |x|^{2 alpha} density singularity in the weight: their nodes are
-    the Gauss-Jacobi rule for |x|^{2 alpha}, and their Nystrom weights are
-    that rule's weights times |x|^{-2 alpha}, so the quadrature acts on an
-    analytic integrand. Every other panel is Gauss-Legendre, the same rule at
-    exponent 0; at alpha = 0 the two rules coincide.
+    ``order_per_panel`` nodes. Returns ``(nodes, weights)``, two arrays of
+    shape (panels, order_per_panel): one row per panel, the panels in
+    increasing order, each row's nodes strictly inside its panel. Panels
+    never straddle an interval endpoint or the origin. The two panels
+    touching the origin carry the kernel's |x|^{2 alpha} density singularity
+    in the weight: their nodes are the Gauss-Jacobi rule for |x|^{2 alpha},
+    and their Nystrom weights are that rule's weights times |x|^{-2 alpha},
+    so the quadrature acts on an analytic integrand. Every other panel is
+    Gauss-Legendre, the same rule at exponent 0; at alpha = 0 the two rules
+    coincide.
     """
     order_per_panel = int(order_per_panel)
     if order_per_panel < 4:
@@ -85,7 +66,7 @@ def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL
     xg, wg = gauss_jacobi(order_per_panel, 0.0)
     xj, wj = gauss_jacobi(order_per_panel, 2.0 * alpha)
     wj = wj * xj ** (-2.0 * alpha)
-    panels = []
+    nodes, weights = [], []
     for k in range(config.n):
         a, b = edges[k], edges[k + 1]
         count = math.ceil((b - a) / PANEL_WIDTH)
@@ -98,37 +79,41 @@ def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL
                 xs, ws = -h * xj[::-1], h * wj[::-1]
             else:
                 xs, ws = lo + h * xg, h * wg
-            panels.append((lo, hi, xs, ws))
-    return QuadratureGrid(panels=tuple(panels))
+            nodes.append(xs)
+            weights.append(ws)
+    return np.array(nodes), np.array(weights)
 
 
-def _balanced_operator(params: KernelParams, config: Configuration, nodes, weights):
-    """Symmetric Nystrom matrix B = D K D with D = diag(sqrt(w sigma)).
+def _operator(params: KernelParams, config: Configuration, order: int):
+    """The nodes of ``build_grid(config, params.alpha, order)``, flattened,
+    and the symmetric Nystrom matrix B = D K D on them, D = diag(sqrt(w
+    sigma)).
 
     B has the same determinant of I - (.) and the same traces as the
     column-scaled matrix w_j sigma(x_j) K(x_i, x_j), and sigma = 0 zeroes a
     row and column of both."""
+    nodes, weights = build_grid(config, params.alpha, order)
+    nodes, weights = nodes.ravel(), weights.ravel()
     kmat = chf_kernel_matrix(params, nodes)
     d = np.sqrt(weights * sigma_step(config, nodes))
-    return (d[:, None] * kmat) * d[None, :]
+    return nodes, (d[:, None] * kmat) * d[None, :]
 
 
-def log_det(params: KernelParams, config: Configuration, grid: QuadratureGrid = None) -> float:
-    """ln det(I - K_sigma) by dense real LU of the symmetric Nystrom matrix.
+def log_det(params: KernelParams, config: Configuration, order: int = PANEL_ORDER) -> float:
+    """ln det(I - K_sigma) by dense real LU of the symmetric Nystrom matrix
+    on ``build_grid(config, params.alpha, order)``, ``order`` nodes per
+    panel.
 
-    Without ``grid``, the matrix is built on ``build_grid(config,
-    params.alpha)``, which agrees with a finer panel order to about 1e-12
-    for weights below 1, alpha in [-0.45, 1.5] and t up to 100 (near a
-    hard gap it can be far off; see PANEL_WIDTH). With weights in [0, 1]
-    the determinant is a gap probability of a thinned process and so
-    positive; a determinant that is not positive and finite raises
-    NonConvergenceError.
+    At the default order the value agrees with a finer order on the same
+    panels to about 1e-12 for weights below 1, alpha in [-0.45, 1.5] and t
+    up to 100 (near a hard gap it can be far off; see PANEL_WIDTH). With
+    weights in [0, 1] the determinant is a gap probability of a thinned
+    process and so positive; a determinant that is not positive and finite
+    raises NonConvergenceError.
     """
     if config.t == 0.0 or all(g == 0.0 for g in config.gamma):
         return 0.0
-    if grid is None:
-        grid = build_grid(config, params.alpha)
-    b = _balanced_operator(params, config, grid.nodes, grid.weights)
+    _, b = _operator(params, config, order)
     sign, logabs = np.linalg.slogdet(np.eye(b.shape[0]) - b)
     if sign <= 0.0 or not np.isfinite(logabs):
         raise NonConvergenceError(

@@ -546,17 +546,18 @@ def kummer_phi_prime(a, b, z):
 _LN_INV_ROUNDOFF = 53.0 * _LN_2
 
 
-def _barnes_panel_order(center: complex, half: complex) -> int:
-    """Gauss-Legendre order for log Gamma(1 + t) on the panel center +- half
-    (a segment in t). The error of the n-point rule on an integrand analytic
-    inside the Bernstein ellipse E_rho of the panel falls like rho^{-2n}
-    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3);
-    here rho is that of the ellipse through t = -1, the branch point of
-    log Gamma(1 + t) nearest every panel with Re t > -1. Capped at
-    ``gauss_jacobi``'s largest order."""
+def _barnes_order(z: complex) -> int:
+    """Gauss-Legendre order for log Gamma(1 + t) on the segment 0 -> z. The
+    error of the n-point rule on an integrand analytic inside the Bernstein
+    ellipse E_rho of the segment falls like rho^{-2n} (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 19.3); here rho is
+    that of the ellipse through t = -1, the branch point of log Gamma(1 + t)
+    nearest every segment with Re z > -1. Capped at ``gauss_jacobi``'s
+    largest order."""
+    half = 0.5 * z
     if half == 0.0:
         return 1  # a subnormal z: one node is exact to rounding
-    u = (-1.0 - center) / half
+    u = (-1.0 - half) / half
     root = cmath.sqrt(u * u - 1.0)
     rho = max(abs(u + root), abs(u - root))
     return min(_MAX_ORDER, max(1, math.ceil(_LN_INV_ROUNDOFF / (2.0 * math.log(rho)))))
@@ -570,32 +571,24 @@ def log_barnes_g(z):
         log G(1+z) = z/2 log(2 pi) - z(z+1)/2 + z log_gamma(1+z)
                      - integral_0^z log_gamma(1+t) dt,
 
-    the integral running along the straight segment from 0 to z, cut into
-    ceil(|z| / 1.5) equal panels. Each panel takes the Gauss-Legendre order
-    ``_barnes_panel_order`` gives it: the fewest nodes at which the Bernstein
-    ellipse bound of log_gamma(1+t), whose nearest singularity is t = -1,
-    falls below the unit roundoff. On the large-gap expansion's arguments
-    (Re z in [-0.45, 1.5], |Im z| <= 1.18) that is at most 16 nodes a panel,
-    and the value is within 6.0e-15 of 50-digit mpmath on the tests' 57
-    points there (9.0e-15 on 173 more), as close as a fixed 32
-    nodes came. The order grows as z nears -1 (92 nodes at z = -0.99, 291
-    at -0.999, where 32 nodes erred by 5.6e-5). All nodes and 1 + z go to
-    log_gamma as one batch. The tests check it against mpmath's barnesg,
-    its log continued along the same segment.
+    the integral running along the straight segment from 0 to z as one
+    Gauss-Legendre panel, at the order ``_barnes_order`` gives it: the
+    fewest nodes at which the Bernstein ellipse bound of log_gamma(1+t),
+    whose nearest singularity is t = -1, falls below the unit roundoff. On
+    the large-gap expansion's arguments (Re z in [-0.45, 1.5], |Im z| <=
+    1.18) that is at most 16 nodes, and the value is within 6.0e-15 of
+    50-digit mpmath on the tests' 57 points there. The order grows as z
+    nears -1 (92 nodes at z = -0.99, 291 at -0.999) and with |z| (37 nodes
+    at z = 8i). All nodes and 1 + z go to log_gamma as one batch. The tests
+    check it against mpmath's barnesg, its log continued along the same
+    segment.
     """
     z = complex(z)
     if z.real <= -1.0 + _POLE_TOL:
         raise DomainError("log_barnes_g: requires Re z > -1")
     if z == 0.0:
         return 0.0 + 0.0j
-    npanels = max(1, math.ceil(abs(z) / 1.5))
-    width = 1.0 / npanels
-    half = 0.5 * width * z
-    nodes, weights = [], []
-    for p in range(npanels):
-        x, w = gauss_jacobi(_barnes_panel_order((p + 0.5) * width * z, half), 0.0)
-        nodes.append(p * width + width * x)
-        weights.append(w)
-    vals = log_gamma(np.append(1.0 + z * np.concatenate(nodes), 1.0 + z))
-    integral = z * width * complex(vals[:-1] @ np.concatenate(weights))
+    x, w = gauss_jacobi(_barnes_order(z), 0.0)
+    vals = log_gamma(np.append(1.0 + z * x, 1.0 + z))
+    integral = z * complex(vals[:-1] @ w)
     return 0.5 * z * _LN_2PI - 0.5 * z * (z + 1.0) + z * complex(vals[-1]) - integral

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .fredholm import PANEL_ORDER, _balanced_operator, build_grid
+from . import fredholm
+from .fredholm import PANEL_ORDER
 from .fredholm import log_det  # noqa: F401  (perfbench/tracing.py wraps stats.log_det by name)
 from .kernel import Configuration, KernelParams
 
@@ -47,18 +48,31 @@ __all__ = [
 ]
 
 
-def _validate_t(t: float) -> None:
+def _validate_t(t: float, what: str) -> None:
     if not (math.isfinite(t) and t > 0.0):
-        raise DomainError("counting statistics require finite t > 0")
+        raise DomainError(f"{what}: requires finite t > 0")
+
+
+def _radii(t: float, r1: float, r2: float | None, what: str) -> tuple:
+    """t, r1 and r2 as floats for a statistic at radii 0 < r1 < r2 (r2 may
+    be None); DomainError naming ``what`` unless t and r1 are finite and
+    positive and r2, if given, is finite and above r1."""
+    t, r1 = float(t), float(r1)
+    _validate_t(t, what)
+    if not (math.isfinite(r1) and r1 > 0.0):
+        raise DomainError(f"{what}: requires finite r1 > 0")
+    if r2 is not None:
+        r2 = float(r2)
+        if not (math.isfinite(r2) and r2 > r1):
+            raise DomainError(f"{what}: requires finite r2 > r1")
+    return t, r1, r2
 
 
 def _operator(params: KernelParams, t: float, r: tuple, order: int = PANEL_ORDER):
     """Grid nodes and B = sqrt(w) K sqrt(w) on the intervals between the
     endpoints t*r, each with weight 1 and ``order`` nodes per panel."""
     config = Configuration(t=t, r=r, gamma=(1.0,) * (len(r) - 1))
-    grid = build_grid(config, params.alpha, order_per_panel=order)
-    nodes = grid.nodes
-    return nodes, _balanced_operator(params, config, nodes, grid.weights)
+    return fredholm._operator(params, config, order)
 
 
 def _finite(value, what: str) -> float:
@@ -81,7 +95,7 @@ def _covariance(b, in_a, in_b) -> float:
 
 def _one_sided(t: float, r1: float, what: str) -> tuple:
     t, r1 = float(t), float(r1)
-    _validate_t(t)
+    _validate_t(t, what)
     if not (math.isfinite(r1) and r1 != 0.0):
         raise DomainError(f"{what}: requires nonzero finite r1")
     return t, ((0.0, r1) if r1 > 0.0 else (r1, 0.0))
@@ -114,7 +128,7 @@ def numeric_covariance(
     and (-t*r_hi, 0). The arguments are sorted first, so swapping r1 and r2
     reproduces the result bit for bit."""
     t = float(t)
-    _validate_t(t)
+    _validate_t(t, "numeric_covariance")
     lo, hi = sorted((float(r1), float(r2)))
     if not (math.isfinite(lo) and 0.0 < lo < hi):
         raise DomainError("numeric_covariance: requires two distinct positive radii")
@@ -156,17 +170,8 @@ def counting_statistics(
     from node masks of the shared operator: numeric_mean(t, r1),
     numeric_mean(t, -r1), numeric_variance(t, r1) and
     numeric_covariance(t, r1, r2, "+" and "-")."""
-    t, r1 = float(t), float(r1)
-    _validate_t(t)
-    if not (math.isfinite(r1) and r1 > 0.0):
-        raise DomainError("counting_statistics: requires finite r1 > 0")
-    if r2 is None:
-        r = (-r1, 0.0, r1)
-    else:
-        r2 = float(r2)
-        if not (math.isfinite(r2) and r2 > r1):
-            raise DomainError("counting_statistics: requires finite r2 > r1")
-        r = (-r2, -r1, 0.0, r1, r2)
+    t, r1, r2 = _radii(t, r1, r2, "counting_statistics")
+    r = (-r1, 0.0, r1) if r2 is None else (-r2, -r1, 0.0, r1, r2)
     nodes, b = _operator(params, t, r, order)
     right, left = nodes > 0.0, nodes < 0.0
     inner = t * r1

@@ -106,6 +106,52 @@ class TestParsing:
         with pytest.raises(ConfigError, match="'tol'"):
             parse_config(base + ["--t-range", "1:2:2", "--tol", "1"])
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--alpha", "abc"], "key 'alpha': expected a number"),
+            (["--beta-im", "inf"], "key 'beta_im': value must be finite"),
+            (["--order", "2.5"], "key 'order': expected an integer"),
+            (["--format", "xml"], "key 'format': expected one of json, csv"),
+            (["--alpha", "-0.5"], "alpha must be > -1/2"),
+            (["--t", "0"], "key 't': must be > 0"),
+        ],
+    )
+    def test_invalid_values_exit_2(self, extra, message, capsys):
+        argv = ["det", "--r", "0=0,1=1", "--gamma", "0=0.5", "--t", "2", *extra]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["det", "--r", "0=0,1", "--gamma", "0=0.5", "--t", "2"],
+             "entry '1' is not of the form index=value"),
+            (["det", "--r", "0=0,1=1", "--t", "2"], "command 'det' requires key 'gamma'"),
+            (["sweep", *SINE_ARGS, "--t-range", "2:1:3"], "stop must be >= start"),
+            (["sweep", *SINE_ARGS, "--t-range", "1:1:2"], "stop must exceed start when count > 1"),
+        ],
+    )
+    def test_invalid_entries_and_ranges_exit_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "config file"),
+            ("alpha 0.1\n", "config file line 1: expected key=value"),
+            ("alpha = 0.1\n# again\nalpha = 0.2\n", "config file line 3: duplicate key 'alpha'"),
+        ],
+    )
+    def test_bad_config_files_exit_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        if text is not None:
+            path.write_text(text)
+        assert main(["det", "--config", str(path), *SINE_ARGS, "--t", "2"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_config_file_with_unknown_key_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("alpha = 0.1\nordr = 32\n")
@@ -251,6 +297,33 @@ class TestOutputs:
             Configuration(r=(0.0, 1.0), gamma=(0.5,), t=2.0),
         )
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-15)
+
+    def test_det_diagnostics_describe_the_grid(self, capsys):
+        # t = 20 cuts each of the two unit intervals into 2 panels
+        argv = ["det", "--r", "0=-1,1=0,2=1", "--gamma", "0=0.4,1=0.4", "--t", "20"]
+        assert main([*argv, "--order", "40"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["diagnostics"] == {"nodes": 160, "panels": 4, "order_per_panel": 40}
+        config = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.4), t=20.0)
+        assert document["results"]["lnf"] == log_det(KernelParams(0.0, 0.0), config, order=40)
+
+    def test_one_point_range_evaluates_its_start(self, capsys):
+        assert main(["sweep", *SINE_ARGS, "--t-range", "3:7:1", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0] == "t,lnf"
+        config = Configuration(r=(0.0, 1.0), gamma=(0.5,), t=3.0)
+        assert lines[1] == "3,%.17g" % log_det(KernelParams(0.0, 0.0), config)
+
+    def test_moments_csv_lists_the_statistics(self, capsys):
+        assert main(["moments", "--r", "0=0,1=1,2=2", "--t", "10", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "statistic,numeric,asymptotic,difference"
+        names = [line.split(",")[0] for line in lines[1:]]
+        assert names == ["mean_right", "mean_left", "variance", "cov_same_side",
+                         "cov_opposite_side"]
+        for line in lines[1:]:
+            numeric, predicted, difference = map(float, line.split(",")[1:])
+            assert difference == numeric - predicted
 
     def test_empty_sweep_writes_header_only_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

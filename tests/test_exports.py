@@ -27,9 +27,11 @@ def test_top_level_reexports_the_statistics():
 
 
 # The test-only tools that left the package for tests/_references.py, the
-# small-t closed form, which cpv_init owns, and the moment predictions'
-# record, which is stats.CountingStatistics
+# small-t closed form, which cpv_init owns, the moment predictions' record,
+# which is stats.CountingStatistics, and the grid record, which build_grid's
+# two arrays replace
 MOVED = {
+    "chfdet.fredholm": ("QuadratureGrid",),
     "chfdet.painleve": ("verify_identities", "IdentityReport"),
     "chfdet.asymptotics": ("small_t_lnF", "b_from_gamma", "c_from_gamma", "MomentAsymptotics"),
     "chfdet.specialfn": ("log_barnes_g_d1", "log_barnes_g_d2"),
@@ -44,3 +46,9 @@ def test_test_only_names_left_the_package(module_name):
         assert name not in module.__all__
         assert not hasattr(module, name)
         assert not hasattr(chfdet, name)
+
+
+def test_fredholm_exports_the_grid_and_the_determinant():
+    from chfdet import fredholm
+
+    assert fredholm.__all__ == ["build_grid", "log_det"]

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chfdet.errors import DomainError, RegimeError
+from chfdet import fredholm
+from chfdet.errors import DomainError, NonConvergenceError, RegimeError
 from chfdet.fredholm import build_grid, log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.quadrules import gauss_jacobi
@@ -22,59 +23,54 @@ def single_interval(gamma, t):
 class TestBuildGrid:
     def test_single_interval_no_grading(self):
         c = single_interval(0.5, 1.0)
-        g = build_grid(c, 0.0, order_per_panel=16)
-        assert len(g.panels) == 1
-        lo, hi, xs, ws = g.panels[0]
-        assert (lo, hi) == (0.0, 1.0)
-        assert len(g.nodes) == 16
+        nodes, weights = build_grid(c, 0.0, order_per_panel=16)
+        assert nodes.shape == weights.shape == (1, 16)
+        assert np.all(nodes > 0.0) and np.all(nodes < 1.0)
 
     def test_graded_panel_layout(self):
         # intervals of length 20, 20 and 30 get ceil(length / 12) equal panels
         c = Configuration(r=(-1.0, 0.0, 1.0, 2.5), gamma=(0.3, 0.3, 0.3), t=20.0)
         alpha = -0.25
-        g = build_grid(c, alpha, order_per_panel=8)
-        spans = [(p[0], p[1]) for p in g.panels]
-        assert spans == [
-            (-20.0, -10.0),
-            (-10.0, 0.0),
-            (0.0, 10.0),
-            (10.0, 20.0),
-            (20.0, 30.0),
-            (30.0, 40.0),
-            (40.0, 50.0),
-        ]
+        nodes, weights = build_grid(c, alpha, order_per_panel=8)
+        spans = [(-20.0, -10.0), (-10.0, 0.0), (0.0, 10.0), (10.0, 20.0), (20.0, 30.0),
+                 (30.0, 40.0), (40.0, 50.0)]
+        assert nodes.shape == weights.shape == (len(spans), 8)
         # origin panels: Gauss-Jacobi for |x|^{2 alpha}, weights times |x|^{-2 alpha}
         xj, wj = gauss_jacobi(8, 2.0 * alpha)
-        right, left = g.panels[2], g.panels[1]
-        np.testing.assert_allclose(right[2], 10.0 * xj, rtol=1e-15)
-        np.testing.assert_allclose(right[3], 10.0 * wj * xj ** (-2.0 * alpha), rtol=1e-15)
-        np.testing.assert_allclose(left[2], -right[2][::-1], rtol=1e-15)
-        np.testing.assert_allclose(left[3], right[3][::-1], rtol=1e-15)
-        # every other panel: Gauss-Legendre
-        for lo, hi, xs, ws in g.panels[:1] + g.panels[3:]:
-            xg, wg = gauss_legendre(8, lo, hi)
-            np.testing.assert_allclose(xs, xg, rtol=1e-14)
-            np.testing.assert_allclose(ws, wg, rtol=1e-14)
+        np.testing.assert_allclose(nodes[2], 10.0 * xj, rtol=1e-15)
+        np.testing.assert_allclose(weights[2], 10.0 * wj * xj ** (-2.0 * alpha), rtol=1e-15)
+        np.testing.assert_allclose(nodes[1], -nodes[2][::-1], rtol=1e-15)
+        np.testing.assert_allclose(weights[1], weights[2][::-1], rtol=1e-15)
+        # every other panel: Gauss-Legendre on its span
+        for row in (0, 3, 4, 5, 6):
+            xg, wg = gauss_legendre(8, *spans[row])
+            np.testing.assert_allclose(nodes[row], xg, rtol=1e-14)
+            np.testing.assert_allclose(weights[row], wg, rtol=1e-14)
+        for (lo, hi), xs in zip(spans, nodes):
+            assert np.all(xs > lo) and np.all(xs < hi)
 
     def test_weights_sum_to_total_length(self):
         c = Configuration(r=(-2.0, 0.0, 1.0, 3.0), gamma=(0.1, 0.2, 0.3), t=1.5)
-        g = build_grid(c, 0.0, order_per_panel=24)
-        assert math.isclose(float(np.sum(g.weights)), 5.0 * 1.5, rel_tol=1e-14)
+        _, weights = build_grid(c, 0.0, order_per_panel=24)
+        assert math.isclose(float(np.sum(weights)), 5.0 * 1.5, rel_tol=1e-14)
 
     def test_nodes_strictly_inside_panels(self):
+        # intervals of length 14 and 28 get 2 and 3 panels
         c = Configuration(r=(-1.0, 0.0, 2.0), gamma=(0.4, 0.4), t=14.0)
+        spans = [(-14.0, -7.0), (-7.0, 0.0), (0.0, 28.0 / 3.0), (28.0 / 3.0, 56.0 / 3.0),
+                 (56.0 / 3.0, 28.0)]
         for alpha in (0.0, -0.45):
-            g = build_grid(c, alpha, order_per_panel=12)
-            for lo, hi, xs, ws in g.panels:
+            nodes, weights = build_grid(c, alpha, order_per_panel=12)
+            assert len(nodes) == len(spans)
+            for (lo, hi), xs, ws in zip(spans, nodes, weights):
                 assert np.all(xs > lo) and np.all(xs < hi)
                 assert np.all(ws > 0.0)
-            assert not np.any(g.nodes == 0.0)
 
     def test_panels_scale_with_t(self):
-        c = Configuration(r=(0.0, 1.0), gamma=(0.5,), t=3.0)
-        g = build_grid(c, 0.0, order_per_panel=8)
-        assert g.panels[0][0] == 0.0
-        assert g.panels[-1][1] == 3.0
+        unit, _ = build_grid(single_interval(0.5, 1.0), 0.0, order_per_panel=8)
+        scaled, _ = build_grid(single_interval(0.5, 3.0), 0.0, order_per_panel=8)
+        np.testing.assert_allclose(scaled, 3.0 * unit, rtol=1e-15)
+        assert 0.0 < scaled.min() and scaled.max() < 3.0
 
     def test_order_validation(self):
         c = single_interval(0.5, 1.0)
@@ -109,16 +105,16 @@ class TestLogDet:
 
     def test_order_doubling_at_large_t(self):
         c = single_interval(0.5, 10.0)
-        v40 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=40))
-        v80 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=80))
+        v40 = log_det(SINE, c, order=40)
+        v80 = log_det(SINE, c, order=80)
         assert abs(v40 - v80) < 1e-10
         assert v80 < log_det(SINE, single_interval(0.5, 0.5)) < 0.0
 
     def test_self_convergence_geometric(self):
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=8.0)
-        v8 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=8))
-        v16 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=16))
-        v32 = log_det(SINE, c, grid=build_grid(c, 0.0, order_per_panel=32))
+        v8 = log_det(SINE, c, order=8)
+        v16 = log_det(SINE, c, order=16)
+        v32 = log_det(SINE, c, order=32)
         d1 = abs(v8 - v16)
         d2 = abs(v16 - v32)
         assert d1 < 1e-6
@@ -128,7 +124,7 @@ class TestLogDet:
         p = KernelParams(-0.25, 0.4)
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=5.0)
         vals = {
-            q: log_det(p, c, grid=build_grid(c, p.alpha, order_per_panel=q))
+            q: log_det(p, c, order=q)
             for q in (8, 16, 32)
         }
         d1 = abs(vals[8] - vals[16])
@@ -140,8 +136,28 @@ class TestLogDet:
     def test_order_self_convergence_at_domain_edges(self, alpha):
         p = KernelParams(alpha, 0.7)
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=100.0)
-        doubled = log_det(p, c, grid=build_grid(c, alpha, order_per_panel=48))
+        doubled = log_det(p, c, order=48)
         assert abs(log_det(p, c) - doubled) < 1e-10
+
+    def test_nan_kernel_raises(self, monkeypatch):
+        def nan_matrix(params, x):
+            return np.full((x.size, x.size), np.nan)
+
+        monkeypatch.setattr(fredholm, "chf_kernel_matrix", nan_matrix)
+        # numpy warns on the NaN factorization; log_det still raises
+        with pytest.raises(NonConvergenceError, match="not positive and finite"):
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                log_det(SINE, single_interval(0.5, 1.0))
+
+    def test_eigenvalue_above_one_raises(self, monkeypatch):
+        # a constant kernel 4 gives the rank-one B = 4 d d^T, whose eigenvalue
+        # 4 sum(w sigma) = 4 * 0.5 puts det(I - B) at -1
+        def constant_matrix(params, x):
+            return np.full((x.size, x.size), 4.0)
+
+        monkeypatch.setattr(fredholm, "chf_kernel_matrix", constant_matrix)
+        with pytest.raises(NonConvergenceError, match="sign -1"):
+            log_det(SINE, single_interval(0.5, 1.0))
 
     def test_monotone_in_gamma(self):
         vals = [log_det(SINE, single_interval(g, 1.0)) for g in (0.2, 0.5, 0.8)]

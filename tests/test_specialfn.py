@@ -377,15 +377,27 @@ class TestBarnesG:
 
     @pytest.mark.parametrize("z,want", ov.LOG_BARNES_G_NEAR_POLE)
     def test_near_the_branch_point(self, z, want):
-        # as z nears -1 the panels take more nodes and stay at rounding
+        # as z nears -1 the panel takes more nodes and stays at rounding
         # level; a fixed 32 nodes erred by 5.6e-5 at z = -0.999
         assert abs(sf.log_barnes_g(z) - want) < 5e-14
 
+    def test_wide_box(self):
+        # 300 seeded points with -0.9 < Re z < 8 and |Im z| < 6, relative to
+        # max(1, |value|); far out the reference's continuation along 0 -> z
+        # can leave the principal sheet of its steps, so the comparison is
+        # modulo 2 pi i. The worst point measured 1.46e-14.
+        worst = 0.0
+        for z, want in ov.LOG_BARNES_G_WIDE:
+            d = sf.log_barnes_g(z) - want
+            d = complex(d.real, math.remainder(d.imag, 2.0 * math.pi))
+            worst = max(worst, abs(d) / max(1.0, abs(want)))
+        assert worst < 1.5e-14
+
     def test_node_rule(self, monkeypatch):
-        # every panel node and 1 + z go to log_gamma as one batch; a panel's
-        # order comes from the Bernstein ellipse through t = -1, so the
-        # expansion's arguments (one or two panels) take at most 16 nodes a
-        # panel, and the count grows as z nears -1
+        # the nodes of the one panel 0 -> z and 1 + z go to log_gamma as one
+        # batch; the panel's order comes from the Bernstein ellipse through
+        # t = -1, so the expansion's arguments take at most 16 nodes, and the
+        # count grows as z nears -1
         exact, calls = sf.log_gamma, []
 
         def counting(z):
@@ -396,8 +408,7 @@ class TestBarnesG:
         box = (-0.45 + 1.18j, -0.45 - 1.18j, 1.5 + 1.18j, 1.5 - 0.7j, 0.25 + 0.3j, -0.48j, 0.01j)
         for z in box:
             sf.log_barnes_g(z)
-        panels = [math.ceil(abs(z) / 1.5) for z in box]
-        assert all(n <= 16 * p for n, p in zip(calls, panels))
+        assert len(calls) == len(box) and max(calls) <= 16
         assert calls[-1] <= 4
         calls.clear()
         for z in (-0.5, -0.9, -0.99, -0.999):

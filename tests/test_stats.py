@@ -197,3 +197,20 @@ class TestCountingStatistics:
             counting_statistics(PLAIN, 1.0, 2.0, 1.0)
         with pytest.raises(DomainError):
             counting_statistics(PLAIN, 1.0, 1.0, math.inf)
+
+    @pytest.mark.parametrize(
+        "t, r1, r2, condition",
+        [
+            (0.0, 1.0, 2.0, "t > 0"),
+            (math.inf, 1.0, None, "t > 0"),
+            (1.0, -1.0, 2.0, "r1 > 0"),
+            (1.0, math.nan, None, "r1 > 0"),
+            (1.0, 2.0, 1.0, "r2 > r1"),
+            (1.0, 1.0, math.inf, "r2 > r1"),
+        ],
+    )
+    def test_both_routes_check_the_radii_alike(self, t, r1, r2, condition):
+        for route in (counting_statistics, moment_asymptotics):
+            message = f"^{route.__name__}: requires finite {condition}$"
+            with pytest.raises(DomainError, match=message):
+                route(PLAIN, t, r1, r2)
