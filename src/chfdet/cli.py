@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .asymptotics import large_gap_lnF, moment_asymptotics
 from .errors import DomainError, NonConvergenceError, RegimeError
-from .fredholm import PANEL_ORDER, build_grid, log_det
+from .fredholm import build_grid, log_det
 from .kernel import Configuration, KernelParams
 from .painleve import CPVState, cpv_init, cpv_integrate, hamiltonian
 from .quadrules import _MAX_ORDER
@@ -54,7 +54,8 @@ _KEYS = {
     "gamma": "interval weights as index=value pairs, e.g. 0=0.3,1=0.6",
     "t": "scale applied to the endpoints",
     "t_range": "scale grid as start:stop:count",
-    "order": f"quadrature order per panel (default {PANEL_ORDER})",
+    "order": "quadrature nodes on every panel (default: each panel's own, from its"
+    " Bernstein-ellipse bound)",
     "tol": "flow integration tolerance (default 1e-09)",
     "inner": "command run at each sweep point: det or asymp",
     "out": "output path (default stdout)",
@@ -348,17 +349,13 @@ def _linspace(t_range: tuple) -> list:
     return points
 
 
-def _panel_order(rc: RunConfig) -> int:
-    return rc.order if rc.order is not None else PANEL_ORDER
-
-
 def _run_det(rc: RunConfig):
-    order = _panel_order(rc)
-    nodes, _ = build_grid(rc.config, rc.params.alpha, order)
-    lnf = log_det(rc.params, rc.config, order)
+    nodes, _ = build_grid(rc.config, rc.params.alpha, rc.order)
+    lnf = log_det(rc.params, rc.config, rc.order)
     columns = _INNER_COLUMNS["det"]
     row = [rc.config.t, lnf]
-    diagnostics = {"nodes": nodes.size, "panels": len(nodes), "order_per_panel": order}
+    orders = [panel.size for panel in nodes]
+    diagnostics = {"nodes": sum(orders), "panels": len(orders), "order_per_panel": orders}
     return dict(zip(columns, row)), columns, [row], diagnostics
 
 
@@ -414,7 +411,7 @@ def _run_verify(rc: RunConfig):
             state = seed
         state = _flow_to(rc, state, point)[-1]
         lnf_flow = state.lnF.real
-        lnf_nystrom = log_det(rc.params, config_t, _panel_order(rc))
+        lnf_nystrom = log_det(rc.params, config_t, rc.order)
         lnf_asymptotic = large_gap_lnF(rc.params, config_t).total
         residuals = [abs(lnf_flow - lnf_nystrom), abs(lnf_asymptotic - lnf_nystrom)]
         rows.append([point, lnf_nystrom, lnf_flow, lnf_asymptotic, *residuals])
@@ -433,7 +430,7 @@ def _run_moments(rc: RunConfig):
     r1 = rc.config.r[1]
     r2 = rc.config.r[2] if len(rc.config.r) == 3 else None
     asym = moment_asymptotics(rc.params, t, r1, r2)
-    counts = counting_statistics(rc.params, t, r1, r2, order=_panel_order(rc))
+    counts = counting_statistics(rc.params, t, r1, r2, order=rc.order)
     entries = [
         ("mean_right", counts.mean_right, asym.mean_right),
         ("mean_left", counts.mean_left, asym.mean_left),

@@ -15,76 +15,139 @@ Comp. 79, 2010).
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .kernel import Configuration, KernelParams, chf_kernel_matrix, sigma_step
-from .quadrules import gauss_jacobi
+from .quadrules import _MAX_ORDER, gauss_jacobi
 
 __all__ = [
     "build_grid",
     "log_det",
 ]
 
-# Nodes per panel, and the widest panel in scaled units. On each panel the
-# integrand is entire of exponential type (e^{+-ix} times Kummer functions),
-# so the error drops to rounding level once the panel is narrow enough for
-# the rule: at 24 nodes, log_det stays at rounding level up to width 24 and
-# is off by 2e-8 at width 32; PANEL_WIDTH keeps a factor 2 from that edge.
-# With these, log_det agrees with 40 nodes per panel to 2e-12 or better
-# (1e-14 relative) for alpha in [-0.45, 1.5], |beta_im| up to 0.7, 1-3
-# intervals and t up to 100, all with weights below 1. At a hard gap
-# (weight 1) rounding in I - B is amplified by its inverse: on the sine gap
-# log_det is off from Dyson's expansion by 1.7e-3 at t = 16 and raises at
-# t = 20 (sign -1), and nothing gates this yet (ROADMAP.md, item 1).
-PANEL_ORDER = 24
+# The widest panel in scaled units; each interval is cut into equal panels
+# no wider. Each panel's order then comes from the Bernstein-ellipse bound
+# of Gauss quadrature (Trefethen, Approximation Theory and Approximation
+# Practice, Thm 19.3): for an integrand analytic and bounded by M inside the
+# ellipse E_rho of the panel, q nodes err by at most
+# (64/15) M rho^{-2q} / (rho^2 - 1). The Nystrom error follows the
+# quadrature error of its integrands (Bornemann, Math. Comp. 79, 2010), and
+# these are entire of exponential type 2 (K(x, y) has type 1 in each
+# variable, since A(x) ~ e^{-+ix}), so on a panel of half-width w the
+# ellipse bounds M by e^{w (rho - 1/rho)}. A panel takes the fewest nodes q
+# at which that bound, minimised over 1 < rho < rho_max, falls to 2^-53. A
+# panel away from the origin caps rho_max at the ellipse through x = 0,
+# where |x|^{2 alpha} branches and sigma jumps; the two Gauss-Jacobi panels
+# at the origin carry that singularity in their weight, so their rho is not
+# capped, and the bound scales by the weight's integral over Legendre's,
+# 1/(2 alpha + 1). Orders run from 7 on an origin panel of width 1 and
+# 13-14 at t = 5 to 18-20 on full-width panels. Over 400 seeded random
+# points (alpha in [-0.45, 1.5], |beta_im| <= 0.7, 1-3 intervals, t in
+# [0.5, 100], weights below 1; tests/test_fredholm.py) log_det at these
+# orders stays within 5.9e-14 of 40 nodes per panel relative to
+# max(1, |lnF|), where 24 nodes per panel stay within 4.4e-14: both are
+# rounding. At a hard gap (weight 1) rounding in I - B is amplified by its
+# inverse: on the sine gap log_det is off from Dyson's expansion by 1.7e-3
+# at t = 16 and raises at t = 20 (sign -1), and nothing gates this yet
+# (ROADMAP.md, item 1).
 PANEL_WIDTH = 12.0
 
+# ln(64/15) + ln(2^53): the bound's constant over the unit roundoff
+_LN_BOUND = math.log(64.0 / 15.0) + 53.0 * math.log(2.0)
+# the largest s = ln(rho) the rule tries; sinh(700) is still finite
+_S_CAP = 700.0
 
-def build_grid(config: Configuration, alpha: float, order_per_panel: int = PANEL_ORDER):
+
+def _check_order(order, what: str) -> None:
+    if order is not None and not (isinstance(order, Integral) and 4 <= order <= _MAX_ORDER):
+        raise DomainError(
+            f"{what}: order must be None or an integer in [4, {_MAX_ORDER}], got {order!r}"
+        )
+
+
+def _ellipse_order(half_width: float, s_max: float, ln_weight: float) -> int:
+    """The fewest Gauss nodes q, within [4, _MAX_ORDER], at which
+    min over 0 < s <= s_max of
+    (64/15) e^{ln_weight + 2 w sinh s} e^{-2 q s} / (e^{2s} - 1)
+    falls to 2^-53, with w the half-width and s = ln(rho).
+
+    That q is the ceiling of min_s F(s), F = N / (2 s) with
+    N(s) = _LN_BOUND + ln_weight + 2 w sinh s - s - ln(2 sinh s). F falls
+    while s N' < N and rises after; s N' - N increases in s, so its one root
+    is found by Newton's method, bracketed, from the right of it."""
+    ln_bound = _LN_BOUND + ln_weight
+    lo, hi = 0.0, min(s_max, _S_CAP)
+    s = min(hi, max(math.log(ln_bound / half_width), 0.0) + 1.0)
+    for _ in range(100):
+        sh, ch = math.sinh(s), math.cosh(s)
+        numer = ln_bound + 2.0 * half_width * sh - s - math.log(2.0 * sh)
+        slope = s * (2.0 * half_width * ch - 1.0 - ch / sh) - numer
+        if slope > 0.0:
+            hi = s
+        elif s == hi:
+            break  # F still falls at the cap
+        else:
+            lo = s
+        step = s - slope / (s * (2.0 * half_width * sh + 1.0 / (sh * sh)))
+        nxt = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(nxt - s) <= 1e-9 * s:
+            break
+        s = nxt
+    return min(_MAX_ORDER, max(4, math.ceil(numer / (2.0 * s))))
+
+
+def _panel_order(lo: float, hi: float, alpha: float) -> int:
+    """The ellipse rule's order for the panel (lo, hi)."""
+    half = 0.5 * (hi - lo)
+    if lo == 0.0 or hi == 0.0:
+        return _ellipse_order(half, math.inf, -math.log1p(2.0 * alpha))
+    return _ellipse_order(half, math.acosh(abs(lo + half) / half), 0.0)
+
+
+def build_grid(config: Configuration, alpha: float, order=None):
     """Nystrom nodes and weights over the scaled intervals of a configuration.
 
-    Each interval is cut into ceil(length / PANEL_WIDTH) equal panels of
-    ``order_per_panel`` nodes. Returns ``(nodes, weights)``, two arrays of
-    shape (panels, order_per_panel): one row per panel, the panels in
-    increasing order, each row's nodes strictly inside its panel. Panels
-    never straddle an interval endpoint or the origin. The two panels
-    touching the origin carry the kernel's |x|^{2 alpha} density singularity
-    in the weight: their nodes are the Gauss-Jacobi rule for |x|^{2 alpha},
-    and their Nystrom weights are that rule's weights times |x|^{-2 alpha},
-    so the quadrature acts on an analytic integrand. Every other panel is
-    Gauss-Legendre, the same rule at exponent 0; at alpha = 0 the two rules
-    coincide.
+    Each interval is cut into ceil(length / PANEL_WIDTH) equal panels. Each
+    panel takes ``order`` nodes, or with ``order`` None the nodes the
+    ellipse rule gives it (see PANEL_WIDTH), which depend only on the
+    panel's own interval and alpha. Returns ``(nodes, weights)``, two lists
+    of 1-d arrays, one pair per panel: the panels in increasing order, each
+    panel's nodes strictly inside it. Panels never straddle an interval
+    endpoint or the origin. The two panels touching the origin carry the
+    kernel's |x|^{2 alpha} density singularity in the weight: their nodes
+    are the Gauss-Jacobi rule for |x|^{2 alpha}, and their Nystrom weights
+    are that rule's weights times |x|^{-2 alpha}, so the quadrature acts on
+    an analytic integrand. Every other panel is Gauss-Legendre, the same
+    rule at exponent 0; at alpha = 0 the two rules coincide.
     """
-    order_per_panel = int(order_per_panel)
-    if order_per_panel < 4:
-        raise DomainError("build_grid: order_per_panel must be >= 4")
+    _check_order(order, "build_grid")
     if config.t == 0.0:
         raise DomainError("build_grid: domain is empty at t = 0")
     edges = config.scaled_endpoints()
-    xg, wg = gauss_jacobi(order_per_panel, 0.0)
-    xj, wj = gauss_jacobi(order_per_panel, 2.0 * alpha)
-    wj = wj * xj ** (-2.0 * alpha)
     nodes, weights = [], []
     for k in range(config.n):
         a, b = edges[k], edges[k + 1]
         count = math.ceil((b - a) / PANEL_WIDTH)
         breaks = [a + (b - a) * i / count for i in range(count)] + [b]
         for lo, hi in zip(breaks[:-1], breaks[1:]):
+            q = _panel_order(lo, hi, alpha) if order is None else int(order)
             h = hi - lo
-            if lo == 0.0:
-                xs, ws = h * xj, h * wj
-            elif hi == 0.0:
-                xs, ws = -h * xj[::-1], h * wj[::-1]
+            if lo == 0.0 or hi == 0.0:
+                xj, wj = gauss_jacobi(q, 2.0 * alpha)
+                wj = wj * xj ** (-2.0 * alpha)
+                xs, ws = (h * xj, h * wj) if lo == 0.0 else (-h * xj[::-1], h * wj[::-1])
             else:
+                xg, wg = gauss_jacobi(q, 0.0)
                 xs, ws = lo + h * xg, h * wg
             nodes.append(xs)
             weights.append(ws)
-    return np.array(nodes), np.array(weights)
+    return nodes, weights
 
 
-def _operator(params: KernelParams, config: Configuration, order: int):
+def _operator(params: KernelParams, config: Configuration, order=None):
     """The nodes of ``build_grid(config, params.alpha, order)``, flattened,
     and the symmetric Nystrom matrix B = D K D on them, D = diag(sqrt(w
     sigma)).
@@ -92,29 +155,38 @@ def _operator(params: KernelParams, config: Configuration, order: int):
     B has the same determinant of I - (.) and the same traces as the
     column-scaled matrix w_j sigma(x_j) K(x_i, x_j), and sigma = 0 zeroes a
     row and column of both."""
-    nodes, weights = build_grid(config, params.alpha, order)
-    nodes, weights = nodes.ravel(), weights.ravel()
-    kmat = chf_kernel_matrix(params, nodes)
+    # the leading empty array serves a grid without panels: an interval
+    # whose length over PANEL_WIDTH underflows (t near 5e-324) gets none
+    nodes, weights = (np.concatenate((np.empty(0), *part))
+                      for part in build_grid(config, params.alpha, order))
+    b = chf_kernel_matrix(params, nodes)
     d = np.sqrt(weights * sigma_step(config, nodes))
-    return nodes, (d[:, None] * kmat) * d[None, :]
+    b *= d[:, None]
+    b *= d[None, :]
+    return nodes, b
 
 
-def log_det(params: KernelParams, config: Configuration, order: int = PANEL_ORDER) -> float:
+def log_det(params: KernelParams, config: Configuration, order=None) -> float:
     """ln det(I - K_sigma) by dense real LU of the symmetric Nystrom matrix
-    on ``build_grid(config, params.alpha, order)``, ``order`` nodes per
-    panel.
+    on ``build_grid(config, params.alpha, order)``: each panel at the order
+    of the ellipse rule, or at ``order`` nodes when given.
 
-    At the default order the value agrees with a finer order on the same
-    panels to about 1e-12 for weights below 1, alpha in [-0.45, 1.5] and t
-    up to 100 (near a hard gap it can be far off; see PANEL_WIDTH). With
-    weights in [0, 1] the determinant is a gap probability of a thinned
-    process and so positive; a determinant that is not positive and finite
-    raises NonConvergenceError.
+    At the rule's orders the value agrees with 40 nodes per panel to 1e-13
+    relative to max(1, |value|) for weights below 1, alpha in
+    [-0.45, 1.5], |beta_im| <= 0.7 and t up to 100 (near a hard gap it can
+    be far off; see PANEL_WIDTH). With weights
+    in [0, 1] the determinant is a gap probability of a thinned process and
+    so positive; a determinant that is not positive and finite raises
+    NonConvergenceError.
     """
+    _check_order(order, "log_det")
     if config.t == 0.0 or all(g == 0.0 for g in config.gamma):
         return 0.0
     _, b = _operator(params, config, order)
-    sign, logabs = np.linalg.slogdet(np.eye(b.shape[0]) - b)
+    # I - B in place: -b, then 1 added on the diagonal
+    np.negative(b, out=b)
+    b.flat[:: b.shape[0] + 1] += 1.0
+    sign, logabs = np.linalg.slogdet(b)
     if sign <= 0.0 or not np.isfinite(logabs):
         raise NonConvergenceError(
             f"log_det: det(I - B) is not positive and finite (sign {sign}, log {logabs})"

@@ -258,9 +258,15 @@ def chf_kernel_matrix(params: KernelParams, x):
         raise ValueError("chf_kernel_matrix: nodes must be a 1-d array")
     val, density = _cap_A_and_density(params, nodes)
     scale = _gamma_prefactor(params) / math.pi
-    dx = nodes[:, None] - nodes[None, :]
+    # _im_cross(val[:, None], val[None, :]) times scale over x_i - x_j, in
+    # one buffer and one scratch array
+    mat = np.multiply.outer(val.imag, val.real)
+    scratch = np.multiply.outer(val.real, val.imag)
+    mat -= scratch
+    mat *= scale
+    dx = np.subtract.outer(nodes, nodes, out=scratch)
     np.fill_diagonal(dx, 1.0)
-    mat = scale * _im_cross(val[:, None], val[None, :]) / dx
+    mat /= dx
     np.fill_diagonal(mat, scale * density)
     return mat
 

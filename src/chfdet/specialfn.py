@@ -27,13 +27,14 @@ an O(1) sum, while a step of length at most 2 sums terms of size at most
 2. The steps run through fixed radii, so all points on one ray share them.
 A step is linear in its start (phi, h phi'), so every step of a call, each
 ray's march steps and each point's last one, is a lane of one vectorised
-pass of the coefficient recurrence run from the two unit starts, which
-gives each step's 2x2 matrix; a ray's march then only multiplies by its
-matrices, in complex scalars. Every branch gets phi' from phi's own terms: the seed
-series and the steps carry it, and the asymptotic expansion differentiates
-its two series term by term. Left of the imaginary axis, phi' is
-(a/b) e^z phi(b - a, b + 1, -z) from a second march: e^z (phi~ - phi~')
-from the transformed pair would cancel up to |z/a|-fold.
+pass of the coefficient recurrence run from the two unit starts (in
+blocks of 1024 lanes), which gives each step's 2x2 matrix; a ray's march
+then only multiplies by its matrices, in complex scalars. Every branch
+gets phi' from phi's own terms: the seed series and the steps carry it,
+and the asymptotic expansion differentiates its two series term by term.
+Left of the imaginary axis, phi' is (a/b) e^z phi(b - a, b + 1, -z) from
+a second march: e^z (phi~ - phi~') from the transformed pair would cancel
+up to |z/a|-fold.
 """
 
 from __future__ import annotations
@@ -107,10 +108,17 @@ _PHI_TERMS = 28
 # has not converged; below it, each further term is at most |h|/n < 0.1 of
 # the one before, so what the sum leaves out is under about 1e-16
 _PHI_TAIL_TOL = 1e-15
-# the n = 0..26 of a Taylor step's recurrence, and 1/((n+2)(n+1)) for its
-# terms n + 2 = 2..28
-_PHI_STEP_ORDERS = np.arange(_PHI_TERMS - 1)[:, None]
+# the n = 0..26 of a Taylor step's recurrence (complex, so its products
+# need no casts), and 1/((n+2)(n+1)) for its terms n + 2 = 2..28
+_PHI_STEP_ORDERS = np.arange(_PHI_TERMS - 1.0)[:, None] + 0j
 _PHI_INV_PAIR = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(_PHI_TERMS - 1))
+# lanes per pass of the step recurrence: a pass's terms and coefficients,
+# about 1.9 MB at this size, stay in a core's cache
+_PHI_LANE_BLOCK = 1024
+# n = 0..28, the weights of h w'(c + h) = sum n e_n over a step's term axis
+_PHI_STEP_N = np.arange(_PHI_TERMS + 1.0)[:, None, None] + 0j
+# k = 1..27 of the seed series
+_PHI_SERIES_K = np.arange(1.0, _PHI_TERMS)
 
 
 def _phi_radii():
@@ -275,18 +283,21 @@ def _phi_series_pair(a, b, z):
     over an array z.
 
     d_k = (a)_{k+1} z^k / ((b)_{k+1} k!) is the k-th term of phi', and the
-    k-th term of phi is d_{k-1} z / k, so one recurrence serves both sums.
-    At z = 0 the result is exactly (1, a/b).
+    k-th term of phi is d_{k-1} z / k, so one product serves both sums: row
+    i of a (points, terms) array holds a/b and the ratios
+    d_k / d_{k-1} = z_i (a + k) / ((b + k) k), and one cumulative product
+    along each row turns them into d_0, ..., d_27. Every row is multiplied
+    and summed on its own, so no point's value depends on its batch. At
+    z = 0 the result is exactly (1, a/b).
     """
-    d = a / b
-    phi = 1.0
-    dphi = d
-    for k in range(1, _PHI_TERMS):
-        t = d * z / k
-        d = t * ((a + k) / (b + k))
-        phi = phi + t
-        dphi = dphi + d
-    _check_tail(t, d, phi, dphi, "series")
+    k = _PHI_SERIES_K
+    d = np.empty((z.size, _PHI_TERMS), dtype=complex)
+    d[:, 0] = a / b
+    np.multiply(z[:, None], (a + k) / ((b + k) * k), out=d[:, 1:])
+    np.cumprod(d, axis=1, out=d)
+    dphi = d.sum(axis=1)
+    phi = 1.0 + z * (d[:, :-1] / k).sum(axis=1)
+    _check_tail(d[:, -2] * z / k[-1], d[:, -1], phi, dphi, "series")
     return phi, dphi
 
 
@@ -302,29 +313,43 @@ def _phi_step_terms(a, b, c, h):
     from (1, 0) and from (0, 1) at once, row s of each array holding start
     s. Returns the step's matrix, m[0, s] = sum_n e_n and m[1, s] =
     sum_n n e_n, and the last two terms, tail[0, s] = e_27 and tail[1, s]
-    = e_28. The sums run term by term, so no lane's figures depend on the
-    other lanes.
+    = e_28. The terms are written term first, (29, 2, lanes), and summed
+    term by term along that axis, so no lane's figures depend on the other
+    lanes; lanes go through in blocks of _PHI_LANE_BLOCK.
     """
+    blocks = [_phi_step_block(a, b, c[i : i + _PHI_LANE_BLOCK], h[i : i + _PHI_LANE_BLOCK])
+              for i in range(0, c.size, _PHI_LANE_BLOCK)]
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*blocks))
+
+
+def _phi_step_block(a, b, c, h):
+    # _phi_step_terms on one block of lanes
     q = h / c
     hq = h * q
     bq = (b - c) * q
     n = _PHI_STEP_ORDERS
-    ca = (n + a) * hq
-    cb = (n + 1) * (n * q + bq)
-    e0 = np.zeros((2, c.size), dtype=complex)
-    e1 = np.zeros_like(e0)
-    e0[0] = 1.0
-    e1[1] = 1.0
-    val = e0 + e1
-    der = e1.copy()
-    for order, ca_n, cb_n, inv in zip(range(2, _PHI_TERMS + 1), ca, cb, _PHI_INV_PAIR):
-        e2 = ca_n * e0
-        e2 -= cb_n * e1
+    # coef[:, n] = (ca_n, -cb_n), to multiply (e_n, e_{n+1})
+    coef = np.empty((2, _PHI_TERMS - 1, 1, c.size), dtype=complex)
+    np.multiply(n + a, hq, out=coef[0, :, 0])
+    cb = np.multiply(n, q, out=coef[1, :, 0])
+    cb += bq
+    cb *= n + 1
+    np.negative(cb, out=cb)
+    terms = np.zeros((_PHI_TERMS + 1, 2, c.size), dtype=complex)
+    terms[0, 0] = 1.0
+    terms[1, 1] = 1.0
+    pair = np.empty((2, 2, c.size), dtype=complex)
+    first, second = pair
+    for k, inv in zip(range(2, _PHI_TERMS + 1), _PHI_INV_PAIR):
+        e2 = terms[k]
+        np.multiply(coef[:, k - 2], terms[k - 2 : k], out=pair)
+        np.add(first, second, out=e2)
         e2 *= inv
-        val += e2
-        der += order * e2
-        e0, e1 = e1, e2
-    return np.stack((val, der)), np.stack((e0, e1))
+    # sums along the term axis run term by term, from e_0 up
+    tail = terms[-2:].copy()
+    val = terms.sum(axis=0)
+    terms *= _PHI_STEP_N
+    return np.stack((val, terms.sum(axis=0))), tail
 
 
 def _phi_combine(m, w, e1):
@@ -512,9 +537,9 @@ def kummer_phi(a, b, z):
     batch is marched through 19 fixed radii, and every point then takes
     one last step. All steps of a call run as the lanes of one vectorised
     pass, which gives each step's 2x2 matrix, so a ray's march is a few
-    complex-scalar multiplies per radius: the 72 kernel nodes of a typical
-    call (z = 2ix, two rays) take about 0.5 ms, and 2000 random directions
-    in |z| <= 34 about 0.07 s. A point with Re z < 0 marches to -z instead
+    complex-scalar multiplies per radius: 72 kernel nodes below |z| = 30
+    (z = 2ix, two rays) take about 0.35 ms, and 2000 random directions
+    in |z| <= 34 about 0.06 s. A point with Re z < 0 marches to -z instead
     (twice, for phi and for phi') and takes phi = e^z phi(b - a, b, -z),
     which keeps a recessive phi (~e^z) accurate. The local series converge
     in their fixed term count for |a|, |b| up to about 5 (the tests draw

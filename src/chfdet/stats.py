@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from . import fredholm
-from .fredholm import PANEL_ORDER
 from .fredholm import log_det  # noqa: F401  (perfbench/tracing.py wraps stats.log_det by name)
 from .kernel import Configuration, KernelParams
 
@@ -68,9 +67,10 @@ def _radii(t: float, r1: float, r2: float | None, what: str) -> tuple:
     return t, r1, r2
 
 
-def _operator(params: KernelParams, t: float, r: tuple, order: int = PANEL_ORDER):
+def _operator(params: KernelParams, t: float, r: tuple, order=None):
     """Grid nodes and B = sqrt(w) K sqrt(w) on the intervals between the
-    endpoints t*r, each with weight 1 and ``order`` nodes per panel."""
+    endpoints t*r, each with weight 1, at ``build_grid``'s orders for
+    ``order``."""
     config = Configuration(t=t, r=r, gamma=(1.0,) * (len(r) - 1))
     return fredholm._operator(params, config, order)
 
@@ -160,11 +160,11 @@ class CountingStatistics:
 
 
 def counting_statistics(
-    params: KernelParams, t: float, r1: float, r2: float | None = None, order: int = PANEL_ORDER
+    params: KernelParams, t: float, r1: float, r2: float | None = None, order=None
 ) -> CountingStatistics:
     """All counting statistics at radii 0 < r1 < r2 from one operator on the
-    endpoints (-r2, -r1, 0, r1, r2), or (-r1, 0, r1) without r2, with
-    ``order`` nodes per panel.
+    endpoints (-r2, -r1, 0, r1, r2), or (-r1, 0, r1) without r2, each panel
+    at the ellipse rule's order, or at ``order`` nodes when given.
 
     Each statistic is the trace sum of its single-statistic function, read
     from node masks of the shared operator: numeric_mean(t, r1),

@@ -299,13 +299,19 @@ class TestOutputs:
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-15)
 
     def test_det_diagnostics_describe_the_grid(self, capsys):
-        # t = 20 cuts each of the two unit intervals into 2 panels
+        # t = 20 cuts each of the two unit intervals into 2 panels; --order
+        # gives each 40 nodes, and without it each panel takes the ellipse
+        # rule's order, 18 at width 10
         argv = ["det", "--r", "0=-1,1=0,2=1", "--gamma", "0=0.4,1=0.4", "--t", "20"]
-        assert main([*argv, "--order", "40"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["diagnostics"] == {"nodes": 160, "panels": 4, "order_per_panel": 40}
         config = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.4), t=20.0)
-        assert document["results"]["lnf"] == log_det(KernelParams(0.0, 0.0), config, order=40)
+        for extra, orders in ((["--order", "40"], [40] * 4), ([], [18] * 4)):
+            assert main([*argv, *extra]) == 0
+            document = json.loads(capsys.readouterr().out)
+            assert document["diagnostics"] == {
+                "nodes": sum(orders), "panels": 4, "order_per_panel": orders
+            }
+            order = int(extra[1]) if extra else None
+            assert document["results"]["lnf"] == log_det(KernelParams(0.0, 0.0), config, order)
 
     def test_one_point_range_evaluates_its_start(self, capsys):
         assert main(["sweep", *SINE_ARGS, "--t-range", "3:7:1", "--format", "csv"]) == 0

@@ -29,7 +29,7 @@ def test_top_level_reexports_the_statistics():
 # The test-only tools that left the package for tests/_references.py, the
 # small-t closed form, which cpv_init owns, the moment predictions' record,
 # which is stats.CountingStatistics, and the grid record, which build_grid's
-# two arrays replace
+# per-panel arrays replace
 MOVED = {
     "chfdet.fredholm": ("QuadratureGrid",),
     "chfdet.painleve": ("verify_identities", "IdentityReport"),

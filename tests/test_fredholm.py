@@ -20,21 +20,29 @@ def single_interval(gamma, t):
     return Configuration(r=(0.0, 1.0), gamma=(gamma,), t=t)
 
 
+def orders_of(config, alpha, order=None):
+    nodes, weights = build_grid(config, alpha, order)
+    assert [x.size for x in nodes] == [w.size for w in weights]
+    return [x.size for x in nodes]
+
+
 class TestBuildGrid:
     def test_single_interval_no_grading(self):
         c = single_interval(0.5, 1.0)
-        nodes, weights = build_grid(c, 0.0, order_per_panel=16)
-        assert nodes.shape == weights.shape == (1, 16)
-        assert np.all(nodes > 0.0) and np.all(nodes < 1.0)
+        nodes, weights = build_grid(c, 0.0, order=16)
+        assert len(nodes) == len(weights) == 1
+        assert nodes[0].shape == weights[0].shape == (16,)
+        assert np.all(nodes[0] > 0.0) and np.all(nodes[0] < 1.0)
 
     def test_graded_panel_layout(self):
         # intervals of length 20, 20 and 30 get ceil(length / 12) equal panels
         c = Configuration(r=(-1.0, 0.0, 1.0, 2.5), gamma=(0.3, 0.3, 0.3), t=20.0)
         alpha = -0.25
-        nodes, weights = build_grid(c, alpha, order_per_panel=8)
+        nodes, weights = build_grid(c, alpha, order=8)
         spans = [(-20.0, -10.0), (-10.0, 0.0), (0.0, 10.0), (10.0, 20.0), (20.0, 30.0),
                  (30.0, 40.0), (40.0, 50.0)]
-        assert nodes.shape == weights.shape == (len(spans), 8)
+        assert len(nodes) == len(weights) == len(spans)
+        assert all(x.shape == w.shape == (8,) for x, w in zip(nodes, weights))
         # origin panels: Gauss-Jacobi for |x|^{2 alpha}, weights times |x|^{-2 alpha}
         xj, wj = gauss_jacobi(8, 2.0 * alpha)
         np.testing.assert_allclose(nodes[2], 10.0 * xj, rtol=1e-15)
@@ -51,36 +59,108 @@ class TestBuildGrid:
 
     def test_weights_sum_to_total_length(self):
         c = Configuration(r=(-2.0, 0.0, 1.0, 3.0), gamma=(0.1, 0.2, 0.3), t=1.5)
-        _, weights = build_grid(c, 0.0, order_per_panel=24)
-        assert math.isclose(float(np.sum(weights)), 5.0 * 1.5, rel_tol=1e-14)
+        for order in (24, None):
+            _, weights = build_grid(c, 0.0, order)
+            assert math.isclose(float(np.sum(np.concatenate(weights))), 5.0 * 1.5, rel_tol=1e-14)
 
     def test_nodes_strictly_inside_panels(self):
         # intervals of length 14 and 28 get 2 and 3 panels
         c = Configuration(r=(-1.0, 0.0, 2.0), gamma=(0.4, 0.4), t=14.0)
         spans = [(-14.0, -7.0), (-7.0, 0.0), (0.0, 28.0 / 3.0), (28.0 / 3.0, 56.0 / 3.0),
                  (56.0 / 3.0, 28.0)]
-        for alpha in (0.0, -0.45):
-            nodes, weights = build_grid(c, alpha, order_per_panel=12)
+        for alpha, order in ((0.0, 12), (-0.45, 12), (-0.45, None)):
+            nodes, weights = build_grid(c, alpha, order)
             assert len(nodes) == len(spans)
             for (lo, hi), xs, ws in zip(spans, nodes, weights):
                 assert np.all(xs > lo) and np.all(xs < hi)
                 assert np.all(ws > 0.0)
 
     def test_panels_scale_with_t(self):
-        unit, _ = build_grid(single_interval(0.5, 1.0), 0.0, order_per_panel=8)
-        scaled, _ = build_grid(single_interval(0.5, 3.0), 0.0, order_per_panel=8)
-        np.testing.assert_allclose(scaled, 3.0 * unit, rtol=1e-15)
-        assert 0.0 < scaled.min() and scaled.max() < 3.0
+        unit, _ = build_grid(single_interval(0.5, 1.0), 0.0, order=8)
+        scaled, _ = build_grid(single_interval(0.5, 3.0), 0.0, order=8)
+        np.testing.assert_allclose(scaled[0], 3.0 * unit[0], rtol=1e-15)
+        assert 0.0 < scaled[0].min() and scaled[0].max() < 3.0
 
     def test_order_validation(self):
         c = single_interval(0.5, 1.0)
-        with pytest.raises(DomainError):
-            build_grid(c, 0.0, order_per_panel=3)
+        for order in (3, 513, 4.7, 24.0, "24", True):
+            with pytest.raises(DomainError, match="order must be None or an integer"):
+                build_grid(c, 0.0, order)
+        assert orders_of(c, 0.0, np.int64(12)) == [12]
 
     def test_empty_domain_rejected(self):
         c = single_interval(0.5, 0.0)
         with pytest.raises(DomainError):
             build_grid(c, 0.0)
+
+
+class TestPanelOrderRule:
+    """Each panel's order comes from the Bernstein-ellipse bound of its own
+    interval (see fredholm.PANEL_WIDTH)."""
+
+    def test_order_grows_with_panel_width(self):
+        for alpha in (-0.45, 0.0, 1.5):
+            origin = [orders_of(single_interval(0.5, t), alpha)[0] for t in (0.5, 1, 2, 5, 12)]
+            assert origin == sorted(origin) and origin[0] < origin[-1]
+        # (t, 2 t) keeps its shape as it widens: the same ellipse cap, more width
+        away = [orders_of(Configuration(r=(-1.0, 0.0, 1.0, 2.0), gamma=(0.3,) * 3, t=t), 0.0)[-1]
+                for t in (0.5, 2, 5, 12)]
+        assert away == sorted(away) and away[0] < away[-1]
+
+    def test_order_grows_as_a_panel_nears_the_origin(self):
+        # panels of width 1 at growing distance d from the origin
+        orders = [orders_of(Configuration(r=(0.0, d, d + 1.0), gamma=(0.3, 0.3), t=1.0), 0.0)[1]
+                  for d in (4.0, 1.0, 0.3, 0.1, 0.01)]
+        assert orders == sorted(orders) and orders[0] < orders[-1]
+
+    def test_origin_panels_are_not_capped(self):
+        # a width-1 panel at the origin takes fewer nodes than the same panel
+        # 0.01 away, whose ellipse is capped at the origin; its weight's
+        # integral, larger as alpha falls, raises its bound
+        c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.3), t=1.0)
+        shifted = Configuration(r=(0.0, 0.01, 1.01), gamma=(0.3, 0.3), t=1.0)
+        assert orders_of(c, 0.0) == [7, 7]
+        assert orders_of(shifted, 0.0)[1] > 2 * orders_of(c, 0.0)[1]
+        near_edge, plain, smooth = (orders_of(c, a)[0] for a in (-0.45, 0.0, 1.5))
+        assert near_edge >= plain >= smooth
+
+    def test_orders_depend_only_on_each_panel(self):
+        # the shared panels of two layouts take the same orders
+        left = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.3), t=7.3)
+        right = Configuration(r=(-1.0, 0.0, 1.0, 2.9), gamma=(0.3, 0.3, 0.3), t=7.3)
+        assert orders_of(right, 0.25)[:2] == orders_of(left, 0.25)
+
+    def test_an_order_gives_every_panel_that_order(self):
+        c = Configuration(r=(-1.0, 0.0, 0.3, 2.5), gamma=(0.3, 0.3, 0.3), t=20.0)
+        for q in (4, 17, 40):
+            assert set(orders_of(c, -0.45, q)) == {q}
+
+    def test_rule_orders(self):
+        # t = 5: origin panels of width 5 and the panel (5, 10); t = 20 and
+        # t = 100: panels of width 10 and 11.1
+        c5 = Configuration(r=(-1.0, 0.0, 1.0, 2.0), gamma=(0.3,) * 3, t=5.0)
+        assert orders_of(c5, 0.0) == [13, 13, 14]
+        c20 = Configuration(r=(0.0, 1.0), gamma=(0.3,), t=20.0)
+        assert orders_of(c20, 0.0) == [18, 18]
+        c100 = Configuration(r=(0.0, 1.0), gamma=(0.3,), t=100.0)
+        assert max(orders_of(c100, 0.0)) == 19
+
+    def test_seeded_audit_against_order_40(self):
+        # over 400 random points, log_det at the rule's orders stays within
+        # 1e-13 of 40 nodes per panel, relative to max(1, |lnF|)
+        rng = np.random.default_rng(25)
+        layouts = [(0.0, 1.0), (-1.0, 0.0), (-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0, 2.0),
+                   (0.0, 0.3, 1.1)]
+        alphas = np.concatenate(([-0.45, 1.5] * 10, rng.uniform(-0.45, 1.5, 380)))
+        worst = 0.0
+        for i, alpha in enumerate(alphas):
+            r = layouts[i % len(layouts)]
+            params = KernelParams(alpha, rng.uniform(-0.7, 0.7))
+            t = math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
+            config = Configuration(r=r, gamma=tuple(rng.uniform(0.05, 0.95, len(r) - 1)), t=t)
+            want = log_det(params, config, order=40)
+            worst = max(worst, abs(log_det(params, config) - want) / max(1.0, abs(want)))
+        assert worst < 1e-13
 
 
 class TestLogDet:
@@ -91,10 +171,22 @@ class TestLogDet:
     def test_zero_t_gives_zero(self):
         assert log_det(SINE, single_interval(0.7, 0.0)) == 0.0
 
-    @pytest.mark.parametrize("t", [1e-250, 1e-300])
+    @pytest.mark.parametrize("order", [3, 513, 4.7, 24.0])
+    def test_order_is_checked_before_the_empty_domain(self, order):
+        with pytest.raises(DomainError, match="log_det: order must be None or an integer"):
+            log_det(SINE, single_interval(0.7, 0.0), order=order)
+
+    @pytest.mark.parametrize("order", [3, 513, 4.7, 24.0])
+    def test_order_is_checked_before_zero_weights(self, order):
+        c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.0, 0.0), t=2.0)
+        with pytest.raises(DomainError, match="log_det: order must be None or an integer"):
+            log_det(SINE, c, order=order)
+
+    @pytest.mark.parametrize("t", [1e-250, 1e-300, 5e-324])
     def test_tiny_t_with_negative_alpha_is_zero(self, t):
         # lnF is of order t^{2 alpha + 1} = 1e-100 here, so 0 to rounding; the
-        # node values of A reach 1e112 and their density must not overflow
+        # node values of A reach 1e112 and their density must not overflow.
+        # At t = 5e-324 each interval is too short to hold a panel
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.2), t=t)
         assert abs(log_det(KernelParams(-0.3, 0.0), c)) <= 1e-15
 
