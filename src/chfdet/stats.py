@@ -21,7 +21,7 @@ one operator and reads all five from node masks, which is what a ``chfdet
 moments`` run evaluates. Its values equal the single-statistic functions to
 rounding: bitwise where the two grids share their panels, and for the
 opposite-side covariance, whose left interval the shared grid splits at
--r1, within 4e-16 absolute (2.2e-15 relative) over alpha in {-0.45, 0,
+-r1, within 2.2e-16 absolute (1.1e-15 relative) over alpha in {-0.45, 0,
 0.25, 1.5}, |beta_im| <= 0.7, t in [0.5, 100] and (r1, r2) in {(1, 2),
 (0.7, 2.9), (0.3, 1.1)}.
 """

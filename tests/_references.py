@@ -6,6 +6,9 @@ by methods the package does not use.
   against which the package's Golub-Welsch rule at exponent 0 is checked.
 - ``log_det_series_oracle``: ln det(I - K_sigma) from the truncated trace
   series on a midpoint grid, with a remainder bound (small t only).
+- ``log_det_fixed_panels``: ln det(I - K_sigma) by Nystrom quadrature on
+  equal panels at most 12 wide, every panel at one given order, against
+  which the package's rule-chosen panels and orders are checked.
 - ``cpv_large_t_prediction``: the closed-form large-t tail of the flow
   variables u, v, H, y and d.
 - ``verify_identities``: residuals of two differential identities along a
@@ -40,6 +43,7 @@ from chfdet.asymptotics import AsymptoticReport, _gamma_extended, _jump_nus
 from chfdet.errors import DomainError, RegimeError
 from chfdet.kernel import chf_kernel_matrix, sigma_step
 from chfdet.painleve import _dop853_step, _rates, _side_weights, _Workspace
+from chfdet.quadrules import gauss_jacobi
 from chfdet.specialfn import _LN_2PI, digamma, log_barnes_g, log_gamma, trigamma
 from chfdet.stats import CountingStatistics
 
@@ -208,6 +212,40 @@ def log_det_series_oracle(params, config, terms=5, tol=None, return_bound=False)
     if return_bound:
         return rich_2, bound
     return rich_2
+
+
+def log_det_fixed_panels(params, config, order):
+    """ln det(I - K_sigma) on each interval cut into ceil(length / 12)
+    equal panels of ``order`` nodes: Gauss-Jacobi for |x|^{2 alpha} on the
+    two panels at the origin, with Nystrom weights w |x|^{-2 alpha}, and
+    Gauss-Legendre elsewhere; then ln det of I - D K D with
+    D = diag(sqrt(w sigma)), by a dense real LU."""
+    alpha = params.alpha
+    edges = config.scaled_endpoints()
+    nodes, weights = [], []
+    for a, b in zip(edges, edges[1:]):
+        count = math.ceil((b - a) / 12.0)
+        breaks = [a + (b - a) * i / count for i in range(count)] + [b]
+        for lo, hi in zip(breaks, breaks[1:]):
+            h = hi - lo
+            if lo == 0.0 or hi == 0.0:
+                xj, wj = gauss_jacobi(order, 2.0 * alpha)
+                nodes.append(math.copysign(h, lo + hi) * xj)
+                weights.append(h * wj * xj ** (-2.0 * alpha))
+            else:
+                xg, wg = gauss_jacobi(order, 0.0)
+                nodes.append(lo + h * xg)
+                weights.append(h * wg)
+    x, w = np.concatenate(nodes), np.concatenate(weights)
+    d = np.sqrt(w * sigma_step(config, x))
+    b = chf_kernel_matrix(params, x)
+    b *= -d[:, None]
+    b *= d[None, :]
+    b.flat[:: x.size + 1] += 1.0
+    sign, logabs = np.linalg.slogdet(b)
+    if sign <= 0.0:
+        raise RegimeError(f"log_det_fixed_panels: det(I - B) has sign {sign}")
+    return float(logabs)
 
 
 _DEFAULT_T_MATCH = 15.0

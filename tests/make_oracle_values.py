@@ -28,6 +28,11 @@ BARNES_PATH_STEPS = 24
 KUMMER_RAY_X = (0.3, 0.5, 0.8, 1.125, 2.9, 6.1, 9.7, 13.3, 14.53125, 14.9, 15.0, 15.1,
                 16.9, 17.1, 21.0, 40.0, 75.0, 150.0)
 
+# exponents c of the weight x^c (the singular edge 2 alpha = -0.9, Legendre,
+# and a smooth weight) and the orders of the frozen Gauss rules
+GAUSS_JACOBI_EXPONENTS = (-0.9, 0.0, 3.0)
+GAUSS_JACOBI_ORDERS = (17, 40, 120)
+
 
 def c(z) -> str:
     z = mp.mpc(z)
@@ -270,6 +275,21 @@ def main() -> None:
     for z in wide_points:
         zc = mp.mpc(complex(z))
         lines.append("    (%s, %s)," % (c(zc), c(mp.log(mp.barnesg(1 + zc)))))
+    lines.append("]")
+    lines.append("")
+
+    # --- Gauss rules on [0, 1] for the weight x^c ---
+    # mpmath's Gauss-Jacobi rule for (1 + u)^c on [-1, 1], carried to [0, 1]
+    # by x = (1 + u)/2 with weights over 2^(c + 1): rows (c, order, x, w),
+    # nodes ascending
+    lines.append("GAUSS_JACOBI = [")
+    for exponent in GAUSS_JACOBI_EXPONENTS:
+        cm = mp.mpf(exponent)
+        for order in GAUSS_JACOBI_ORDERS:
+            us, ws = mp.gauss_quadrature(order, "jacobi", alpha=0, beta=cm)
+            for u, w in sorted(zip(us, ws)):
+                lines.append("    (%r, %d, %s, %s)," % (
+                    exponent, order, r((1 + u) / 2), r(w / 2 ** (cm + 1))))
     lines.append("]")
     lines.append("")
 

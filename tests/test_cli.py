@@ -299,16 +299,16 @@ class TestOutputs:
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-15)
 
     def test_det_diagnostics_describe_the_grid(self, capsys):
-        # t = 20 cuts each of the two unit intervals into 2 panels; --order
+        # at t = 20 each of the two unit intervals is one panel; --order
         # gives each 40 nodes, and without it each panel takes the ellipse
-        # rule's order, 18 at width 10
+        # rule's order, 26 at width 20
         argv = ["det", "--r", "0=-1,1=0,2=1", "--gamma", "0=0.4,1=0.4", "--t", "20"]
         config = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.4), t=20.0)
-        for extra, orders in ((["--order", "40"], [40] * 4), ([], [18] * 4)):
+        for extra, orders in ((["--order", "40"], [40, 40]), ([], [26, 26])):
             assert main([*argv, *extra]) == 0
             document = json.loads(capsys.readouterr().out)
             assert document["diagnostics"] == {
-                "nodes": sum(orders), "panels": 4, "order_per_panel": orders
+                "nodes": sum(orders), "panels": 2, "order_per_panel": orders
             }
             order = int(extra[1]) if extra else None
             assert document["results"]["lnf"] == log_det(KernelParams(0.0, 0.0), config, order)

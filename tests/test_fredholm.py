@@ -11,7 +11,7 @@ from chfdet.fredholm import build_grid, log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.quadrules import gauss_jacobi
 
-from _references import gauss_legendre, log_det_series_oracle
+from _references import gauss_legendre, log_det_fixed_panels, log_det_series_oracle
 
 SINE = KernelParams(0.0, 0.0)
 
@@ -35,22 +35,24 @@ class TestBuildGrid:
         assert np.all(nodes[0] > 0.0) and np.all(nodes[0] < 1.0)
 
     def test_graded_panel_layout(self):
-        # intervals of length 20, 20 and 30 get ceil(length / 12) equal panels
-        c = Configuration(r=(-1.0, 0.0, 1.0, 2.5), gamma=(0.3, 0.3, 0.3), t=20.0)
+        # intervals of length 1000, 1000 and 1500 get the fewest equal panels
+        # whose rule orders stay below 512: two each, of orders 297 and 429
+        c = Configuration(r=(-1.0, 0.0, 1.0, 2.5), gamma=(0.3, 0.3, 0.3), t=1000.0)
         alpha = -0.25
+        assert orders_of(c, alpha) == [297, 297, 297, 297, 429, 429]
         nodes, weights = build_grid(c, alpha, order=8)
-        spans = [(-20.0, -10.0), (-10.0, 0.0), (0.0, 10.0), (10.0, 20.0), (20.0, 30.0),
-                 (30.0, 40.0), (40.0, 50.0)]
+        spans = [(-1000.0, -500.0), (-500.0, 0.0), (0.0, 500.0), (500.0, 1000.0),
+                 (1000.0, 1750.0), (1750.0, 2500.0)]
         assert len(nodes) == len(weights) == len(spans)
         assert all(x.shape == w.shape == (8,) for x, w in zip(nodes, weights))
         # origin panels: Gauss-Jacobi for |x|^{2 alpha}, weights times |x|^{-2 alpha}
         xj, wj = gauss_jacobi(8, 2.0 * alpha)
-        np.testing.assert_allclose(nodes[2], 10.0 * xj, rtol=1e-15)
-        np.testing.assert_allclose(weights[2], 10.0 * wj * xj ** (-2.0 * alpha), rtol=1e-15)
+        np.testing.assert_allclose(nodes[2], 500.0 * xj, rtol=1e-15)
+        np.testing.assert_allclose(weights[2], 500.0 * wj * xj ** (-2.0 * alpha), rtol=1e-15)
         np.testing.assert_allclose(nodes[1], -nodes[2][::-1], rtol=1e-15)
         np.testing.assert_allclose(weights[1], weights[2][::-1], rtol=1e-15)
         # every other panel: Gauss-Legendre on its span
-        for row in (0, 3, 4, 5, 6):
+        for row in (0, 3, 4, 5):
             xg, wg = gauss_legendre(8, *spans[row])
             np.testing.assert_allclose(nodes[row], xg, rtol=1e-14)
             np.testing.assert_allclose(weights[row], wg, rtol=1e-14)
@@ -64,16 +66,21 @@ class TestBuildGrid:
             assert math.isclose(float(np.sum(np.concatenate(weights))), 5.0 * 1.5, rel_tol=1e-14)
 
     def test_nodes_strictly_inside_panels(self):
-        # intervals of length 14 and 28 get 2 and 3 panels
-        c = Configuration(r=(-1.0, 0.0, 2.0), gamma=(0.4, 0.4), t=14.0)
-        spans = [(-14.0, -7.0), (-7.0, 0.0), (0.0, 28.0 / 3.0), (28.0 / 3.0, 56.0 / 3.0),
-                 (56.0 / 3.0, 28.0)]
-        for alpha, order in ((0.0, 12), (-0.45, 12), (-0.45, None)):
-            nodes, weights = build_grid(c, alpha, order)
-            assert len(nodes) == len(spans)
-            for (lo, hi), xs, ws in zip(spans, nodes, weights):
-                assert np.all(xs > lo) and np.all(xs < hi)
-                assert np.all(ws > 0.0)
+        # intervals of length 14 and 28 are one panel each; at t = 1000 the
+        # intervals of length 1000 and 2000 get 2 and 3 panels
+        layouts = {
+            14.0: [(-14.0, 0.0), (0.0, 28.0)],
+            1000.0: [(-1000.0, -500.0), (-500.0, 0.0), (0.0, 2000.0 / 3.0),
+                     (2000.0 / 3.0, 4000.0 / 3.0), (4000.0 / 3.0, 2000.0)],
+        }
+        for t, spans in layouts.items():
+            c = Configuration(r=(-1.0, 0.0, 2.0), gamma=(0.4, 0.4), t=t)
+            for alpha, order in ((0.0, 12), (-0.45, 12), (-0.45, None)):
+                nodes, weights = build_grid(c, alpha, order)
+                assert len(nodes) == len(spans)
+                for (lo, hi), xs, ws in zip(spans, nodes, weights):
+                    assert np.all(xs > lo) and np.all(xs < hi)
+                    assert np.all(ws > 0.0)
 
     def test_panels_scale_with_t(self):
         unit, _ = build_grid(single_interval(0.5, 1.0), 0.0, order=8)
@@ -96,7 +103,8 @@ class TestBuildGrid:
 
 class TestPanelOrderRule:
     """Each panel's order comes from the Bernstein-ellipse bound of its own
-    interval (see fredholm.PANEL_WIDTH)."""
+    interval, and each interval takes the fewest equal panels whose orders
+    stay below the largest rule order (see fredholm._panel_order)."""
 
     def test_order_grows_with_panel_width(self):
         for alpha in (-0.45, 0.0, 1.5):
@@ -137,17 +145,44 @@ class TestPanelOrderRule:
 
     def test_rule_orders(self):
         # t = 5: origin panels of width 5 and the panel (5, 10); t = 20 and
-        # t = 100: panels of width 10 and 11.1
+        # t = 100: one origin panel of width 20 and 100
         c5 = Configuration(r=(-1.0, 0.0, 1.0, 2.0), gamma=(0.3,) * 3, t=5.0)
         assert orders_of(c5, 0.0) == [13, 13, 14]
         c20 = Configuration(r=(0.0, 1.0), gamma=(0.3,), t=20.0)
-        assert orders_of(c20, 0.0) == [18, 18]
+        assert orders_of(c20, 0.0) == [26]
         c100 = Configuration(r=(0.0, 1.0), gamma=(0.3,), t=100.0)
-        assert max(orders_of(c100, 0.0)) == 19
+        assert orders_of(c100, 0.0) == [77]
 
+    @pytest.mark.parametrize("alpha", [-0.45, 0.0, 1.5])
+    def test_fewest_panels_below_the_largest_order(self, alpha):
+        # at t = 1000 every panel's order stays below 512, the one nearest
+        # the origin on (10, 1500) included, and one panel fewer on any
+        # interval would need 512 or more somewhere
+        c = Configuration(r=(-1.0, 0.0, 0.01, 1.5), gamma=(0.3,) * 3, t=1000.0)
+        nodes, _ = build_grid(c, alpha)
+        assert max(x.size for x in nodes) < 512
+        edges = c.scaled_endpoints()
+        counts = [sum(1 for x in nodes if a < x[0] < b) for a, b in zip(edges, edges[1:])]
+        assert sum(counts) == len(nodes) and max(counts) > 1
+        for a, b, count in zip(edges, edges[1:], counts):
+            if count > 1:
+                fewer = [a + (b - a) * i / (count - 1) for i in range(count)]
+                assert max(fredholm._panel_order(lo, hi, alpha)
+                           for lo, hi in zip(fewer, fewer[1:])) >= 512
+
+    def test_panels_near_the_origin_stay_few(self):
+        # an interval that starts just off the origin is split by its length
+        # alone; its panel nearest the origin takes the capped order 512
+        for r1 in (1e-6, 1e-12, 1e-300):
+            for t, sizes in ((1.0, [4, 512]), (1000.0, [4, 512, 297])):
+                c = Configuration(r=(0.0, r1, 1.0), gamma=(0.3, 0.3), t=t)
+                assert orders_of(c, 0.0) == sizes
+
+    @pytest.mark.usefixtures("extended_long_double")
     def test_seeded_audit_against_order_40(self):
         # over 400 random points, log_det at the rule's orders stays within
-        # 1e-13 of 40 nodes per panel, relative to max(1, |lnF|)
+        # 1e-14 of 40 nodes per panel on equal panels at most 12 wide,
+        # relative to max(1, |lnF|)
         rng = np.random.default_rng(25)
         layouts = [(0.0, 1.0), (-1.0, 0.0), (-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0, 2.0),
                    (0.0, 0.3, 1.1)]
@@ -158,9 +193,9 @@ class TestPanelOrderRule:
             params = KernelParams(alpha, rng.uniform(-0.7, 0.7))
             t = math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
             config = Configuration(r=r, gamma=tuple(rng.uniform(0.05, 0.95, len(r) - 1)), t=t)
-            want = log_det(params, config, order=40)
+            want = log_det_fixed_panels(params, config, 40)
             worst = max(worst, abs(log_det(params, config) - want) / max(1.0, abs(want)))
-        assert worst < 1e-13
+        assert worst < 1e-14
 
 
 class TestLogDet:
@@ -228,8 +263,18 @@ class TestLogDet:
     def test_order_self_convergence_at_domain_edges(self, alpha):
         p = KernelParams(alpha, 0.7)
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=100.0)
-        doubled = log_det(p, c, order=48)
+        doubled = log_det_fixed_panels(p, c, 48)
         assert abs(log_det(p, c) - doubled) < 1e-10
+
+    @pytest.mark.usefixtures("extended_long_double")
+    def test_orders_agree_to_rounding_at_the_singular_edge(self):
+        # at alpha -0.45 the origin panels' Gauss-Jacobi rule for |x|^-0.9
+        # has nodes near 0; rules correct to the last bit keep every order
+        # from 9 up within rounding of the rule's value
+        p = KernelParams(-0.45, -0.329)
+        c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.781, 0.498), t=1.83)
+        values = [log_det(p, c, order=q) for q in (9, 12, 20, 40, 56)] + [log_det(p, c)]
+        assert max(values) - min(values) < 1e-14
 
     def test_nan_kernel_raises(self, monkeypatch):
         def nan_matrix(params, x):

@@ -507,6 +507,22 @@ class TestQuadrature:
             assert np.max(np.abs(x - xg)) <= 1e-15
             assert np.max(np.abs(w - wg)) <= 1e-15
 
+    @pytest.mark.usefixtures("extended_long_double")
+    def test_rules_match_mpmath_to_the_last_bit(self):
+        # frozen 50-digit rules at exponents -0.9, 0 and 3 and orders 17, 40
+        # and 120: every node and weight within 1e-15 relative, nodes near
+        # 0 included
+        rules = {}
+        for exponent, order, x, w in ov.GAUSS_JACOBI:
+            rules.setdefault((exponent, order), []).append((x, w))
+        assert len(rules) == 9
+        for (exponent, order), rows in rules.items():
+            want_x, want_w = np.array(rows).T
+            x, w = gauss_jacobi(order, exponent)
+            assert x.size == order
+            assert np.max(np.abs(x - want_x) / want_x) <= 1e-15
+            assert np.max(np.abs(w - want_w) / want_w) <= 1e-15
+
     def test_jacobi_validation(self):
         with pytest.raises(DomainError):
             gauss_jacobi(0, 0.5)
