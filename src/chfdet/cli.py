@@ -405,7 +405,7 @@ def _run_verify(rc: RunConfig):
     for point in points:
         config_t = rc.config.replace_t(point)
         seed = cpv_init(rc.params, config_t)
-        # a point below the seed time e^S0 is its own seed; past it the flow
+        # a point below the flow's seed time is its own seed; past it the flow
         # runs on from the previous point
         if state is None or seed.t == point:
             state = seed

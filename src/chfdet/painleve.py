@@ -5,21 +5,22 @@ origin with two auxiliary logarithms and the running integral of the
 Hamiltonian, which equals ln det(I - K_sigma) at the current time; all of
 it is one packed complex vector, which the integrator steps directly. The
 flow runs in s = ln t on U_k = u_k t^{-2 alpha} and V_k = (v_k - 1)/t,
-which tend to constants as t -> 0 for every alpha, so every flow starts at
-t = e^S0 (seeding error O(t^{1 + 2 alpha}), 4e-18 at alpha = -0.45), and
-below that time the seed itself is the state. At tol 1e-9 the flow then
-meets ``log_det`` to 1e-9 at t = 5 and 8.3e-8 at t = 60 for alpha in
-[-0.45, 1.5] over 1-3 intervals. The module provides the vector field,
-the Hamiltonian, small-t initialization and the DOP853 Dormand-Prince 8(5)
-integrator with PI step control. One flow owns one workspace: the field
-with the flow's constants bound once, one complex (14, n) buffer (y, then
-the fields of the 12 stages and the field at the result, which becomes the
-next step's first field), and views of it built once per stage. Each
-stage's input is one real matrix-vector product over the buffer's float
-view, written into a preallocated row, and its field goes straight into
-the buffer. Each attempt's error norm and realness check run on Python
-scalars of the 2n + 3 entries, and every accepted state keeps its own
-read-only copy of y.
+which tend to constants as t -> 0 for every alpha. Every flow starts from
+their first-order small-t expansion at the latest time where it is exact
+to rounding (ln t of about -16 to -20 for alpha >= 0 and -170 to -190 at
+alpha = -0.45), and below that time the seed itself is the state. At tol
+1e-9 the flow then meets ``log_det`` to 1.3e-11 at t = 5 and 5.3e-10 at t
+= 60 for alpha in [-0.45, 1.5] over 1-3 intervals. The module provides the
+vector field, the Hamiltonian, small-t initialization and the DOP853
+Dormand-Prince 8(5) integrator with PI step control. One flow owns one
+workspace: the field with the flow's constants bound once, one complex
+(14, n) buffer (y, then the fields of the 12 stages and the field at the
+result, which becomes the next step's first field), and views of it built
+once per stage. Each stage's input is one real matrix-vector product over
+the buffer's float view, written into a preallocated row, and its field
+goes straight into the buffer. Each attempt's error norm and realness
+check run on Python scalars of the 2n + 3 entries, and every accepted
+state keeps its own read-only copy of y.
 
 ``log_d`` stores the alpha-regularized logarithm ln(d / (2 alpha)): the
 scalar d carries an overall factor 2 alpha and vanishes identically at
@@ -31,6 +32,7 @@ admissible alpha.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +49,6 @@ __all__ = [
     "cpv_init",
     "cpv_integrate",
 ]
-
-S0 = -400.0  # seed time ln t of every flow
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,37 +198,73 @@ def _side_weights(config: Configuration, beta_im: float) -> dict:
     }
 
 
+def _room(scale: float, c: complex) -> float:
+    """scale / |c|, and infinity for c = 0."""
+    return scale / abs(c) if c else math.inf
+
+
 def cpv_init(params: KernelParams, config: Configuration) -> CPVState:
-    """Small-t state at t0 = min(config.t, e^S0), for every alpha (a
-    configuration at t = 0 seeds at e^S0): U_k from the connection
-    coefficients c_k = -i w_k of the real side weights w_k and the kernel's
-    gamma prefactor G (from the gamma batch of log y and log d),
-    V_k = 2 i r_k / (1 + 2 alpha) (the fixed point of the leading V
-    equation), log y and log d from their small-t closed forms,
-    and lnF seeded with the integrated leading Hamiltonian term,
-    2 i t0^(1 + 2 alpha) sum_k r_k U_k / (1 + 2 alpha)^2, which is the
-    small-t value G sum_k w_k (2 |r_k| t0)^(1 + 2 alpha) / (1 + 2 alpha)^2
-    of ln F. Below e^S0 the seed is the answer: U and V still sit at their
-    t -> 0 limits to rounding, and lnF at its leading term."""
+    """Small-t state from the first-order expansion of the field, for every
+    alpha. Take the t -> 0 limits U0_k (from the connection coefficients
+    c_k = -i w_k of the real side weights w_k and the kernel's gamma
+    prefactor G, from the gamma batch of log y and log d) and
+    V0_k = 2 i r_k / (1 + 2 alpha) (the fixed point of the leading V
+    equation), E = t^(1 + 2 alpha) and W = sum_j U0_j V0_j / (1 + 2 alpha).
+    Then U_k = U0_k (1 + (2 (alpha + beta) V0_k - 2 i r_k) t - 2 W E) and
+    V_k = V0_k (1 + (2 i r_k - (alpha + beta) V0_k) t / (2 + 2 alpha) + W E);
+    log y and log d take their small-t closed forms, log d less 2 W E; and
+    lnF = W E, the integrated leading Hamiltonian term, which is the small-t
+    value G sum_k w_k (2 |r_k| t)^(1 + 2 alpha) / (1 + 2 alpha)^2 of ln F.
+    The terms left out are O(t^2, t E, E^2), those of log y and lnF
+    O(t E, E^2).
+
+    The seed time t0 is the largest t at which every first-order term is at
+    most sqrt(eps) (1 + |y0|), with eps the machine epsilon and y0 the
+    component's t -> 0 limit (0 for log d, which has none), so the terms left
+    out sit near eps: ln t0 is about -16 to -20 for alpha >= 0, -35 to -38 at
+    alpha = -0.25 and -170 to -190 at alpha = -0.45. A configuration at a
+    smaller t > 0 seeds at t itself, where the seed is the answer to rounding;
+    one at t = 0 seeds at t0. Raises ``RegimeError`` where t0 falls below the
+    normal range of double (alpha below about -0.487), since no double seed is
+    exact there."""
     a, b = params.alpha, params.beta
     ws = _side_weights(config, params.beta_im)  # raises for any weight at 1
     lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - b, 1.0 + a + b, 1.0 + 2.0 * a]).tolist()
     g = math.exp(2.0 * (lg_plus.real - lg_2a.real))
     twoa1 = 1.0 + 2.0 * a
     indices = config.active_indices
-    u = []
-    v = []
+    ab = a + b
+    # per endpoint U0_k, V0_k and the t coefficients of U_k / U0_k and V_k / V0_k
+    lanes = []
     for k in indices:
         r_k = config.r[k]
-        u.append(math.copysign(1.0, r_k) * (-1j * ws[k]) * g * (2.0 * abs(r_k)) ** (2.0 * a))
-        v.append(2.0j * r_k / twoa1)
-    t0 = config.t if 0.0 < config.t < math.exp(S0) else math.exp(S0)
+        u_k = math.copysign(1.0, r_k) * (-1j * ws[k]) * g * (2.0 * abs(r_k)) ** (2.0 * a)
+        v_k = 2.0j * r_k / twoa1
+        c_u = 2.0 * ab * v_k - 2.0j * r_k
+        lanes.append((u_k, v_k, c_u, (2.0j * r_k - ab * v_k) / (2.0 + 2.0 * a)))
+    w = sum(u_k * v_k for u_k, v_k, _, _ in lanes) / twoa1
+    # a first-order term c t (c E) stays at most sqrt(eps) (1 + |y0|) while t
+    # (E) stays at most sqrt(eps) times the least (1 + |y0|) / |c| of its kind;
+    # log d, which has no t -> 0 limit, takes 1 for 1 + |y0|
+    t_room, e_room = math.inf, _room(1.0, 2.0 * w)
+    for u_k, v_k, cu_k, cv_k in lanes:
+        su, sv = 1.0 + abs(u_k), 1.0 + abs(v_k)
+        t_room = min(t_room, _room(su, u_k * cu_k), _room(sv, v_k * cv_k))
+        e_room = min(e_room, _room(su, 2.0 * w * u_k), _room(sv, w * v_k))
+    root_eps = math.sqrt(sys.float_info.epsilon)
+    t_seed = min(root_eps * t_room, (root_eps * e_room) ** (1.0 / twoa1))
+    if t_seed < sys.float_info.min:
+        raise RegimeError(
+            f"cpv_init: the seed time underflows double at alpha = {a}; no double seed is exact"
+        )
+    t0 = config.t if 0.0 < config.t < t_seed else t_seed
+    e = t0**twoa1
+    u = [u_k * (1.0 + cu_k * t0 - 2.0 * w * e) for u_k, _, cu_k, _ in lanes]
+    v = [v_k * (1.0 + cv_k * t0 + w * e) for _, v_k, _, cv_k in lanes]
     log_2t0 = math.log(2.0 * t0)
-    ru = sum(config.r[k] * u_k for k, u_k in zip(indices, u))
-    lnf = 2.0j * t0**twoa1 / (twoa1 * twoa1) * ru
     log_y = lg_minus - lg_plus - b * math.pi * 1j + 2.0 * b * log_2t0
-    log_d = lg_minus + lg_plus - 2.0 * lg_2a - a * math.pi * 1j + 2.0 * a * log_2t0
-    return CPVState(t=t0, indices=indices, y=u + v + [log_y, log_d, lnf], alpha=a)
+    log_d = lg_minus + lg_plus - 2.0 * lg_2a - a * math.pi * 1j + 2.0 * a * log_2t0 - 2.0 * w * e
+    return CPVState(t=t0, indices=indices, y=u + v + [log_y, log_d, w * e], alpha=a)
 
 
 # Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett and Wanner, Solving
@@ -311,11 +347,12 @@ _DOP_E5 = (
 # input behind a leading zero, which the step sets to 1 for the column of y.
 _DOP_TABLEAU = np.array([(0.0, *row) + (0.0,) * (12 - len(row)) for row in _DOP_A])
 _DOP_TABLEAU.flags.writeable = False
-# The error weights stay a complex row. Early in a flow, log y and log d
-# change at rates constant to the last bit, so the estimate is the rounding
-# residue of these weights' zero sum, and that residue paces the steps. A
-# real product over the float view leaves a larger residue there, and it
-# doubled the flow's median error at alpha < 0.
+# The error weights stay a complex row. Where log y and log d change at
+# rates constant to the last bit, the estimate is the rounding residue of
+# these weights' zero sum; a real product over the float view leaves a
+# larger residue there, and it doubled the flow's median error at alpha < 0
+# when flows started in that region (seeded at t = e^-400 from the t -> 0
+# limits).
 _DOP_E5_ROW = np.array(_DOP_E5, dtype=complex)
 
 

@@ -24,6 +24,8 @@ by methods the package does not use.
   checked.
 - ``b_from_gamma`` and ``c_from_gamma``: the jump exponents b_k and the
   connection coefficients c_k as published, complex.
+- ``complex_small_t_limits``: the t -> 0 limits U0_k and V0_k of the flow's
+  rescaled pairs, from the complex c_k and all three log-gammas.
 - ``complex_large_gap_lnF``, ``complex_small_t_lnF``, ``complex_theta_pair``
   and ``complex_moment_asymptotics``: the expansions in the complex
   exponents b_k, c_k and beta as published, with both members of every
@@ -615,6 +617,25 @@ def complex_small_t_lnF(params, config, t):
             / (twoa1 * twoa1)
         )
     return _collapse(total, "small-t expansion")
+
+
+def complex_small_t_limits(params, config):
+    """The t -> 0 limits (U0_k, V0_k) over the active endpoints: the k-th term
+    i c_k G (2 |r_k| t)^(1 + 2 alpha) / (1 + 2 alpha)^2 of
+    ``complex_small_t_lnF`` is 2 i r_k U0_k t^(1 + 2 alpha) / (1 + 2 alpha)^2,
+    and V0_k = 2 i r_k / (1 + 2 alpha) is the fixed point of V's leading
+    equation."""
+    a, beta = params.alpha, params.beta
+    cs = c_from_gamma(config, params)
+    lg_minus, lg_plus, lg_2a = log_gamma([1.0 + a - beta, 1.0 + a + beta, 1.0 + 2.0 * a]).tolist()
+    gamma_block = cmath.exp(lg_minus + lg_plus - 2.0 * lg_2a)
+    twoa1 = 2.0 * a + 1.0
+    u0, v0 = [], []
+    for k in config.active_indices:
+        r_k = config.r[k]
+        u0.append(1j * cs[k] * gamma_block * (2.0 * abs(r_k)) ** twoa1 / (2j * r_k))
+        v0.append(2j * r_k / twoa1)
+    return np.array(u0), np.array(v0)
 
 
 def complex_theta_pair(params):

@@ -366,14 +366,18 @@ class TestRealForms:
                 assert close(value, expected), (name, params, cfg)
             assert close(rep.log_term, ref.log_term)
             assert close(rep.constant_term, ref.constant_term)
-            # the real seed of every flow: lnF = 2i t0^(1 + 2 alpha) sum_k r_k U_k
-            # / (1 + 2 alpha)^2, whose t-free coefficient is the closed form at t = 1
+            # the real seed of every flow: lnF = W t0^(1 + 2 alpha), whose t-free
+            # coefficient W = 2i sum_k r_k U0_k / (1 + 2 alpha)^2 comes from the
+            # t -> 0 limits U0 of U (which a seed at t = 1e-200 holds to rounding)
+            # and is the closed form at t = 1
             state = cpv_init(params, cfg.replace_t(1e-200))
+            seed = cpv_init(params, cfg)
             twoa1 = 1.0 + 2.0 * params.alpha
             ru = sum(cfg.r[k] * u_k for k, u_k in zip(state.indices, state.y))
             coefficient = 2j * ru / (twoa1 * twoa1)
-            assert coefficient.imag == 0.0 and state.lnF.imag == 0.0
+            assert state.lnF.imag == 0.0 and seed.lnF.imag == 0.0
             assert close(coefficient.real, complex_small_t_lnF(params, cfg, 1.0))
+            assert close(seed.lnF / seed.t**twoa1, complex_small_t_lnF(params, cfg, 1.0))
             expected = complex_small_t_lnF(params, cfg, 1e-200)
             if abs(expected) > 1e-290:  # 1e-200^(1 + 2 alpha) underflows for alpha above ~0.27
                 seeded += 1

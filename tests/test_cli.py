@@ -10,7 +10,7 @@ from chfdet import cli, fredholm, painleve
 from chfdet.cli import main, parse_config, run, ConfigError, RunConfig
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
-from chfdet.painleve import S0
+from chfdet.painleve import cpv_init
 
 SINE_ARGS = ["--alpha", "0", "--beta-im", "0", "--r", "0=0,1=1", "--gamma", "0=0.5"]
 
@@ -415,16 +415,25 @@ class TestOutputs:
         assert max(float(row[4]) for row in rows) < 1e-7
 
     def test_painleve_runs_below_the_old_flow_seed_time(self, capsys):
+        # the sine seed time is (3/2) sqrt(eps), about 2.2e-8: a flow runs
+        # from it to t = 1e-6, and t = 1e-12 is its own seed
+        assert main(["painleve", *SINE_ARGS, "--t", "1e-6"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        config = Configuration(t=1e-6, r=(0.0, 1.0), gamma=(0.5,))
+        assert document["diagnostics"]["t0"] == cpv_init(KernelParams(0.0, 0.0), config).t < 1e-6
+        assert document["diagnostics"]["steps"] > 0
+        final = document["results"]["rows"][-1]
+        assert final[0] == 1e-6
+        # small-t leading term of lnF for the sine kernel at weight 1/2
+        assert final[-1] == pytest.approx(-0.5e-6 / math.pi, abs=1e-9)
         assert main(["painleve", *SINE_ARGS, "--t", "1e-12"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["diagnostics"]["t0"] == math.exp(S0)
-        final = document["results"]["rows"][-1]
-        assert final[0] == 1e-12
-        # small-t leading term of lnF for the sine kernel at weight 1/2
-        assert final[-1] == pytest.approx(-0.5e-12 / math.pi, abs=1e-9)
+        assert document["diagnostics"]["t0"] == 1e-12
+        assert document["diagnostics"]["steps"] == 0
+        assert document["results"]["rows"][-1][-1] == pytest.approx(-0.5e-12 / math.pi, rel=1e-14)
 
     def test_painleve_and_verify_answer_below_the_seed_time(self, tmp_path, capsys):
-        # e^S0 is about 1.9e-174; below it the small-t closed form is exact
+        # below the seed time (about 2.2e-8 here) the small-t closed form is exact
         lnf = -0.5e-200 / math.pi
         assert main(["painleve", *SINE_ARGS, "--t", "1e-200"]) == 0
         document = json.loads(capsys.readouterr().out)
@@ -443,6 +452,15 @@ class TestOutputs:
     def test_painleve_seeds_at_t_below_the_seed_time(self, capsys):
         assert main(["painleve", *SINE_ARGS, "--t", "1e-200"]) == 0
         assert json.loads(capsys.readouterr().out)["diagnostics"]["t0"] == 1e-200
+
+    def test_painleve_and_verify_refuse_where_the_seed_time_underflows(self, capsys):
+        args = ["--alpha", "-0.49", "--beta-im", "0.3", "--r", "0=-1,1=0,2=1"]
+        args += ["--gamma", "0=0.4,1=0.6"]
+        for argv in (["painleve", *args, "--t", "5"], ["verify", *args, "--t-range", "1:5:2"]):
+            assert main(argv) == 1
+            document = json.loads(capsys.readouterr().out)
+            assert document["error"]["type"] == "RegimeError"
+            assert "seed time underflows" in document["error"]["message"]
 
     def test_painleve_table_has_flow_columns_and_consistent_endpoint(self, capsys):
         code = main(["painleve", *SINE_ARGS, "--t", "2"])

@@ -3,6 +3,7 @@ initialization, adaptive integration, identity monitors, and agreement with
 the closed-form large-time predictions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from chfdet.errors import DomainError, NonConvergenceError, RegimeError
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.painleve import (
-    S0,
     CPVState,
     cpv_init,
     cpv_integrate,
@@ -20,7 +20,12 @@ from chfdet.painleve import (
     hamiltonian,
 )
 
-from _references import complex_small_t_lnF, cpv_large_t_prediction, verify_identities
+from _references import (
+    complex_small_t_limits,
+    complex_small_t_lnF,
+    cpv_large_t_prediction,
+    verify_identities,
+)
 
 SINE = KernelParams(alpha=0.0, beta_im=0.0)
 SINE_CFG = Configuration(t=5.0, r=(0.0, 1.0), gamma=(0.5,))
@@ -157,18 +162,37 @@ class TestStateAndRates:
         assert worst <= 1e-13
 
 
+def _seed_cases(rng, count):
+    """``count`` random (params, config) pairs over 1-3 intervals, the first
+    three at alpha -0.486, -0.45 and 1.5, the rest in [-0.45, 1.5]."""
+    layouts = ((0.0, 1.0), (-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0, 2.0))
+    cases = []
+    for i in range(count):
+        r = layouts[i % 3]
+        alpha = (-0.486, -0.45, 1.5)[i] if i < 3 else float(rng.uniform(-0.45, 1.5))
+        params = KernelParams(alpha=alpha, beta_im=float(rng.uniform(-0.7, 0.7)))
+        gamma = tuple(rng.uniform(0.05, 0.95, size=len(r) - 1))
+        cases.append((params, Configuration(t=5.0, r=r, gamma=gamma)))
+    return cases
+
+
 class TestInitialization:
     def test_sine_seed_closed_form(self):
+        # alpha = beta = 0, r = (0, 1): U0 = i / (4 pi), V0 = 2 i, W = U0 V0 = -1 / (2 pi).
+        # The first-order terms per unit t, against 1 + |y0|, are V's 2 t / 3
+        # (c_V = i), log d's t / pi, U's 2 t / (4 pi + 1) and their E = t
+        # terms, so V's binds: t0 = (3 / 2) sqrt(eps)
         state = cpv_init(SINE, SINE_CFG)
         t0 = state.t
-        assert t0 == math.exp(S0)
-        assert state.u[0] == pytest.approx(0.25j / math.pi, rel=1e-14)
-        # V = (v - 1)/t sits at 2 i r / (1 + 2 alpha), the fixed point of its leading equation
-        assert state.y[1] == 2.0j
-        assert state.v[0] == pytest.approx(1.0, abs=1e-170)
+        assert t0 == pytest.approx(1.5 * math.sqrt(sys.float_info.epsilon), rel=1e-14)
+        u0, w = 0.25j / math.pi, -0.5 / math.pi
+        assert state.u[0] == pytest.approx(u0 * (1.0 - 2.0j * t0 - 2.0 * w * t0), rel=1e-15)
+        v = 2.0j * (1.0 + 1.0j * t0 + w * t0)
+        assert state.y[1] == pytest.approx(v, rel=1e-15)
+        assert state.v[0] == pytest.approx(1.0 + t0 * v, abs=1e-15)
         assert state.log_y == 0.0
-        assert state.log_d == 0.0
-        assert state.lnF.real == pytest.approx(-0.5 * t0 / math.pi, rel=1e-12)
+        assert state.log_d == pytest.approx(-2.0 * w * t0, rel=1e-15)
+        assert state.lnF.real == pytest.approx(w * t0, rel=1e-15)
         assert state.lnF.imag == 0.0
 
     def test_seed_matches_determinant_at_init_cap(self):
@@ -199,22 +223,73 @@ class TestInitialization:
             assert state.lnF.imag == 0.0
 
     def test_seeds_at_t_below_the_seed_time(self):
+        # below the seed time the first-order terms sit below rounding: U and V
+        # are their t -> 0 limits, and lnF is the small-t expansion
         cfg = Configuration(t=1e-200, r=(-1.0, 0.0, 1.0, 2.0), gamma=(0.3, 0.9, 0.5))
         for alpha in (-0.45, 0.0, 0.25):
             params = KernelParams(alpha=alpha, beta_im=-0.7)
             state = cpv_init(params, cfg)
             seed = cpv_init(params, cfg.replace_t(1.0))
-            assert state.t == 1e-200
-            assert seed.t == math.exp(S0)
-            assert np.array_equal(state.y[:-3], seed.y[:-3])
+            limit = cpv_init(params, cfg.replace_t(1e-300))
+            assert state.t == 1e-200 < seed.t
+            assert np.all(abs(state.y[:-3] - limit.y[:-3]) <= 1e-16 * (1.0 + abs(limit.y[:-3])))
             expected = complex_small_t_lnF(params, cfg, 1e-200)
             assert expected != 0.0
             assert abs(state.lnF - expected) <= 1e-14 * abs(expected)
 
     def test_zero_t_seeds_at_the_seed_time(self):
         state = cpv_init(TWO_INT, TWO_INT_CFG.replace_t(0.0))
-        assert state.t == math.exp(S0)
-        assert np.array_equal(state.y, cpv_init(TWO_INT, TWO_INT_CFG).y)
+        seed = cpv_init(TWO_INT, TWO_INT_CFG)
+        assert state.t == seed.t < TWO_INT_CFG.t
+        assert np.array_equal(state.y, seed.y)
+
+    def test_seed_time_holds_every_first_order_term_at_root_eps(self):
+        # with E = t^(1 + 2 alpha) and W = sum_j U0_j V0_j / (1 + 2 alpha), the
+        # first-order terms are U0_k (2 (alpha + beta) V0_k - 2 i r_k) t and
+        # -2 U0_k W E of U_k, V0_k (2 i r_k - (alpha + beta) V0_k) t / (2 + 2 alpha)
+        # and V0_k W E of V_k, and -2 W E of log d, which has no t -> 0 limit.
+        # At the seed time each is at most sqrt(eps) (1 + |y0|), one of them
+        # exactly, and the seed's U and V are the limits plus these terms
+        root_eps = math.sqrt(sys.float_info.epsilon)
+        for params, cfg in _seed_cases(np.random.default_rng(7), 60):
+            state = cpv_init(params, cfg)
+            t, a, ab = state.t, params.alpha, params.alpha + params.beta
+            e = t ** (1.0 + 2.0 * a)
+            u0, v0 = complex_small_t_limits(params, cfg)
+            r = np.array([cfg.r[k] for k in cfg.active_indices])
+            w = np.sum(u0 * v0) / (1.0 + 2.0 * a)
+            du = (u0 * (2.0 * ab * v0 - 2.0j * r) * t, -2.0 * u0 * w * e)
+            dv = (v0 * (2.0j * r - ab * v0) * t / (2.0 + 2.0 * a), v0 * w * e)
+            ratios = [abs(2.0 * w * e)]
+            for terms, y0 in ((du, u0), (dv, v0)):
+                for term in terms:
+                    ratios.extend(abs(term) / (1.0 + abs(y0)))
+            assert root_eps * (1.0 - 1e-13) <= max(ratios) <= root_eps * (1.0 + 1e-13)
+            n = len(r)
+            for got, y0, terms in ((state.y[:n], u0, du), (state.y[n:2 * n], v0, dv)):
+                assert np.all(abs(got - (y0 + sum(terms))) <= 1e-15 * (1.0 + abs(y0)))
+
+    def test_seed_flows_onto_the_later_seed(self):
+        # a seed at t0 / 16, flowed to the seed time t0 at tol 1e-12, lands on
+        # the seed at t0: both leave out only terms near eps
+        for params, cfg in _seed_cases(np.random.default_rng(16), 40):
+            seed = cpv_init(params, cfg)
+            early = cpv_init(params, cfg.replace_t(seed.t / 16.0))
+            assert early.t == seed.t / 16.0
+            end = cpv_integrate(early, params, cfg, seed.t, tol=1e-12)[-1]
+            assert np.all(abs(end.y - seed.y) <= 1e-14 * (1.0 + abs(seed.y)))
+
+    def test_raises_where_the_seed_time_underflows(self):
+        # below alpha of about -0.487 the seed time leaves the normal range of
+        # double; just above it the flow still meets log_det
+        cfg = Configuration(t=5.0, r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.6))
+        for t in (5.0, 0.0, 1e-300):
+            with pytest.raises(RegimeError, match="seed time underflows"):
+                cpv_init(KernelParams(alpha=-0.49, beta_im=0.3), cfg.replace_t(t))
+        params = KernelParams(alpha=-0.486, beta_im=0.3)
+        assert sys.float_info.min <= cpv_init(params, cfg).t < 1e-250
+        traj = _integrate_to(params, cfg, 5.0, tol=1e-9)
+        assert abs(traj[-1].lnF.real - log_det(params, cfg)) <= 1e-9
 
     def test_one_log_gamma_call(self, monkeypatch):
         # one batch: the gamma triple (1+a-b, 1+a+b, 1+2a) of log y and
@@ -452,11 +527,12 @@ class TestIntegration:
 
     def test_span_below_the_step_floor_is_one_last_step(self):
         # spans of 1e-14 in ln t: at t = 1 the first step would be half of
-        # it, below the 1e-13 floor; at the seed time e^S0 ln t1 rounds to
-        # ln t0. Each flow is one step to a state exactly at t1, and lnF
-        # moves by rounding only
+        # it, below the 1e-13 floor, and so it is at the seed time; at a seed
+        # at t = 1e-200 ln t1 rounds to ln t0. Each flow is one step to a
+        # state exactly at t1, and lnF moves by rounding only
         state1 = _integrate_to(TWO_INT, TWO_INT_CFG, 1.0)[-1]
-        for state in (state1, cpv_init(TWO_INT, TWO_INT_CFG)):
+        seeds = [cpv_init(TWO_INT, TWO_INT_CFG.replace_t(t)) for t in (0.0, 1e-200)]
+        for state in (state1, *seeds):
             t1 = state.t * (1.0 + 1e-14)
             traj = cpv_integrate(state, TWO_INT, TWO_INT_CFG, t1)
             assert len(traj) == 2
@@ -483,6 +559,14 @@ class TestIntegration:
         assert len(traj) - 1 <= 700
         assert abs(traj[-1].lnF.real - log_det(SINE, cfg)) <= 5e-8
 
+    def test_blind_step_case_meets_the_determinant(self):
+        # a seed at t = 1e-174 took one blind step of 17.4 in ln t into the
+        # region where lnF matters, and was off by 8.3e-8 here
+        params = KernelParams(alpha=0.0, beta_im=-0.7)
+        cfg = Configuration(t=60.0, r=(0.0, 1.0), gamma=(0.3,))
+        traj = _integrate_to(params, cfg, 60.0, tol=1e-9)
+        assert abs(traj[-1].lnF.real - log_det(params, cfg)) <= 1e-9
+
     def test_zero_weights_flow_is_trivial(self):
         params = KernelParams(alpha=0.3, beta_im=0.2)
         cfg = Configuration(t=5.0, r=(0.0, 1.0), gamma=(0.0,))
@@ -491,13 +575,13 @@ class TestIntegration:
         final = traj[-1]
         assert final.u[0] == 0.0
         assert final.lnF == 0.0
-        growth = math.log(5.0) - S0
+        growth = math.log(5.0) - math.log(state0.t)
         assert final.log_d - state0.log_d == pytest.approx(2.0 * params.alpha * growth, abs=1e-8)
         assert final.log_y - state0.log_y == pytest.approx(2.0 * params.beta * growth, abs=1e-8)
 
     def test_trajectory_endpoints_and_ordering(self):
         traj = _integrate_to(SINE, SINE_CFG, 5.0)
-        assert traj[0].t == math.exp(S0)
+        assert traj[0].t == cpv_init(SINE, SINE_CFG.replace_t(0.0)).t
         assert traj[-1].t == 5.0
         ts = [s.t for s in traj]
         assert all(b > a for a, b in zip(ts, ts[1:]))
