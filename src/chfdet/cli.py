@@ -30,7 +30,6 @@ from .errors import DomainError, NonConvergenceError, RegimeError
 from .fredholm import build_grid, log_det
 from .kernel import Configuration, KernelParams
 from .painleve import CPVState, cpv_init, cpv_integrate, hamiltonian
-from .quadrules import _MAX_ORDER
 from .stats import counting_statistics
 from .stats import (  # noqa: F401  (perfbench/tracing.py wraps these cli names)
     numeric_covariance,
@@ -46,7 +45,8 @@ _DEFAULT_TOL = 1e-9
 
 # The input keys and their help texts. Each key is a long flag, with dashes
 # in place of underscores, and a config-file key. "config" itself is
-# deliberately absent: files cannot chain-load other files.
+# deliberately absent: files cannot chain-load other files. No key sets the
+# quadrature: log_det gives each panel its ellipse rule's order.
 _KEYS = {
     "alpha": "endpoint exponent, a real number > -1/2 (default 0)",
     "beta_im": "s in the jump exponent beta = i s (default 0)",
@@ -54,8 +54,6 @@ _KEYS = {
     "gamma": "interval weights as index=value pairs, e.g. 0=0.3,1=0.6",
     "t": "scale applied to the endpoints",
     "t_range": "scale grid as start:stop:count",
-    "order": "quadrature nodes on every panel (default: each panel's own, from its"
-    " Bernstein-ellipse bound)",
     "tol": "flow integration tolerance (default 1e-09)",
     "inner": "command run at each sweep point: det or asymp",
     "out": "output path (default stdout)",
@@ -84,14 +82,14 @@ class RunConfig:
 
     ``config.t`` holds the single evaluation scale for point commands; for
     range commands it defaults to the range start (or 1.0 for an empty
-    range) and is not consulted.
+    range) and is not consulted. No field sets the quadrature order, which
+    ``log_det`` takes from each panel's ellipse rule.
     """
 
     command: str
     params: KernelParams
     config: Configuration
     t_range: tuple = None
-    order: int = None
     tol: float = _DEFAULT_TOL
     inner: str = "det"
     out: str = None
@@ -263,12 +261,6 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
     if command == "moments" and not (config.r[0] == 0.0 and len(config.r) in (2, 3)):
         raise ConfigError("command 'moments' requires 'r' to be 0,r1 or 0,r1,r2")
 
-    order = None
-    if "order" in raw:
-        order = _as_int("order", raw["order"])
-        if not 4 <= order <= _MAX_ORDER:
-            raise ConfigError(f"key 'order': must lie in [4, {_MAX_ORDER}], got {order}")
-
     tol = _as_float("tol", raw["tol"]) if "tol" in raw else _DEFAULT_TOL
     if not 1e-12 <= tol <= 1e-4:
         raise ConfigError(f"key 'tol': must lie in [1e-12, 1e-04], got {tol!r}")
@@ -281,7 +273,6 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
         params=params,
         config=config,
         t_range=t_range,
-        order=order,
         tol=tol,
         inner=inner,
         out=out,
@@ -330,8 +321,6 @@ def _inputs_dict(rc: RunConfig) -> dict:
     if rc.t_range is not None:
         start, stop, count = rc.t_range
         inputs["t_range"] = f"{start!r}:{stop!r}:{count}"
-    if rc.order is not None:
-        inputs["order"] = str(rc.order)
     # the output path is where the document goes, not an input to the
     # computation, so it is not echoed (outputs stay byte-identical across
     # destinations)
@@ -350,8 +339,8 @@ def _linspace(t_range: tuple) -> list:
 
 
 def _run_det(rc: RunConfig):
-    nodes, _ = build_grid(rc.config, rc.params.alpha, rc.order)
-    lnf = log_det(rc.params, rc.config, rc.order)
+    nodes, _ = build_grid(rc.config, rc.params.alpha)
+    lnf = log_det(rc.params, rc.config)
     columns = _INNER_COLUMNS["det"]
     row = [rc.config.t, lnf]
     orders = [panel.size for panel in nodes]
@@ -411,7 +400,7 @@ def _run_verify(rc: RunConfig):
             state = seed
         state = _flow_to(rc, state, point)[-1]
         lnf_flow = state.lnF.real
-        lnf_nystrom = log_det(rc.params, config_t, rc.order)
+        lnf_nystrom = log_det(rc.params, config_t)
         lnf_asymptotic = large_gap_lnF(rc.params, config_t).total
         residuals = [abs(lnf_flow - lnf_nystrom), abs(lnf_asymptotic - lnf_nystrom)]
         rows.append([point, lnf_nystrom, lnf_flow, lnf_asymptotic, *residuals])
@@ -430,7 +419,7 @@ def _run_moments(rc: RunConfig):
     r1 = rc.config.r[1]
     r2 = rc.config.r[2] if len(rc.config.r) == 3 else None
     asym = moment_asymptotics(rc.params, t, r1, r2)
-    counts = counting_statistics(rc.params, t, r1, r2, order=rc.order)
+    counts = counting_statistics(rc.params, t, r1, r2)
     entries = [
         ("mean_right", counts.mean_right, asym.mean_right),
         ("mean_left", counts.mean_left, asym.mean_left),

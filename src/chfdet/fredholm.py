@@ -15,7 +15,6 @@ Comp. 79, 2010).
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 
@@ -32,13 +31,6 @@ __all__ = [
 _LN_BOUND = math.log(64.0 / 15.0) + 53.0 * math.log(2.0)
 # the largest s = ln(rho) the rule tries; sinh(700) is still finite
 _S_CAP = 700.0
-
-
-def _check_order(order, what: str) -> None:
-    if order is not None and not (isinstance(order, Integral) and 4 <= order <= _MAX_ORDER):
-        raise DomainError(
-            f"{what}: order must be None or an integer in [4, {_MAX_ORDER}], got {order!r}"
-        )
 
 
 def _ellipse_order(half_width: float, s_max: float, ln_weight: float) -> int:
@@ -128,18 +120,18 @@ def _panels(a: float, b: float, alpha: float) -> list:
     return [(lo, hi, _panel_order(lo, hi, alpha)) for lo, hi in zip(breaks, breaks[1:])]
 
 
-def build_grid(config: Configuration, alpha: float, order=None):
+def build_grid(config: Configuration, alpha: float):
     """Nystrom nodes and weights over the scaled intervals of a configuration.
 
     Each interval is cut into the fewest equal panels at which the ellipse
     rule (see _panel_order), without its cap at the origin, stays below
     quadrules' largest order, so the rule sets the panel count as well as
-    each panel's order (see _panels). Each panel takes ``order`` nodes, or
-    with ``order`` None the nodes the rule gives it; both depend only on
-    the panel's own interval and alpha. Returns ``(nodes, weights)``, two
-    lists of 1-d arrays, one pair per panel: the panels in increasing
-    order, each panel's nodes strictly inside it; a panel too short for
-    its nodes to fall strictly inside it gets none.
+    each panel's order (see _panels). Each panel takes the nodes the rule
+    gives it, which depend only on the panel's own interval and alpha.
+    Returns ``(nodes, weights)``, two lists of 1-d arrays, one pair per
+    panel: the panels in increasing order, each panel's nodes strictly
+    inside it; a panel too short for its nodes to fall strictly inside it
+    gets none.
     Panels never straddle an interval endpoint or the origin. The two
     panels touching the origin carry the kernel's |x|^{2 alpha} density
     singularity in the weight: their nodes are the Gauss-Jacobi rule for
@@ -148,14 +140,12 @@ def build_grid(config: Configuration, alpha: float, order=None):
     other panel is Gauss-Legendre, the same rule at exponent 0; at
     alpha = 0 the two rules coincide.
     """
-    _check_order(order, "build_grid")
     if config.t == 0.0:
         raise DomainError("build_grid: domain is empty at t = 0")
     edges = config.scaled_endpoints()
     nodes, weights = [], []
     for k in range(config.n):
         for lo, hi, q in _panels(edges[k], edges[k + 1], alpha):
-            q = q if order is None else int(order)
             h = hi - lo
             if lo == 0.0 or hi == 0.0:
                 xj, wj = gauss_jacobi(q, 2.0 * alpha)
@@ -170,8 +160,8 @@ def build_grid(config: Configuration, alpha: float, order=None):
     return nodes, weights
 
 
-def _operator(params: KernelParams, config: Configuration, order=None):
-    """The nodes of ``build_grid(config, params.alpha, order)``, flattened,
+def _operator(params: KernelParams, config: Configuration):
+    """The nodes of ``build_grid(config, params.alpha)``, flattened,
     and the symmetric Nystrom matrix B = D K D on them, D = diag(sqrt(w
     sigma)).
 
@@ -182,7 +172,7 @@ def _operator(params: KernelParams, config: Configuration, order=None):
     # too short for its nodes to fall strictly inside it (t near 5e-324)
     # gets none
     nodes, weights = (np.concatenate((np.empty(0), *part))
-                      for part in build_grid(config, params.alpha, order))
+                      for part in build_grid(config, params.alpha))
     b = chf_kernel_matrix(params, nodes)
     d = np.sqrt(weights * sigma_step(config, nodes))
     b *= d[:, None]
@@ -190,10 +180,10 @@ def _operator(params: KernelParams, config: Configuration, order=None):
     return nodes, b
 
 
-def log_det(params: KernelParams, config: Configuration, order=None) -> float:
+def log_det(params: KernelParams, config: Configuration) -> float:
     """ln det(I - K_sigma) by dense real LU of the symmetric Nystrom matrix
-    on ``build_grid(config, params.alpha, order)``: each panel at the order
-    of the ellipse rule, or at ``order`` nodes when given.
+    on ``build_grid(config, params.alpha)``: each panel at the order of the
+    ellipse rule.
 
     Over 400 seeded random points (alpha in [-0.45, 1.5], |beta_im| <= 0.7,
     1-3 intervals, t in [0.5, 100], weights below 1; tests/test_fredholm.py)
@@ -201,15 +191,15 @@ def log_det(params: KernelParams, config: Configuration, order=None) -> float:
     panel on equal panels at most 12 wide, relative to max(1, |value|). At
     a hard gap (weight 1) rounding in I - B is amplified by its inverse: on
     the sine gap the value is off from Dyson's expansion by 1.7e-3 at
-    t = 16 and raises at t = 20 (sign -1), and nothing gates this yet
-    (ROADMAP.md, item 1). With weights in [0, 1] the determinant is a gap
-    probability of a thinned process and so positive; a determinant that
-    is not positive and finite raises NonConvergenceError.
+    t = 16 and by about 0.1 at t = 18 (it moves with rounding), and raises
+    at t = 20 (sign -1); nothing gates this yet (ROADMAP.md, item 1). With
+    weights in [0, 1] the determinant is a gap probability of a thinned
+    process and so positive; a determinant that is not positive and finite
+    raises NonConvergenceError.
     """
-    _check_order(order, "log_det")
     if config.t == 0.0 or all(g == 0.0 for g in config.gamma):
         return 0.0
-    _, b = _operator(params, config, order)
+    _, b = _operator(params, config)
     # I - B in place: -b, then 1 added on the diagonal
     np.negative(b, out=b)
     b.flat[:: b.shape[0] + 1] += 1.0

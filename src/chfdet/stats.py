@@ -67,12 +67,11 @@ def _radii(t: float, r1: float, r2: float | None, what: str) -> tuple:
     return t, r1, r2
 
 
-def _operator(params: KernelParams, t: float, r: tuple, order=None):
+def _operator(params: KernelParams, t: float, r: tuple):
     """Grid nodes and B = sqrt(w) K sqrt(w) on the intervals between the
-    endpoints t*r, each with weight 1, at ``build_grid``'s orders for
-    ``order``."""
+    endpoints t*r, each with weight 1, at ``build_grid``'s orders."""
     config = Configuration(t=t, r=r, gamma=(1.0,) * (len(r) - 1))
-    return fredholm._operator(params, config, order)
+    return fredholm._operator(params, config)
 
 
 def _finite(value, what: str) -> float:
@@ -160,11 +159,11 @@ class CountingStatistics:
 
 
 def counting_statistics(
-    params: KernelParams, t: float, r1: float, r2: float | None = None, order=None
+    params: KernelParams, t: float, r1: float, r2: float | None = None
 ) -> CountingStatistics:
     """All counting statistics at radii 0 < r1 < r2 from one operator on the
     endpoints (-r2, -r1, 0, r1, r2), or (-r1, 0, r1) without r2, each panel
-    at the ellipse rule's order, or at ``order`` nodes when given.
+    at the ellipse rule's order.
 
     Each statistic is the trace sum of its single-statistic function, read
     from node masks of the shared operator: numeric_mean(t, r1),
@@ -172,7 +171,7 @@ def counting_statistics(
     numeric_covariance(t, r1, r2, "+" and "-")."""
     t, r1, r2 = _radii(t, r1, r2, "counting_statistics")
     r = (-r1, 0.0, r1) if r2 is None else (-r2, -r1, 0.0, r1, r2)
-    nodes, b = _operator(params, t, r, order)
+    nodes, b = _operator(params, t, r)
     right, left = nodes > 0.0, nodes < 0.0
     inner = t * r1
     near_right, near_left = right & (nodes < inner), left & (nodes > -inner)

@@ -8,7 +8,9 @@ by methods the package does not use.
   series on a midpoint grid, with a remainder bound (small t only).
 - ``log_det_fixed_panels``: ln det(I - K_sigma) by Nystrom quadrature on
   equal panels at most 12 wide, every panel at one given order, against
-  which the package's rule-chosen panels and orders are checked.
+  which the package's rule-chosen panels and orders are checked; the
+  self-convergence tests take their fixed-order values from it, since
+  ``log_det`` takes no order.
 - ``cpv_large_t_prediction``: the closed-form large-t tail of the flow
   variables u, v, H, y and d.
 - ``verify_identities``: residuals of two differential identities along a

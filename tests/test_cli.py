@@ -37,8 +37,6 @@ class TestParsing:
                 "0=0.3,1=0.6",
                 "--t",
                 "5",
-                "--order",
-                "32",
                 "--tol",
                 "1e-8",
                 "--format",
@@ -48,7 +46,6 @@ class TestParsing:
         assert rc.command == "det"
         assert rc.params == KernelParams(alpha=0.25, beta_im=0.3)
         assert rc.config == Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=5.0)
-        assert rc.order == 32
         assert rc.tol == 1e-8
         assert rc.format == "csv"
 
@@ -70,13 +67,16 @@ class TestParsing:
         assert code == 2
         assert "'gamma'" in capsys.readouterr().err
 
-    def test_order_beyond_the_rules_is_rejected(self, capsys):
-        code = main(["det", "--r", "0=0,1=1", "--gamma", "0=0.5", "--t", "1", "--order", "1000"])
-        assert code == 2
+    def test_order_is_not_an_input(self, tmp_path, capsys):
+        # the ellipse rule alone sets each panel's order
+        argv = ["det", "--r", "0=0,1=1", "--gamma", "0=0.5", "--t", "1"]
+        assert main([*argv, "--order", "40"]) == 2
+        assert capsys.readouterr().out == ""
+        path = tmp_path / "order.cfg"
+        path.write_text("order = 40\n")
+        assert main([*argv, "--config", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("chfdet: error:") and captured.err.count("\n") == 1
-        assert "key 'order'" in captured.err
+        assert captured.out == "" and "unknown key 'order'" in captured.err
 
     def test_unit_weight_allowed_for_det_only(self):
         rc = parse_config(["det", "--r", "0=0,1=1", "--gamma", "0=1", "--t", "2"])
@@ -111,7 +111,6 @@ class TestParsing:
         [
             (["--alpha", "abc"], "key 'alpha': expected a number"),
             (["--beta-im", "inf"], "key 'beta_im': value must be finite"),
-            (["--order", "2.5"], "key 'order': expected an integer"),
             (["--format", "xml"], "key 'format': expected one of json, csv"),
             (["--alpha", "-0.5"], "alpha must be > -1/2"),
             (["--t", "0"], "key 't': must be > 0"),
@@ -199,7 +198,7 @@ class TestParsing:
         assert f"does not take key '{extra[0][2:].replace('-', '_')}'" in captured.err
 
     def test_moments_inputs_block_reparses_without_unused_keys(self, tmp_path):
-        argv = ["moments", "--alpha", "0.2", "--r", "0=0,1=1,2=2", "--t", "3", "--order", "32"]
+        argv = ["moments", "--alpha", "0.2", "--r", "0=0,1=1,2=2", "--t", "3"]
         rc = parse_config(argv)
         document, _, _ = run(rc)
         assert not {"gamma", "tol", "inner", "t_range"} & document["inputs"].keys()
@@ -220,8 +219,6 @@ class TestParsing:
             "0.5:2.5:3",
             "--inner",
             "asymp",
-            "--order",
-            "32",
         ]
         rc = parse_config(argv)
         document, _, _ = run(rc)
@@ -244,7 +241,7 @@ class TestParsing:
             config=Configuration(r=(0.0, 1.0), gamma=(0.0,), t=2.0),
         )
         with pytest.raises(SystemExit):
-            parse_config(["moments", "--alpha", "0.3", "--order", "32", "--bogus", "1"])
+            parse_config(["moments", "--alpha", "0.3", "--format", "csv", "--bogus", "1"])
         capsys.readouterr()
         assert parse_config(argv) == want
         with pytest.raises(ConfigError, match="'gamma'"):
@@ -299,19 +296,14 @@ class TestOutputs:
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-15)
 
     def test_det_diagnostics_describe_the_grid(self, capsys):
-        # at t = 20 each of the two unit intervals is one panel; --order
-        # gives each 40 nodes, and without it each panel takes the ellipse
-        # rule's order, 26 at width 20
+        # at t = 20 each of the two unit intervals is one panel, and each
+        # panel takes the ellipse rule's order, 26 at width 20
         argv = ["det", "--r", "0=-1,1=0,2=1", "--gamma", "0=0.4,1=0.4", "--t", "20"]
         config = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.4, 0.4), t=20.0)
-        for extra, orders in ((["--order", "40"], [40, 40]), ([], [26, 26])):
-            assert main([*argv, *extra]) == 0
-            document = json.loads(capsys.readouterr().out)
-            assert document["diagnostics"] == {
-                "nodes": sum(orders), "panels": 2, "order_per_panel": orders
-            }
-            order = int(extra[1]) if extra else None
-            assert document["results"]["lnf"] == log_det(KernelParams(0.0, 0.0), config, order)
+        assert main(argv) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["diagnostics"] == {"nodes": 52, "panels": 2, "order_per_panel": [26, 26]}
+        assert document["results"]["lnf"] == log_det(KernelParams(0.0, 0.0), config)
 
     def test_one_point_range_evaluates_its_start(self, capsys):
         assert main(["sweep", *SINE_ARGS, "--t-range", "3:7:1", "--format", "csv"]) == 0
@@ -528,18 +520,6 @@ class TestOutputs:
         document = json.loads(capsys.readouterr().out)
         assert document["command"] == "painleve"
         assert document["error"]["type"] == "RegimeError"
-
-    def test_moments_order_reaches_the_grid(self, capsys):
-        def numeric(extra):
-            assert main(["moments", "--r", "0=0,1=1,2=2", "--t", "10", *extra]) == 0
-            rows = json.loads(capsys.readouterr().out)["results"]["rows"]
-            return {row[0]: row[1] for row in rows}
-
-        default, fine, coarse = numeric([]), numeric(["--order", "40"]), numeric(["--order", "8"])
-        for name, value in default.items():
-            assert fine[name] == pytest.approx(value, abs=1e-12)
-        for name in ("variance", "cov_same_side", "cov_opposite_side"):
-            assert abs(coarse[name] - default[name]) > 1e-6
 
     def test_moments_builds_one_kernel_matrix(self, monkeypatch, capsys):
         calls = []

@@ -11,7 +11,7 @@ from chfdet.fredholm import build_grid, log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.quadrules import gauss_jacobi
 
-from _references import gauss_legendre, log_det_fixed_panels, log_det_series_oracle
+from _references import log_det_fixed_panels, log_det_series_oracle
 
 SINE = KernelParams(0.0, 0.0)
 
@@ -20,8 +20,8 @@ def single_interval(gamma, t):
     return Configuration(r=(0.0, 1.0), gamma=(gamma,), t=t)
 
 
-def orders_of(config, alpha, order=None):
-    nodes, weights = build_grid(config, alpha, order)
+def orders_of(config, alpha):
+    nodes, weights = build_grid(config, alpha)
     assert [x.size for x in nodes] == [w.size for w in weights]
     return [x.size for x in nodes]
 
@@ -29,9 +29,9 @@ def orders_of(config, alpha, order=None):
 class TestBuildGrid:
     def test_single_interval_no_grading(self):
         c = single_interval(0.5, 1.0)
-        nodes, weights = build_grid(c, 0.0, order=16)
+        nodes, weights = build_grid(c, 0.0)
         assert len(nodes) == len(weights) == 1
-        assert nodes[0].shape == weights[0].shape == (16,)
+        assert nodes[0].shape == weights[0].shape == (7,)
         assert np.all(nodes[0] > 0.0) and np.all(nodes[0] < 1.0)
 
     def test_graded_panel_layout(self):
@@ -40,30 +40,29 @@ class TestBuildGrid:
         c = Configuration(r=(-1.0, 0.0, 1.0, 2.5), gamma=(0.3, 0.3, 0.3), t=1000.0)
         alpha = -0.25
         assert orders_of(c, alpha) == [297, 297, 297, 297, 429, 429]
-        nodes, weights = build_grid(c, alpha, order=8)
+        nodes, weights = build_grid(c, alpha)
         spans = [(-1000.0, -500.0), (-500.0, 0.0), (0.0, 500.0), (500.0, 1000.0),
                  (1000.0, 1750.0), (1750.0, 2500.0)]
         assert len(nodes) == len(weights) == len(spans)
-        assert all(x.shape == w.shape == (8,) for x, w in zip(nodes, weights))
         # origin panels: Gauss-Jacobi for |x|^{2 alpha}, weights times |x|^{-2 alpha}
-        xj, wj = gauss_jacobi(8, 2.0 * alpha)
+        xj, wj = gauss_jacobi(nodes[2].size, 2.0 * alpha)
         np.testing.assert_allclose(nodes[2], 500.0 * xj, rtol=1e-15)
         np.testing.assert_allclose(weights[2], 500.0 * wj * xj ** (-2.0 * alpha), rtol=1e-15)
         np.testing.assert_allclose(nodes[1], -nodes[2][::-1], rtol=1e-15)
         np.testing.assert_allclose(weights[1], weights[2][::-1], rtol=1e-15)
         # every other panel: Gauss-Legendre on its span
         for row in (0, 3, 4, 5):
-            xg, wg = gauss_legendre(8, *spans[row])
-            np.testing.assert_allclose(nodes[row], xg, rtol=1e-14)
-            np.testing.assert_allclose(weights[row], wg, rtol=1e-14)
+            (lo, hi), xs = spans[row], nodes[row]
+            xg, wg = gauss_jacobi(xs.size, 0.0)
+            np.testing.assert_allclose(xs, lo + (hi - lo) * xg, rtol=1e-15)
+            np.testing.assert_allclose(weights[row], (hi - lo) * wg, rtol=1e-15)
         for (lo, hi), xs in zip(spans, nodes):
             assert np.all(xs > lo) and np.all(xs < hi)
 
     def test_weights_sum_to_total_length(self):
         c = Configuration(r=(-2.0, 0.0, 1.0, 3.0), gamma=(0.1, 0.2, 0.3), t=1.5)
-        for order in (24, None):
-            _, weights = build_grid(c, 0.0, order)
-            assert math.isclose(float(np.sum(np.concatenate(weights))), 5.0 * 1.5, rel_tol=1e-14)
+        _, weights = build_grid(c, 0.0)
+        assert math.isclose(float(np.sum(np.concatenate(weights))), 5.0 * 1.5, rel_tol=1e-14)
 
     def test_nodes_strictly_inside_panels(self):
         # intervals of length 14 and 28 are one panel each; at t = 1000 the
@@ -75,25 +74,18 @@ class TestBuildGrid:
         }
         for t, spans in layouts.items():
             c = Configuration(r=(-1.0, 0.0, 2.0), gamma=(0.4, 0.4), t=t)
-            for alpha, order in ((0.0, 12), (-0.45, 12), (-0.45, None)):
-                nodes, weights = build_grid(c, alpha, order)
+            for alpha in (0.0, -0.45):
+                nodes, weights = build_grid(c, alpha)
                 assert len(nodes) == len(spans)
                 for (lo, hi), xs, ws in zip(spans, nodes, weights):
                     assert np.all(xs > lo) and np.all(xs < hi)
                     assert np.all(ws > 0.0)
 
     def test_panels_scale_with_t(self):
-        unit, _ = build_grid(single_interval(0.5, 1.0), 0.0, order=8)
-        scaled, _ = build_grid(single_interval(0.5, 3.0), 0.0, order=8)
-        np.testing.assert_allclose(scaled[0], 3.0 * unit[0], rtol=1e-15)
-        assert 0.0 < scaled[0].min() and scaled[0].max() < 3.0
-
-    def test_order_validation(self):
-        c = single_interval(0.5, 1.0)
-        for order in (3, 513, 4.7, 24.0, "24", True):
-            with pytest.raises(DomainError, match="order must be None or an integer"):
-                build_grid(c, 0.0, order)
-        assert orders_of(c, 0.0, np.int64(12)) == [12]
+        for t in (1.0, 3.0):
+            (xs,), _ = build_grid(single_interval(0.5, t), 0.0)
+            np.testing.assert_allclose(xs, t * gauss_jacobi(xs.size, 0.0)[0], rtol=1e-15)
+            assert 0.0 < xs.min() and xs.max() < t
 
     def test_empty_domain_rejected(self):
         c = single_interval(0.5, 0.0)
@@ -137,11 +129,6 @@ class TestPanelOrderRule:
         left = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.3), t=7.3)
         right = Configuration(r=(-1.0, 0.0, 1.0, 2.9), gamma=(0.3, 0.3, 0.3), t=7.3)
         assert orders_of(right, 0.25)[:2] == orders_of(left, 0.25)
-
-    def test_an_order_gives_every_panel_that_order(self):
-        c = Configuration(r=(-1.0, 0.0, 0.3, 2.5), gamma=(0.3, 0.3, 0.3), t=20.0)
-        for q in (4, 17, 40):
-            assert set(orders_of(c, -0.45, q)) == {q}
 
     def test_rule_orders(self):
         # t = 5: origin panels of width 5 and the panel (5, 10); t = 20 and
@@ -206,17 +193,6 @@ class TestLogDet:
     def test_zero_t_gives_zero(self):
         assert log_det(SINE, single_interval(0.7, 0.0)) == 0.0
 
-    @pytest.mark.parametrize("order", [3, 513, 4.7, 24.0])
-    def test_order_is_checked_before_the_empty_domain(self, order):
-        with pytest.raises(DomainError, match="log_det: order must be None or an integer"):
-            log_det(SINE, single_interval(0.7, 0.0), order=order)
-
-    @pytest.mark.parametrize("order", [3, 513, 4.7, 24.0])
-    def test_order_is_checked_before_zero_weights(self, order):
-        c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.0, 0.0), t=2.0)
-        with pytest.raises(DomainError, match="log_det: order must be None or an integer"):
-            log_det(SINE, c, order=order)
-
     @pytest.mark.parametrize("t", [1e-250, 1e-300, 5e-324])
     def test_tiny_t_with_negative_alpha_is_zero(self, t):
         # lnF is of order t^{2 alpha + 1} = 1e-100 here, so 0 to rounding; the
@@ -231,17 +207,19 @@ class TestLogDet:
         assert abs(log_det(SINE, c) - expected) < 2e-6
 
     def test_order_doubling_at_large_t(self):
+        # at t = 10 the fixed-order reference cuts the rule's one panel
         c = single_interval(0.5, 10.0)
-        v40 = log_det(SINE, c, order=40)
-        v80 = log_det(SINE, c, order=80)
+        v40 = log_det_fixed_panels(SINE, c, 40)
+        v80 = log_det_fixed_panels(SINE, c, 80)
         assert abs(v40 - v80) < 1e-10
+        assert abs(log_det(SINE, c) - v80) < 1e-10
         assert v80 < log_det(SINE, single_interval(0.5, 0.5)) < 0.0
 
     def test_self_convergence_geometric(self):
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=8.0)
-        v8 = log_det(SINE, c, order=8)
-        v16 = log_det(SINE, c, order=16)
-        v32 = log_det(SINE, c, order=32)
+        v8 = log_det_fixed_panels(SINE, c, 8)
+        v16 = log_det_fixed_panels(SINE, c, 16)
+        v32 = log_det_fixed_panels(SINE, c, 32)
         d1 = abs(v8 - v16)
         d2 = abs(v16 - v32)
         assert d1 < 1e-6
@@ -250,10 +228,7 @@ class TestLogDet:
     def test_graded_self_convergence_negative_alpha(self):
         p = KernelParams(-0.25, 0.4)
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=5.0)
-        vals = {
-            q: log_det(p, c, order=q)
-            for q in (8, 16, 32)
-        }
+        vals = {q: log_det_fixed_panels(p, c, q) for q in (8, 16, 32)}
         d1 = abs(vals[8] - vals[16])
         d2 = abs(vals[16] - vals[32])
         assert d1 < 1e-6
@@ -273,7 +248,7 @@ class TestLogDet:
         # from 9 up within rounding of the rule's value
         p = KernelParams(-0.45, -0.329)
         c = Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.781, 0.498), t=1.83)
-        values = [log_det(p, c, order=q) for q in (9, 12, 20, 40, 56)] + [log_det(p, c)]
+        values = [log_det_fixed_panels(p, c, q) for q in (9, 12, 20, 40, 56)] + [log_det(p, c)]
         assert max(values) - min(values) < 1e-14
 
     def test_nan_kernel_raises(self, monkeypatch):

@@ -184,7 +184,7 @@ class TestCountingStatistics:
         )
 
     def test_nonfinite_value_raises(self, monkeypatch):
-        def nan_operator(params, t, r, order):
+        def nan_operator(params, t, r):
             return np.array([-0.5, 0.5]), np.full((2, 2), np.nan)
 
         monkeypatch.setattr(stats, "_operator", nan_operator)
