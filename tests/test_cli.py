@@ -11,6 +11,7 @@ from chfdet.cli import main, parse_config, run, ConfigError, RunConfig
 from chfdet.fredholm import log_det
 from chfdet.kernel import Configuration, KernelParams
 from chfdet.painleve import cpv_init
+from chfdet.stats import counting_statistics
 
 SINE_ARGS = ["--alpha", "0", "--beta-im", "0", "--r", "0=0,1=1", "--gamma", "0=0.5"]
 
@@ -78,6 +79,25 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == "" and "unknown key 'order'" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", *SINE_ARGS, "--t", "2"],
+            ["asymp", *SINE_ARGS, "--t", "2"],
+            ["painleve", *SINE_ARGS, "--t", "2"],
+            ["verify", *SINE_ARGS, "--t-range", "1:2:2"],
+            ["moments", "--r", "0=0,1=1", "--t", "2"],
+            ["sweep", *SINE_ARGS, "--t-range", "1:2:2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_takes_an_order(self, argv, capsys):
+        # each argv is valid, so the exit 2 is the flag's alone
+        assert parse_config(argv).command == argv[0]
+        assert main([*argv, "--order", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --order 40" in captured.err
+
     def test_unit_weight_allowed_for_det_only(self):
         rc = parse_config(["det", "--r", "0=0,1=1", "--gamma", "0=1", "--t", "2"])
         assert rc.config.gamma == (1.0,)
@@ -112,6 +132,7 @@ class TestParsing:
             (["--alpha", "abc"], "key 'alpha': expected a number"),
             (["--beta-im", "inf"], "key 'beta_im': value must be finite"),
             (["--format", "xml"], "key 'format': expected one of json, csv"),
+            (["--tol", "1"], "key 'tol': must lie in [1e-12, 1e-04]"),
             (["--alpha", "-0.5"], "alpha must be > -1/2"),
             (["--t", "0"], "key 't': must be > 0"),
         ],
@@ -520,6 +541,14 @@ class TestOutputs:
         document = json.loads(capsys.readouterr().out)
         assert document["command"] == "painleve"
         assert document["error"]["type"] == "RegimeError"
+
+    def test_moments_numeric_column_is_counting_statistics(self, capsys):
+        assert main(["moments", "--r", "0=0,1=1,2=2", "--t", "10"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        want = counting_statistics(KernelParams(0.0, 0.0), 10.0, 1.0, 2.0)
+        assert [row[1] for row in rows] == [
+            want.mean_right, want.mean_left, want.var, want.cov_same, want.cov_opposite
+        ]
 
     def test_moments_builds_one_kernel_matrix(self, monkeypatch, capsys):
         calls = []

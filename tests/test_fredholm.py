@@ -193,6 +193,23 @@ class TestLogDet:
     def test_zero_t_gives_zero(self):
         assert log_det(SINE, single_interval(0.7, 0.0)) == 0.0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: build_grid(single_interval(0.7, 2.0), 0.0, 40),
+            lambda: log_det(SINE, single_interval(0.7, 2.0), 40),
+            lambda: log_det(SINE, single_interval(0.7, 0.0), order=40),
+            lambda: log_det(SINE, Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.0, 0.0), t=2.0),
+                            order=40),
+        ],
+        ids=["build_grid", "log_det", "log_det_empty_domain", "log_det_zero_weights"],
+    )
+    def test_order_is_not_an_argument(self, call):
+        # the ellipse rule alone sets each panel's order; a stale order is
+        # refused, also on the paths that return 0 without a grid
+        with pytest.raises(TypeError):
+            call()
+
     @pytest.mark.parametrize("t", [1e-250, 1e-300, 5e-324])
     def test_tiny_t_with_negative_alpha_is_zero(self, t):
         # lnF is of order t^{2 alpha + 1} = 1e-100 here, so 0 to rounding; the

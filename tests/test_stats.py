@@ -183,6 +183,12 @@ class TestCountingStatistics:
             pair.var,
         )
 
+    def test_order_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            counting_statistics(PLAIN, 10.0, 1.0, 2.0, 40)
+        with pytest.raises(TypeError):
+            counting_statistics(PLAIN, 10.0, 1.0, order=40)
+
     def test_nonfinite_value_raises(self, monkeypatch):
         def nan_operator(params, t, r):
             return np.array([-0.5, 0.5]), np.full((2, 2), np.nan)
