@@ -2,18 +2,18 @@
 
 Subcommands map onto the library layers:
 
-  det       one determinant evaluation with grid diagnostics
-  asymp     the large-time expansion split into named terms
+  det       the determinant with grid diagnostics, at t or across t_range
+  asymp     the large-time expansion split into named terms, likewise
   painleve  the Hamiltonian flow trajectory as a table
   verify    quadrature vs flow vs expansion across a range of scales
   moments   numeric counting statistics next to their predicted values
-  sweep     det or asymp evaluated across a range of scales
 
 Inputs come from flags, optionally seeded by a flat key=value config file
-(flags win, unknown keys are rejected). Output is a JSON document or a CSV
-table written to ``--out`` or stdout, byte-identical across runs for
-identical inputs. Exit status is 0 on success, 2 for invalid configuration,
-and 1 for a numeric failure (reported as a structured JSON error).
+(flags win, unknown keys are rejected); a command exits 2 on a key outside
+its row of ``_READS``. Output is a JSON document or a CSV table written to
+``--out`` or stdout, byte-identical across runs for identical inputs. Exit
+status is 0 on success, 2 for invalid configuration, and 1 for a numeric
+failure (reported as a structured JSON error).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .stats import (  # noqa: F401  (perfbench/tracing.py wraps these cli names)
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("det", "asymp", "painleve", "verify", "moments", "sweep")
+COMMANDS = ("det", "asymp", "painleve", "verify", "moments")
 _FORMATS = ("json", "csv")
 _DEFAULT_TOL = 1e-9
 
@@ -55,21 +55,21 @@ _KEYS = {
     "t": "scale applied to the endpoints",
     "t_range": "scale grid as start:stop:count",
     "tol": "flow integration tolerance (default 1e-09)",
-    "inner": "command run at each sweep point: det or asymp",
     "out": "output path (default stdout)",
     "format": "json or csv (default json)",
 }
 
-# The table columns of the commands ``sweep`` can run at each point.
-_INNER_COLUMNS = {
-    "det": ("t", "lnf"),
-    "asymp": ("t", "total", "linear_term", "log_term", "constant_term"),
+# The keys every command reads, and the keys each command reads besides:
+# exactly one of t and t_range where a row has both. moments sets its own
+# weights and runs no flow.
+_SHARED = ("alpha", "beta_im", "r", "out", "format")
+_READS = {
+    "det": ("gamma", "t", "t_range"),
+    "asymp": ("gamma", "t", "t_range"),
+    "painleve": ("gamma", "t", "tol"),
+    "verify": ("gamma", "t_range", "tol"),
+    "moments": ("t",),
 }
-
-_NEEDS_T = ("det", "asymp", "painleve", "moments")
-# moments evaluates one t with weights of its own and runs no flow
-_MOMENTS_UNUSED = ("gamma", "tol", "inner", "t_range")
-_NEEDS_T_RANGE = ("verify", "sweep")
 
 
 class ConfigError(ValueError):
@@ -80,10 +80,10 @@ class ConfigError(ValueError):
 class RunConfig:
     """Fully validated description of one invocation.
 
-    ``config.t`` holds the single evaluation scale for point commands; for
-    range commands it defaults to the range start (or 1.0 for an empty
-    range) and is not consulted. No field sets the quadrature order, which
-    ``log_det`` takes from each panel's ellipse rule.
+    ``t_range`` is None when the scale was given as ``t``; given a range,
+    ``config.t`` is its start (or 1.0 for an empty range) and is not
+    consulted. No field sets the quadrature order, which ``log_det`` takes
+    from each panel's ellipse rule.
     """
 
     command: str
@@ -91,7 +91,6 @@ class RunConfig:
     config: Configuration
     t_range: tuple = None
     tol: float = _DEFAULT_TOL
-    inner: str = "det"
     out: str = None
     format: str = "json"
 
@@ -201,19 +200,23 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_gamma(command: str, inner: str, gamma: tuple) -> None:
+def _validate_gamma(command: str, gamma: tuple) -> None:
     # a hard gap (weight 1) is fine wherever only log_det runs
-    closed = command == "det" or (command == "sweep" and inner == "det")
     for index, value in enumerate(gamma):
         if value < 0.0 or value > 1.0:
             raise ConfigError(f"key 'gamma': entry {index} is {value!r}, outside [0, 1]")
-        if not closed and value == 1.0:
+        if command != "det" and value == 1.0:
             raise ConfigError(
                 f"key 'gamma': entry {index} is 1, but command '{command}' requires weights < 1"
             )
 
 
 def _build_run_config(command: str, raw: dict) -> RunConfig:
+    reads = _READS[command]
+    for key in _KEYS:
+        if key in raw and key not in reads and key not in _SHARED:
+            raise ConfigError(f"command '{command}' does not take key '{key}'")
+
     alpha = _as_float("alpha", raw["alpha"]) if "alpha" in raw else 0.0
     beta_im = _as_float("beta_im", raw["beta_im"]) if "beta_im" in raw else 0.0
     try:
@@ -225,32 +228,29 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
         raise ConfigError(f"command '{command}' requires key 'r'")
     endpoints = _as_indexed("r", raw["r"])
 
-    if command == "moments":
-        for key in _MOMENTS_UNUSED:
-            if key in raw:
-                raise ConfigError(f"command 'moments' does not take key '{key}'")
+    if "gamma" not in reads:
         # the statistics set their own weight 1 on the intervals they count
         gamma = (0.0,) * (len(endpoints) - 1)
     elif "gamma" in raw:
         gamma = _as_indexed("gamma", raw["gamma"])
     else:
         raise ConfigError(f"command '{command}' requires key 'gamma'")
-    inner = _as_choice("inner", raw["inner"], tuple(_INNER_COLUMNS)) if "inner" in raw else "det"
-    _validate_gamma(command, inner, gamma)
+    _validate_gamma(command, gamma)
 
-    t_range = _as_t_range("t_range", raw["t_range"]) if "t_range" in raw else None
-    if command in _NEEDS_T_RANGE and t_range is None:
-        raise ConfigError(f"command '{command}' requires key 't_range'")
-
-    t_value = None
+    scales = [key for key in ("t", "t_range") if key in reads]
+    given = [key for key in scales if key in raw]
+    if len(given) != 1:
+        either = "' or '".join(scales)
+        raise ConfigError(f"command '{command}' requires key '{either}'"
+                          + (", not both" if given else ""))
+    t_range = None
     if "t" in raw:
         t_value = _as_float("t", raw["t"])
         if t_value <= 0.0:
             raise ConfigError(f"key 't': must be > 0, got {t_value!r}")
-    elif command in _NEEDS_T:
-        raise ConfigError(f"command '{command}' requires key 't'")
-    if t_value is None:
-        t_value = t_range[0] if t_range is not None and t_range[2] > 0 else 1.0
+    else:
+        t_range = _as_t_range("t_range", raw["t_range"])
+        t_value = t_range[0] if t_range[2] > 0 else 1.0
 
     try:
         config = Configuration(r=endpoints, gamma=gamma, t=t_value)
@@ -266,18 +266,8 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
         raise ConfigError(f"key 'tol': must lie in [1e-12, 1e-04], got {tol!r}")
 
     fmt = _as_choice("format", raw["format"], _FORMATS) if "format" in raw else "json"
-    out = raw.get("out")
-
-    return RunConfig(
-        command=command,
-        params=params,
-        config=config,
-        t_range=t_range,
-        tol=tol,
-        inner=inner,
-        out=out,
-        format=fmt,
-    )
+    return RunConfig(command=command, params=params, config=config, t_range=t_range, tol=tol,
+                     out=raw.get("out"), format=fmt)
 
 
 def parse_config(argv) -> RunConfig:
@@ -304,27 +294,27 @@ def _format_indexed(values: tuple) -> str:
 
 
 def _inputs_dict(rc: RunConfig) -> dict:
-    """Effective inputs as config-file strings; reparsing them reproduces rc."""
-    inputs = {
+    """The keys the command reads, as config-file strings, with only the one
+    of t and t_range that was given; reparsing them reproduces rc."""
+    if rc.t_range is None:
+        scale = {"t": repr(rc.config.t)}
+    else:
+        start, stop, count = rc.t_range
+        scale = {"t_range": f"{start!r}:{stop!r}:{count}"}
+    values = {
         "alpha": repr(rc.params.alpha),
         "beta_im": repr(rc.params.beta_im),
         "r": _format_indexed(rc.config.r),
         "gamma": _format_indexed(rc.config.gamma),
-        "t": repr(rc.config.t),
+        **scale,
         "tol": repr(rc.tol),
-        "inner": rc.inner,
         "format": rc.format,
     }
-    if rc.command == "moments":
-        for key in _MOMENTS_UNUSED:
-            inputs.pop(key, None)
-    if rc.t_range is not None:
-        start, stop, count = rc.t_range
-        inputs["t_range"] = f"{start!r}:{stop!r}:{count}"
     # the output path is where the document goes, not an input to the
     # computation, so it is not echoed (outputs stay byte-identical across
     # destinations)
-    return inputs
+    reads = _READS[rc.command]
+    return {key: value for key, value in values.items() if key in reads or key in _SHARED}
 
 
 def _linspace(t_range: tuple) -> list:
@@ -338,23 +328,25 @@ def _linspace(t_range: tuple) -> list:
     return points
 
 
+_DET_COLUMNS = ("t", "lnf")
+_ASYMP_COLUMNS = ("t", "total", "linear_term", "log_term", "constant_term")
+
+
 def _run_det(rc: RunConfig):
     nodes, _ = build_grid(rc.config, rc.params.alpha)
     lnf = log_det(rc.params, rc.config)
-    columns = _INNER_COLUMNS["det"]
     row = [rc.config.t, lnf]
     orders = [panel.size for panel in nodes]
     diagnostics = {"nodes": sum(orders), "panels": len(orders), "order_per_panel": orders}
-    return dict(zip(columns, row)), columns, [row], diagnostics
+    return dict(zip(_DET_COLUMNS, row)), _DET_COLUMNS, [row], diagnostics
 
 
 def _run_asymp(rc: RunConfig):
     report = large_gap_lnF(rc.params, rc.config)
-    columns = _INNER_COLUMNS["asymp"]
     row = [rc.config.t, report.total, report.linear_term, report.log_term, report.constant_term]
-    results = dict(zip(columns, row), breakdown=dict(report.breakdown))
+    results = dict(zip(_ASYMP_COLUMNS, row), breakdown=dict(report.breakdown))
     diagnostics = {"warnings": list(report.warnings)}
-    return results, columns, [row], diagnostics
+    return results, _ASYMP_COLUMNS, [row], diagnostics
 
 
 def _flow_to(rc: RunConfig, state: CPVState, t: float) -> list:
@@ -435,27 +427,29 @@ def _run_moments(rc: RunConfig):
     return results, columns, rows, diagnostics
 
 
-def _run_sweep(rc: RunConfig):
-    points = _linspace(rc.t_range)
-    inner = _COMMAND_IMPLS[rc.inner]
-    columns = _INNER_COLUMNS[rc.inner]
-    rows = [
-        row
-        for point in points
-        for row in inner(replace(rc, config=rc.config.replace_t(point)))[2]
-    ]
-    results = {"columns": columns, "rows": rows}
-    diagnostics = {"points": len(points), "inner": rc.inner}
-    return results, columns, rows, diagnostics
+def _per_point(run_point, columns: tuple):
+    """The command ``run_point``, which evaluates one t, run instead once
+    per point of rc.t_range when that is given: one row per point."""
+
+    def run_command(rc: RunConfig):
+        if rc.t_range is None:
+            return run_point(rc)
+        points = _linspace(rc.t_range)
+        rows = [
+            run_point(replace(rc, config=rc.config.replace_t(point), t_range=None))[2][0]
+            for point in points
+        ]
+        return {"columns": columns, "rows": rows}, columns, rows, {"points": len(points)}
+
+    return run_command
 
 
 _COMMAND_IMPLS = {
-    "det": _run_det,
-    "asymp": _run_asymp,
+    "det": _per_point(_run_det, _DET_COLUMNS),
+    "asymp": _per_point(_run_asymp, _ASYMP_COLUMNS),
     "painleve": _run_painleve,
     "verify": _run_verify,
     "moments": _run_moments,
-    "sweep": _run_sweep,
 }
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, RegimeError
 from .kernel import Configuration, KernelParams, chf_kernel_matrix, sigma_step
 from .quadrules import _MAX_ORDER, gauss_jacobi
 
@@ -31,6 +31,16 @@ __all__ = [
 _LN_BOUND = math.log(64.0 / 15.0) + 53.0 * math.log(2.0)
 # the largest s = ln(rho) the rule tries; sinh(700) is still finite
 _S_CAP = 700.0
+# the most nodes build_grid lays: one N x N matrix of doubles is then
+# 128 MiB, against 235 nodes at t = 100 on three intervals at alpha -0.45
+_MAX_NODES = 4096
+
+
+def _too_many_nodes(count: int) -> RegimeError:
+    return RegimeError(
+        f"build_grid: the grid needs at least {count} nodes, more than the {_MAX_NODES} "
+        "one dense determinant allows"
+    )
 
 
 def _ellipse_order(half_width: float, s_max: float, ln_weight: float) -> int:
@@ -104,7 +114,9 @@ def _panels(a: float, b: float, alpha: float) -> list:
     the origin sees the ellipse through x = 0 only beyond rho = 3 + sqrt 8,
     which at these widths does not bind, so it too stays below _MAX_ORDER.
     Only the panel nearest the origin on an interval that does not touch
-    it can need more, and it takes its capped order, up to _MAX_ORDER."""
+    it can need more, and it takes its capped order, up to _MAX_ORDER.
+    Every panel takes at least 4 nodes, so the count stops with
+    RegimeError once its panels alone must exceed _MAX_NODES."""
     if not a < a + 0.5 * (b - a) < b:
         return []
     # a capped order bounds the uncapped one, so one panel below the
@@ -116,6 +128,8 @@ def _panels(a: float, b: float, alpha: float) -> list:
     count = 1
     while _ellipse_order(0.5 * (b - a) / count, math.inf, ln_weight) >= _MAX_ORDER:
         count += 1
+        if 4 * count > _MAX_NODES:
+            raise _too_many_nodes(4 * count)
     breaks = [a + (b - a) * i / count for i in range(count)] + [b]
     return [(lo, hi, _panel_order(lo, hi, alpha)) for lo, hi in zip(breaks, breaks[1:])]
 
@@ -139,24 +153,28 @@ def build_grid(config: Configuration, alpha: float):
     |x|^{-2 alpha}, so the quadrature acts on an analytic integrand. Every
     other panel is Gauss-Legendre, the same rule at exponent 0; at
     alpha = 0 the two rules coincide.
+    A grid of more than _MAX_NODES nodes raises RegimeError before any
+    node is laid.
     """
     if config.t == 0.0:
         raise DomainError("build_grid: domain is empty at t = 0")
     edges = config.scaled_endpoints()
+    panels = [panel for k in range(config.n) for panel in _panels(edges[k], edges[k + 1], alpha)]
+    if (count := sum(q for _, _, q in panels)) > _MAX_NODES:
+        raise _too_many_nodes(count)
     nodes, weights = [], []
-    for k in range(config.n):
-        for lo, hi, q in _panels(edges[k], edges[k + 1], alpha):
-            h = hi - lo
-            if lo == 0.0 or hi == 0.0:
-                xj, wj = gauss_jacobi(q, 2.0 * alpha)
-                wj = wj * xj ** (-2.0 * alpha)
-                xs, ws = (h * xj, h * wj) if lo == 0.0 else (-h * xj[::-1], h * wj[::-1])
-            else:
-                xg, wg = gauss_jacobi(q, 0.0)
-                xs, ws = lo + h * xg, h * wg
-            if lo < xs[0] and xs[-1] < hi:
-                nodes.append(xs)
-                weights.append(ws)
+    for lo, hi, q in panels:
+        h = hi - lo
+        if lo == 0.0 or hi == 0.0:
+            xj, wj = gauss_jacobi(q, 2.0 * alpha)
+            wj = wj * xj ** (-2.0 * alpha)
+            xs, ws = (h * xj, h * wj) if lo == 0.0 else (-h * xj[::-1], h * wj[::-1])
+        else:
+            xg, wg = gauss_jacobi(q, 0.0)
+            xs, ws = lo + h * xg, h * wg
+        if lo < xs[0] and xs[-1] < hi:
+            nodes.append(xs)
+            weights.append(ws)
     return nodes, weights
 
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,23 @@ from chfdet.painleve import cpv_init
 from chfdet.stats import counting_statistics
 
 SINE_ARGS = ["--alpha", "0", "--beta-im", "0", "--r", "0=0,1=1", "--gamma", "0=0.5"]
+
+# The keys each command reads besides alpha, beta_im, r, out and format
+READS = {
+    "det": {"gamma", "t", "t_range"},
+    "asymp": {"gamma", "t", "t_range"},
+    "painleve": {"gamma", "t", "tol"},
+    "verify": {"gamma", "t_range", "tol"},
+    "moments": {"t"},
+}
+VALID_ARGV = {
+    "det": ["det", *SINE_ARGS, "--t", "2"],
+    "asymp": ["asymp", *SINE_ARGS, "--t", "2"],
+    "painleve": ["painleve", *SINE_ARGS, "--t", "2"],
+    "verify": ["verify", *SINE_ARGS, "--t-range", "1:2:2"],
+    "moments": ["moments", "--r", "0=0,1=1", "--t", "2"],
+}
+KEY_VALUES = {"gamma": "0=0.5", "t": "2", "t_range": "1:2:2", "tol": "1e-9"}
 
 
 def _read_csv(path):
@@ -27,7 +45,7 @@ class TestParsing:
     def test_full_flag_set_builds_expected_run_config(self):
         rc = parse_config(
             [
-                "det",
+                "painleve",
                 "--alpha",
                 "0.25",
                 "--beta-im",
@@ -44,7 +62,7 @@ class TestParsing:
                 "csv",
             ]
         )
-        assert rc.command == "det"
+        assert rc.command == "painleve"
         assert rc.params == KernelParams(alpha=0.25, beta_im=0.3)
         assert rc.config == Configuration(r=(-1.0, 0.0, 1.0), gamma=(0.3, 0.6), t=5.0)
         assert rc.tol == 1e-8
@@ -81,15 +99,8 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["det", *SINE_ARGS, "--t", "2"],
-            ["asymp", *SINE_ARGS, "--t", "2"],
-            ["painleve", *SINE_ARGS, "--t", "2"],
-            ["verify", *SINE_ARGS, "--t-range", "1:2:2"],
-            ["moments", "--r", "0=0,1=1", "--t", "2"],
-            ["sweep", *SINE_ARGS, "--t-range", "1:2:2"],
-        ],
-        ids=lambda argv: argv[0],
+        [*VALID_ARGV.values(), ["det", *SINE_ARGS, "--t-range", "1:2:2"]],
+        ids=[*VALID_ARGV, "det-t-range"],
     )
     def test_no_command_takes_an_order(self, argv, capsys):
         # each argv is valid, so the exit 2 is the flag's alone
@@ -101,11 +112,11 @@ class TestParsing:
     def test_unit_weight_allowed_for_det_only(self):
         rc = parse_config(["det", "--r", "0=0,1=1", "--gamma", "0=1", "--t", "2"])
         assert rc.config.gamma == (1.0,)
-        sweep = ["sweep", "--r", "0=0,1=1", "--gamma", "0=1", "--t-range", "1:2:2"]
-        rc = parse_config(sweep + ["--inner", "det"])
-        assert rc.config.gamma == (1.0,) and rc.inner == "det"
+        ranged = ["--r", "0=0,1=1", "--gamma", "0=1", "--t-range", "1:2:2"]
+        rc = parse_config(["det", *ranged])
+        assert rc.config.gamma == (1.0,) and rc.t_range == (1.0, 2.0, 2)
         with pytest.raises(ConfigError, match="requires weights < 1"):
-            parse_config(sweep + ["--inner", "asymp"])
+            parse_config(["asymp", *ranged])
         with pytest.raises(ConfigError, match="requires weights < 1"):
             parse_config(["asymp", "--r", "0=0,1=1", "--gamma", "0=1", "--t", "2"])
 
@@ -138,7 +149,7 @@ class TestParsing:
         ],
     )
     def test_invalid_values_exit_2(self, extra, message, capsys):
-        argv = ["det", "--r", "0=0,1=1", "--gamma", "0=0.5", "--t", "2", *extra]
+        argv = ["painleve", "--r", "0=0,1=1", "--gamma", "0=0.5", "--t", "2", *extra]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
@@ -149,8 +160,8 @@ class TestParsing:
             (["det", "--r", "0=0,1", "--gamma", "0=0.5", "--t", "2"],
              "entry '1' is not of the form index=value"),
             (["det", "--r", "0=0,1=1", "--t", "2"], "command 'det' requires key 'gamma'"),
-            (["sweep", *SINE_ARGS, "--t-range", "2:1:3"], "stop must be >= start"),
-            (["sweep", *SINE_ARGS, "--t-range", "1:1:2"], "stop must exceed start when count > 1"),
+            (["det", *SINE_ARGS, "--t-range", "2:1:3"], "stop must be >= start"),
+            (["asymp", *SINE_ARGS, "--t-range", "1:1:2"], "stop must exceed start when count > 1"),
         ],
     )
     def test_invalid_entries_and_ranges_exit_2(self, argv, message, capsys):
@@ -207,8 +218,7 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--gamma", "0=0.5"], ["--gamma", "0=1"], ["--tol", "1e-12"], ["--inner", "asymp"],
-         ["--t-range", "1:2:2"]],
+        [["--gamma", "0=0.5"], ["--gamma", "0=1"], ["--tol", "1e-12"], ["--t-range", "1:2:2"]],
     )
     def test_moments_rejects_keys_it_does_not_use(self, extra, capsys):
         # moments puts its own weights on the intervals it counts, runs no
@@ -227,25 +237,62 @@ class TestParsing:
         path.write_text("".join(f"{k} = {v}\n" for k, v in document["inputs"].items()))
         assert parse_config(["moments", "--config", str(path)]) == rc
 
-    def test_inputs_block_reparses_to_the_same_run_config(self, tmp_path):
-        argv = [
-            "sweep",
-            "--alpha",
-            "0.1",
-            "--r",
-            "0=0,1=1",
-            "--gamma",
-            "0=0.3",
-            "--t-range",
-            "0.5:2.5:3",
-            "--inner",
-            "asymp",
-        ]
-        rc = parse_config(argv)
+    @pytest.mark.parametrize(
+        "argv, echoed",
+        [
+            (["det", *SINE_ARGS, "--t", "2"], {"gamma", "t"}),
+            (["det", "--alpha", "0.1", "--r", "0=0,1=1", "--gamma", "0=0.3", "--t-range",
+              "0.5:2.5:3", "--format", "csv"], {"gamma", "t_range"}),
+            (["asymp", "--alpha", "0.1", "--r", "0=0,1=1", "--gamma", "0=0.3", "--t-range",
+              "0.5:2.5:3"], {"gamma", "t_range"}),
+            (["painleve", *SINE_ARGS, "--t", "0.5", "--tol", "1e-8"], {"gamma", "t", "tol"}),
+            (["verify", *SINE_ARGS, "--t-range", "1:2:2"], {"gamma", "t_range", "tol"}),
+            (["moments", "--r", "0=0,1=1", "--t", "2"], {"t"}),
+        ],
+        ids=["det", "det-t-range", "asymp-t-range", "painleve", "verify", "moments"],
+    )
+    def test_inputs_block_reparses_to_the_same_run_config(self, argv, echoed, tmp_path):
+        # the block echoes the command's keys, with the one of t and t_range
+        # given, and never the output path
+        rc = parse_config([*argv, "--out", str(tmp_path / "out")])
         document, _, _ = run(rc)
+        assert document["inputs"].keys() == {"alpha", "beta_im", "r", "format"} | echoed
         path = tmp_path / "echo.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in document["inputs"].items()))
-        assert parse_config(["sweep", "--config", str(path)]) == rc
+        assert parse_config([argv[0], "--config", str(path)]) == replace(rc, out=None)
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c, reads in READS.items() for k in sorted(KEY_VALUES.keys() - reads)],
+    )
+    def test_every_command_refuses_a_key_it_does_not_read(self, command, key, tmp_path, capsys):
+        assert set(cli._KEYS) == {"alpha", "beta_im", "r", "out", "format", *KEY_VALUES}
+        argv = VALID_ARGV[command]
+        assert parse_config(argv).command == command
+        path = tmp_path / "extra.cfg"
+        path.write_text(f"{key} = {KEY_VALUES[key]}\n")
+        for extra in (["--" + key.replace("_", "-"), KEY_VALUES[key]], ["--config", str(path)]):
+            assert main([*argv, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"command '{command}' does not take key '{key}'" in captured.err
+
+    @pytest.mark.parametrize("command", ["det", "asymp"])
+    def test_point_or_range_commands_take_exactly_one_scale(self, command, capsys):
+        assert main([command, *SINE_ARGS, "--t", "5", "--t-range", "1:2:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"command '{command}' requires key 't' or 't_range', not both" in captured.err
+        assert main([command, *SINE_ARGS]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(f"command '{command}' requires key 't' or 't_range'")
+
+    def test_sweep_and_inner_are_gone(self, capsys):
+        assert main(["sweep", *SINE_ARGS, "--t-range", "1:2:2"]) == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+        assert main(["det", *SINE_ARGS, "--t-range", "1:2:2", "--inner", "det"]) == 2
+        assert "unrecognized arguments: --inner det" in capsys.readouterr().err
 
     def test_help_and_unknown_command_exit_codes(self, capsys):
         assert main(["--help"]) == 0
@@ -327,7 +374,7 @@ class TestOutputs:
         assert document["results"]["lnf"] == log_det(KernelParams(0.0, 0.0), config)
 
     def test_one_point_range_evaluates_its_start(self, capsys):
-        assert main(["sweep", *SINE_ARGS, "--t-range", "3:7:1", "--format", "csv"]) == 0
+        assert main(["det", *SINE_ARGS, "--t-range", "3:7:1", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and lines[0] == "t,lnf"
         config = Configuration(r=(0.0, 1.0), gamma=(0.5,), t=3.0)
@@ -344,13 +391,14 @@ class TestOutputs:
             numeric, predicted, difference = map(float, line.split(",")[1:])
             assert difference == numeric - predicted
 
-    def test_empty_sweep_writes_header_only_csv(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        code = main(
-            ["sweep", *SINE_ARGS, "--t-range", "1:2:0", "--format", "csv", "--out", str(out)]
-        )
+    def test_empty_range_writes_header_only_csv(self, tmp_path):
+        out = tmp_path / "range.csv"
+        code = main(["det", *SINE_ARGS, "--t-range", "1:2:0", "--format", "csv", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == b"t,lnf\n"
+        code = main(["asymp", *SINE_ARGS, "--t-range", "1:2:0", "--format", "csv", "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == b"t,total,linear_term,log_term,constant_term\n"
 
     def test_identical_inputs_produce_byte_identical_files(self, tmp_path):
         argv = [
@@ -372,30 +420,31 @@ class TestOutputs:
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_sweep_json_reruns_identically_from_its_inputs_block(self, tmp_path, capsys):
-        argv = ["sweep", *SINE_ARGS, "--t-range", "1:3:3", "--inner", "asymp"]
+    def test_range_json_reruns_identically_from_its_inputs_block(self, tmp_path, capsys):
+        argv = ["asymp", *SINE_ARGS, "--t-range", "1:3:3"]
         assert main(argv) == 0
         document = json.loads(capsys.readouterr().out)
+        assert document["diagnostics"] == {"points": 3}
         path = tmp_path / "echo.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in document["inputs"].items()))
-        assert main(["sweep", "--config", str(path)]) == 0
+        assert main(["asymp", "--config", str(path)]) == 0
         rerun = json.loads(capsys.readouterr().out)
         assert rerun == document
 
     @pytest.mark.parametrize(
-        "inner,gamma", [("det", "0=0.3,1=1,2=0.5"), ("asymp", "0=0.3,1=0.9,2=0.5")]
+        "command,gamma", [("det", "0=0.3,1=1,2=0.5"), ("asymp", "0=0.3,1=0.9,2=0.5")]
     )
-    def test_sweep_rows_are_the_inner_command_rows(self, inner, gamma, capsys):
+    def test_range_rows_are_the_point_rows(self, command, gamma, capsys):
         args = ["--alpha", "0.5", "--beta-im", "-0.2", "--r", "0=-1,1=0,2=1,3=2"]
         args += ["--gamma", gamma, "--format", "csv"]
-        assert main(["sweep", "--inner", inner, *args, "--t-range", "1:30:4"]) == 0
-        sweep = capsys.readouterr().out.splitlines()
+        assert main([command, *args, "--t-range", "1:30:4"]) == 0
+        ranged = capsys.readouterr().out.splitlines()
         expected = []
         for point in (1.0, 1.0 + 29.0 / 3.0, 1.0 + 29.0 * 2.0 / 3.0, 30.0):
-            assert main([inner, *args, "--t", repr(point)]) == 0
+            assert main([command, *args, "--t", repr(point)]) == 0
             header, row = capsys.readouterr().out.splitlines()
             expected.append(row)
-        assert sweep == [header] + expected
+        assert ranged == [header] + expected
 
     def test_verify_reports_small_flow_residuals_for_plain_kernel(self, tmp_path):
         out = tmp_path / "verify.csv"

@@ -1,6 +1,7 @@
 """Tests for the Nystrom determinant, checked against a trace-series oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ class TestBuildGrid:
         c = single_interval(0.5, 0.0)
         with pytest.raises(DomainError):
             build_grid(c, 0.0)
+
+    @pytest.mark.parametrize("t", [1e4, 1e12])
+    def test_grid_too_large_to_factor_is_refused_at_once(self, t):
+        # one panel per 905 of length: at t = 1e12 the count alone would
+        # loop for hours before a matrix of 1e9 rows was asked for
+        start = time.perf_counter()
+        with pytest.raises(RegimeError, match="more than the 4096"):
+            log_det(SINE, single_interval(0.5, t))
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_grid_in_use_is_laid(self):
+        # t = 1000 on three intervals at alpha -0.45 takes 1786 nodes
+        c = Configuration(r=(-1.0, 0.0, 1.0, 2.0), gamma=(0.3, 0.9, 0.5), t=1000.0)
+        assert sum(orders_of(c, -0.45)) == 1786
+        assert math.isfinite(log_det(KernelParams(-0.45, 0.7), c))
 
 
 class TestPanelOrderRule:
