@@ -254,6 +254,8 @@ def _build_run_config(command: str, raw: dict) -> RunConfig:
 
     try:
         config = Configuration(r=endpoints, gamma=gamma, t=t_value)
+        if t_range is not None:
+            config.replace_t(t_range[1])  # a range's scaled endpoints are finite to its stop
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -83,9 +83,10 @@ class Configuration:
 
     ``r`` is the strictly increasing tuple of n+1 interval endpoints, exactly
     one of which is 0 (its index is ``m``); the operator acts on the union of
-    (r_k t, r_{k+1} t) with weight ``gamma[k]`` on the k-th interval. t = 0
-    is accepted as the degenerate empty domain (the determinant is then 1);
-    operations that need a genuine domain reject it themselves.
+    (r_k t, r_{k+1} t) with weight ``gamma[k]`` on the k-th interval. Every
+    r_k and every scaled endpoint r_k t must be finite. t = 0 is accepted as
+    the degenerate empty domain (the determinant is then 1); operations that
+    need a genuine domain reject it themselves.
 
     Weights must lie in [0, 1]: values below 1 describe the thinned process
     and 1 a hard gap. Consumers that need weights strictly below 1 (the
@@ -114,6 +115,8 @@ class Configuration:
             raise DomainError("Configuration: exactly one endpoint must be 0")
         if not (self.t >= 0.0 and math.isfinite(self.t)):
             raise DomainError(f"Configuration: t must be nonnegative and finite, got {self.t}")
+        if not all(math.isfinite(v) and math.isfinite(v * self.t) for v in r):
+            raise DomainError(f"Configuration: r_k and r_k t must be finite, got r = {r} at t = {self.t}")
         if not all(0.0 <= g <= 1.0 for g in gamma):
             raise DomainError(f"Configuration: weights must lie in [0, 1], got {gamma}")
 
@@ -225,21 +228,12 @@ def chf_kernel(params: KernelParams, x, y):
 
 
 def chf_kernel_diagonal(params: KernelParams, x):
-    """Diagonal value K(x, x) = lim_{y -> x} K(x, y), in closed form.
-
-    The divided difference degenerates to G/pi Im(A'(x) conj A(x)), which is
-    G/pi c^2 (2 Re(phi' conj phi) - |phi|^2) with c = chi^{1/2} |2x|^alpha
-    and phi, phi' at 2ix. Positive for x != 0 (it is the one-point density
-    of the process). At x = 0 it vanishes like |2x|^{2 alpha} for alpha > 0
-    and diverges for alpha < 0; alpha <= 0 raises DomainError at x = 0.
+    """Diagonal value K(x, x), the one-point density of the process:
+    chf_kernel(x, x), in the closed form G/pi c^2 (2 Re(phi' conj phi) -
+    |phi|^2) with c = chi^{1/2} |2x|^alpha and phi, phi' at 2ix. At x = 0 it
+    vanishes like |2x|^{2 alpha} for alpha > 0; alpha <= 0 raises DomainError.
     """
-    arr = np.asarray(x, dtype=float)
-    if params.alpha <= 0.0 and np.any(arr == 0.0):
-        raise DomainError("chf_kernel_diagonal: x = 0 requires alpha > 0")
-    out = _gamma_prefactor(params) / math.pi * _cap_A_and_density(params, np.ravel(arr))[1]
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return chf_kernel(params, x, x)
 
 
 def chf_kernel_matrix(params: KernelParams, x):

@@ -16,6 +16,9 @@ by methods the package does not use.
 - ``verify_identities``: residuals of two differential identities along a
   flow trajectory, from samples taken by partial DOP853 steps of the
   package's own integrator.
+- ``rescaled_state`` and ``physical_rates``: the flow's packed state for
+  physical pairs u, v, and their rates in t from the field in s = ln t by
+  the chain rule, against which the Hamiltonian structure is checked.
 - ``log_barnes_g_d1`` and ``log_barnes_g_d2``: the first two derivatives
   of log G(1+z) in closed form, from digamma and trigamma.
 - ``symmetric_counting_asymptotics``: the large-t mean and variance of the
@@ -46,7 +49,7 @@ from scipy.special import jv
 from chfdet.asymptotics import AsymptoticReport, _gamma_extended, _jump_nus
 from chfdet.errors import DomainError, RegimeError
 from chfdet.kernel import chf_kernel_matrix, sigma_step
-from chfdet.painleve import _dop853_step, _rates, _side_weights, _Workspace
+from chfdet.painleve import _dop853_step, _rates, _side_weights, _Workspace, cpv_rhs
 from chfdet.quadrules import gauss_jacobi
 from chfdet.specialfn import _LN_2PI, digamma, log_barnes_g, log_gamma, trigamma
 from chfdet.stats import CountingStatistics
@@ -443,6 +446,24 @@ def verify_identities(trajectory, params, config):
     return IdentityReport(
         residual_a=float(np.max(res_a)), residual_b=float(np.max(res_b)), points_used=m
     )
+
+
+def rescaled_state(t, u, v, alpha):
+    """Packed state for the physical pairs u, v at time t: U = u t^{-2 alpha},
+    V = (v - 1)/t, with zero logarithms and lnF."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    return np.concatenate([u * t ** (-2.0 * alpha), (v - 1.0) / t, np.zeros(3)])
+
+
+def physical_rates(t, u, v, params, config):
+    """(du/dt, dv/dt, d(log y, log d, lnF)/dt) from the field in s = ln t by
+    the chain rule: du/dt = t^{2 alpha - 1} (dU/ds + 2 alpha U) and
+    dv/dt = dV/ds + V."""
+    a, n = params.alpha, len(u)
+    y = rescaled_state(t, u, v, a)
+    dy = cpv_rhs(math.log(t), y, params, config)
+    du = t ** (2.0 * a - 1.0) * (dy[:n] + 2.0 * a * y[:n])
+    return du, dy[n : 2 * n] + y[n : 2 * n], dy[2 * n :] / t
 
 
 def log_barnes_g_d1(z):

@@ -17,7 +17,6 @@ from chfdet.painleve import (
     CPVState,
     cpv_init,
     cpv_integrate,
-    cpv_rhs,
     hamiltonian,
 )
 from chfdet.specialfn import (
@@ -36,6 +35,8 @@ from _references import (
     log_barnes_g_d1,
     log_barnes_g_d2,
     log_det_series_oracle,
+    physical_rates,
+    rescaled_state,
     symmetric_counting_asymptotics,
     verify_identities,
 )
@@ -53,21 +54,6 @@ def _flow_lnf(params, config, tol):
     state = cpv_init(params, config)
     trajectory = cpv_integrate(state, params, config, config.t, tol=tol)
     return complex(trajectory[-1].lnF).real
-
-
-def _rescaled(t, u, v, alpha):
-    """Packed state for the physical pairs u, v at time t: U = u t^{-2 alpha},
-    V = (v - 1)/t, with zero logarithms and lnF."""
-    return np.concatenate([u * t ** (-2.0 * alpha), (v - 1.0) / t, np.zeros(3)])
-
-
-def _physical_pair_rates(t, u, v, params, config):
-    """(du/dt, dv/dt) from the field in s = ln t by the chain rule:
-    du/dt = t^{2 alpha - 1} (dU/ds + 2 alpha U) and dv/dt = dV/ds + V."""
-    a, n = params.alpha, len(u)
-    y = _rescaled(t, u, v, a)
-    dy = cpv_rhs(math.log(t), y, params, config)
-    return t ** (2.0 * a - 1.0) * (dy[:n] + 2.0 * a * y[:n]), dy[n : 2 * n] + y[n : 2 * n]
 
 
 def test_criterion_01_quadrature_matches_series_oracle():
@@ -215,10 +201,10 @@ def test_criterion_06_flow_field_is_hamiltonian():
         active = config.active_indices
         u = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
         v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
-        du, dv = _physical_pair_rates(t, u, v, params, config)
+        du, dv, _ = physical_rates(t, u, v, params, config)
 
         def weighted_h(u_arr, v_arr):
-            y = _rescaled(t, u_arr, v_arr, params.alpha)
+            y = rescaled_state(t, u_arr, v_arr, params.alpha)
             probe = CPVState(t=t, indices=active, y=y, alpha=params.alpha)
             return t * hamiltonian(probe, params, config)
 

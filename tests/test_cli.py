@@ -168,6 +168,14 @@ class TestParsing:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [["--t", "1e10"], ["--t-range", "1:1e10:2"]], ids=["t", "t-range"])
+    def test_endpoints_that_overflow_exit_2(self, scale, capsys):
+        # r_1 t = 1e310 is not a double; a range is checked at its stop,
+        # before any point runs
+        assert main(["det", "--r", "0=0,1=1e300", "--gamma", "0=0.5", *scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "r_k and r_k t must be finite" in captured.err
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -64,6 +64,11 @@ class TestConfiguration:
         with pytest.raises(DomainError):
             Configuration(r=(0.0, 1.0), gamma=(0.3,), t=-1.0)
 
+    @pytest.mark.parametrize("stop, t", [(math.inf, 1.0), (math.nan, 1.0), (1e300, 1e10)])
+    def test_endpoints_and_scaled_endpoints_must_be_finite(self, stop, t):
+        with pytest.raises(DomainError, match="r_k and r_k t must be finite"):
+            Configuration(r=(0.0, stop), gamma=(0.5,), t=t)
+
     def test_zero_t_is_empty_domain(self):
         c = Configuration(r=(0.0, 1.0), gamma=(0.3,), t=0.0)
         assert c.scaled_endpoints() == (0.0, 0.0)

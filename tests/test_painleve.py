@@ -16,7 +16,6 @@ from chfdet.painleve import (
     CPVState,
     cpv_init,
     cpv_integrate,
-    cpv_rhs,
     hamiltonian,
 )
 
@@ -24,6 +23,8 @@ from _references import (
     complex_small_t_limits,
     complex_small_t_lnF,
     cpv_large_t_prediction,
+    physical_rates,
+    rescaled_state,
     verify_identities,
 )
 
@@ -49,24 +50,6 @@ def pv5_weighted_hamiltonian(u, v, s, alpha, beta):
     )
 
 
-def _rescaled(t, u, v, alpha):
-    """Packed state for the physical pairs u, v at time t: U = u t^{-2 alpha},
-    V = (v - 1)/t, with zero logarithms and lnF."""
-    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    return np.concatenate([u * t ** (-2.0 * alpha), (v - 1.0) / t, np.zeros(3)])
-
-
-def _physical_rates(t, u, v, params, config):
-    """(du/dt, dv/dt, d(log y, log d, lnF)/dt) from the field in s = ln t by
-    the chain rule: du/dt = t^{2 alpha - 1} (dU/ds + 2 alpha U) and
-    dv/dt = dV/ds + V."""
-    a, n = params.alpha, len(u)
-    y = _rescaled(t, u, v, a)
-    dy = cpv_rhs(math.log(t), y, params, config)
-    du = t ** (2.0 * a - 1.0) * (dy[:n] + 2.0 * a * y[:n])
-    return du, dy[n : 2 * n] + y[n : 2 * n], dy[2 * n :] / t
-
-
 class TestStateAndRates:
     def test_state_requires_positive_finite_time(self):
         for bad_t in (0.0, -1.0, math.inf, math.nan):
@@ -76,7 +59,7 @@ class TestStateAndRates:
     def test_zero_solution_is_stationary_except_logs(self):
         params = KernelParams(alpha=0.3, beta_im=0.2)
         cfg = Configuration(t=2.0, r=(0.0, 1.0), gamma=(0.0,))
-        du, dv, (dlog_y, dlog_d, dlnf) = _physical_rates(2.0, [0.0j], [1.0 + 0j], params, cfg)
+        du, dv, (dlog_y, dlog_d, dlnf) = physical_rates(2.0, [0.0j], [1.0 + 0j], params, cfg)
         assert du == 0.0
         # the empty channel still carries the pure phase rotation dv = 2 i r v
         assert dv == 2.0j
@@ -90,7 +73,7 @@ class TestStateAndRates:
         t = 1.7
         cfg = Configuration(t=t, r=(0.0, 1.3), gamma=(0.4,))
         u, v = 0.3 - 0.2j, 1.1 + 0.4j
-        y = _rescaled(t, [u], [v], params.alpha)
+        y = rescaled_state(t, [u], [v], params.alpha)
         state = CPVState(t=t, indices=(1,), y=y, alpha=params.alpha)
         expected = pv5_weighted_hamiltonian(u, v, -2.0j * t * 1.3, params.alpha, params.beta) / t
         assert hamiltonian(state, params, cfg) == pytest.approx(expected, rel=1e-15)
@@ -115,10 +98,10 @@ class TestStateAndRates:
             active = cfg.active_indices
             u = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
             v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in active])
-            du, dv, _ = _physical_rates(t, u, v, params, cfg)
+            du, dv, _ = physical_rates(t, u, v, params, cfg)
 
             def weighted_h(u_arr, v_arr):
-                y = _rescaled(t, u_arr, v_arr, params.alpha)
+                y = rescaled_state(t, u_arr, v_arr, params.alpha)
                 probe = CPVState(t=t, indices=active, y=y, alpha=params.alpha)
                 return t * hamiltonian(probe, params, cfg)
 
@@ -157,7 +140,7 @@ class TestStateAndRates:
                 for k in range(n):
                     if j != k:
                         th += 0.5 * u[j] * u[k] * (v[j] + v[k]) * (v[j] - 1.0) * (v[k] - 1.0)
-            state = CPVState(t=t, indices=cfg.active_indices, y=_rescaled(t, u, v, a), alpha=a)
+            state = CPVState(t=t, indices=cfg.active_indices, y=rescaled_state(t, u, v, a), alpha=a)
             worst = max(worst, abs(hamiltonian(state, params, cfg) - th / t) / abs(th / t))
         assert worst <= 1e-13
 
